@@ -17,9 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
+
+# unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
+# still wraps this name and its smoke test requires every wrapped name to exist
+from scipy.optimize import linprog  # noqa: F401
 from scipy.stats import qmc
 
+from .lp import LPProblem, solve_lp
 from .smt.encode import SMTQuery, StructConstraint
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly
@@ -279,36 +283,34 @@ def synth_angle_certificate(
     init_phis = sample_interval(lo, hi, samples, seed)
     unsafe_phis = sample_interval(UNSAFE_LO, UNSAFE_HI, samples, seed + 1)
     th = theta(g)
-    # variables: c, gamma, lam, delta
-    rows = []
-    rhs = []
-    for phi in init_phis:
-        rows.append([phi, -1.0, 0.0, 0.0])
-        rhs.append(0.0)
-    for phi in unsafe_phis:
-        rows.append([-phi, 0.0, 1.0, 0.0])
-        rhs.append(0.0)
-    rows.append([th + g.eta, 0.0, 0.0, -1.0])
-    rhs.append(0.0)
-    rows.append([0.0, 1.0, -1.0, float(t_steps)])
-    rhs.append(-margin)
-    objective = np.array([0.0, -1.0, 1.0, -float(t_steps)])
-    res = linprog(
-        c=-objective,
-        A_ub=np.asarray(rows),
-        b_ub=np.asarray(rhs),
+    # variables: c, gamma, lam, delta; with c >= 0 the sampled rows
+    # c*phi <= gamma and c*phi >= lam reduce exactly to the extreme angles
+    problem = LPProblem(
+        a_ub=np.array(
+            [
+                [float(np.max(init_phis)), -1.0, 0.0, 0.0],
+                [-float(np.min(unsafe_phis)), 0.0, 1.0, 0.0],
+                [th + g.eta, 0.0, 0.0, -1.0],
+                [0.0, 1.0, -1.0, float(t_steps)],
+            ]
+        ),
+        b_ub=np.array([0.0, 0.0, 0.0, -margin]),
         bounds=[
             (0.0, coeff_bound),
             (-coeff_bound, coeff_bound),
             (-coeff_bound, coeff_bound),
             (0.0, coeff_bound),
         ],
-        method="highs",
+        objective=np.array([0.0, -1.0, 1.0, -float(t_steps)]),
+        var_names=["c", "gamma", "lam", "delta"],
+        families=[("init", 0, 1), ("unsafe", 1, 2), ("step", 2, 3), ("side", 3, 4)],
+        flavor="finite-horizon",
     )
+    sol = solve_lp(problem)
     lp_time = _time.perf_counter() - t0
-    if res.status != 0 or float(-res.fun) < margin:
+    if sol.status != "optimal" or sol.objective < margin:
         return AngleSynthesisResult("unsolved", None, None, lp_time, 0.0)
-    c, gamma, lam, delta = (float(v) for v in res.x)
+    c, gamma, lam, delta = (float(v) for v in sol.x)
     # keep part of the slack as a buffer against boundary samples
     slack = lam - gamma - delta * t_steps - margin
     gamma += slack / 4.0

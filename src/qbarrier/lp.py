@@ -34,7 +34,13 @@ from .smt.run import (
     model_to_state,
     verify_certificate,
 )
-from .templates import BarrierTemplate, Certificate, full_template, real_combination
+from .templates import (
+    BarrierTemplate,
+    Certificate,
+    CertificateError,
+    full_template,
+    real_combination,
+)
 
 log = logging.getLogger(__name__)
 
@@ -120,23 +126,98 @@ class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
+    rows_kept: int = 0  # rows in the final working set
+    highs_calls: int = 0  # cut rounds
+
+
+# Constraint generation: only a few hundred of the sampled rows are active at
+# an optimum, so HiGHS sees a small working set of rows and the rest are
+# checked with one matrix-vector product per round.
+CUT_SEED_ROWS = 200  # evenly spaced rows in the first working set
+CUT_BATCH_ROWS = 100  # most violated rows added per round
+CUT_TOL = 1e-9  # a row outside the working set is violated above this
+
+
+def _spread(n_rows: int, count: int) -> np.ndarray:
+    """`count` evenly spaced row indices; every family is a contiguous block
+    of i.i.d. samples, so this picks from each family in proportion."""
+    count = min(count, n_rows)
+    return np.unique(np.linspace(0, n_rows - 1, count).round().astype(np.intp))
+
+
+def _cut_solve(
+    cost: np.ndarray,
+    a_gen: np.ndarray,
+    b_gen: np.ndarray,
+    bounds: list,
+    keep: np.ndarray,
+    a_fixed: np.ndarray | None = None,
+    b_fixed: np.ndarray | None = None,
+):
+    """Minimize cost @ x subject to a_gen @ x[:a_gen.shape[1]] <= b_gen and
+    a_fixed @ x <= b_fixed, by constraint generation over the a_gen rows.
+
+    Each round solves on the rows `keep` plus every fixed row, then adds the
+    most violated remaining rows; it stops when no row outside the working
+    set is violated, so the point satisfies every row. An infeasible
+    relaxation proves the full problem infeasible; an unbounded one doubles
+    the working set until it is bounded or holds every row.
+
+    Returns (the last scipy result, the final working set, HiGHS calls).
+    """
+    n_rows, n_cols = a_gen.shape
+    width = len(cost)
+    if a_fixed is None:
+        a_fixed = np.zeros((0, width))
+        b_fixed = np.zeros(0)
+    calls = 0
+    while True:
+        sub = a_gen[keep]
+        if n_cols < width:
+            sub = np.hstack([sub, np.zeros((len(keep), width - n_cols))])
+        res = linprog(
+            c=cost,
+            A_ub=np.vstack([sub, a_fixed]),
+            b_ub=np.concatenate([b_gen[keep], b_fixed]),
+            bounds=bounds,
+            method="highs",
+        )
+        calls += 1
+        # HiGHS status 4 includes "unbounded or infeasible" from presolve
+        if res.status in (3, 4) and len(keep) < n_rows:
+            keep = np.union1d(keep, _spread(n_rows, 2 * max(len(keep), 1)))
+            continue
+        if res.status != 0:
+            return res, keep, calls
+        viol = a_gen @ res.x[:n_cols] - b_gen
+        viol[keep] = -np.inf
+        out = np.flatnonzero(viol > CUT_TOL)
+        if out.size == 0:
+            return res, keep, calls
+        if out.size > CUT_BATCH_ROWS:
+            out = out[np.argpartition(viol[out], -CUT_BATCH_ROWS)[-CUT_BATCH_ROWS:]]
+        keep = np.union1d(keep, out)
+
+
+def _seed_rows(problem: LPProblem) -> np.ndarray:
+    """First working set: evenly spaced rows plus every side-condition row."""
+    side = [i for f, start, stop in problem.families if f == "side" for i in range(start, stop)]
+    return np.union1d(_spread(problem.n_rows, CUT_SEED_ROWS), np.array(side, dtype=np.intp))
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:
-    """Solve with scipy's HiGHS backend; numerical failures raise."""
-    res = linprog(
-        c=-problem.objective,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        bounds=problem.bounds,
-        method="highs",
+    """Solve with scipy's HiGHS backend by constraint generation over the
+    rows; the returned point satisfies every row.  Numerical failures raise."""
+    res, keep, calls = _cut_solve(
+        -problem.objective, problem.a_ub, problem.b_ub, problem.bounds, _seed_rows(problem)
     )
+    stats = {"rows_kept": len(keep), "highs_calls": calls}
     if res.status == 0:
-        return LPSolution(status="optimal", x=res.x, objective=float(-res.fun))
+        return LPSolution(status="optimal", x=res.x, objective=float(-res.fun), **stats)
     if res.status == 2:
-        return LPSolution(status="infeasible")
+        return LPSolution(status="infeasible", **stats)
     if res.status == 3:
-        return LPSolution(status="unbounded")
+        return LPSolution(status="unbounded", **stats)
     raise LPSolverError(f"LP solver failed: status {res.status}: {res.message}")
 
 
@@ -205,6 +286,8 @@ class ScenarioLP:
         self.k = cfg.k if cfg.flavor in ("k-inductive", "hybrid") else 1
         self.n_vec = self.k if cfg.flavor == "hybrid" else 1
         self.nt = template.n_terms
+        self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
+        self.polish_rows_kept = 0
         if cfg.flavor in ("invariant", "k-inductive", "finite-horizon"):
             if not dynamics.schedule.is_constant:
                 raise LPError(f"{cfg.flavor} flavor needs a constant schedule")
@@ -496,32 +579,28 @@ class ScenarioLP:
 
     def polish(self, problem: LPProblem, opt_value: float) -> np.ndarray:
         """Re-solve with the separation pinned at half the optimum and an L1
-        objective over coefficients, then zero trailing terms greedily."""
+        objective over coefficients, then zero trailing terms greedily.
+
+        The scenario rows are generated as in `solve_lp`; the gap, |coef|
+        and coefficient-difference rows stay in every solve."""
         cfg = self.cfg
         width = problem.n_vars
         n_coef = self.n_vec * 2 * self.nt
         gap = max(cfg.margin, 0.5 * opt_value)
-        gap_row = -problem.objective.reshape(1, -1)
-        a_rows = [problem.a_ub, gap_row]
-        b_vals = [problem.b_ub, np.array([-gap])]
         # |coef| helper variables; for hybrid families also penalize the
         # coefficient differences between consecutive vectors so the polish
         # prefers time-uniform certificates
         n_diff = (self.n_vec - 1) * 2 * self.nt if self.n_vec > 1 else 0
+        gap_row = np.concatenate([-problem.objective, np.zeros(n_coef + n_diff)])
         eye = np.eye(width)[:n_coef]
         a_abs = np.vstack([eye, -eye])
         blocks = [
-            np.hstack(
-                [
-                    np.vstack(a_rows),
-                    np.zeros((problem.n_rows + 1, n_coef + n_diff)),
-                ]
-            ),
+            gap_row.reshape(1, -1),
             np.hstack(
                 [a_abs, np.vstack([-np.eye(n_coef)] * 2), np.zeros((2 * n_coef, n_diff))]
             ),
         ]
-        b_ext_parts = b_vals + [np.zeros(2 * n_coef)]
+        b_fixed_parts = [np.array([-gap]), np.zeros(2 * n_coef)]
         if n_diff:
             d_rows = np.zeros((n_diff, width))
             for v in range(self.n_vec - 1):
@@ -536,9 +615,9 @@ class ScenarioLP:
             blocks.append(
                 np.hstack([-d_rows, np.zeros((n_diff, n_coef)), d_aux])
             )
-            b_ext_parts += [np.zeros(n_diff), np.zeros(n_diff)]
-        a_ext = np.vstack(blocks)
-        b_ext = np.concatenate(b_ext_parts)
+            b_fixed_parts += [np.zeros(n_diff), np.zeros(n_diff)]
+        a_fixed = np.vstack(blocks)
+        b_fixed = np.concatenate(b_fixed_parts)
         bounds = list(problem.bounds) + [(0.0, None)] * (n_coef + n_diff)
         if self.flavor == "finite-horizon":
             gi = self.flavor_vars["gamma"]
@@ -546,14 +625,22 @@ class ScenarioLP:
         objective = np.zeros(width + n_coef + n_diff)
         objective[width : width + n_coef] = -1.0  # maximize -sum|coef|
         objective[width + n_coef :] = -10.0  # and strongly prefer uniform families
-        res = linprog(
-            c=-objective, A_ub=a_ext, b_ub=b_ext, bounds=bounds, method="highs"
-        )
-        x = res.x[:width] if res.status == 0 else None
-        if x is None:
+
+        def solve(keep):
+            res, keep, calls = _cut_solve(
+                -objective, problem.a_ub, problem.b_ub, bounds, keep, a_fixed, b_fixed
+            )
+            self.polish_calls += calls
+            self.polish_rows_kept = len(keep)
+            return res, keep
+
+        res, keep = solve(_seed_rows(problem))
+        if res.status != 0:
             return None
-        # trailing-term elimination re-solves once per term; worth it only
-        # while the row count keeps the solves cheap
+        x = res.x[:width]
+        # trailing-term elimination re-solves once per term; the gate stays on
+        # the full row count it had when every solve saw every row, so the
+        # same sizes are polished and the same candidates come out
         if self.nt <= 24 and problem.n_rows <= 40000:
             for i in range(self.nt - 1, 0, -1):
                 saved = [bounds[v * 2 * self.nt + 2 * i] for v in range(self.n_vec)]
@@ -567,9 +654,7 @@ class ScenarioLP:
                     base = v * 2 * self.nt + 2 * i
                     bounds[base] = (0.0, 0.0)
                     bounds[base + 1] = (0.0, 0.0)
-                res2 = linprog(
-                    c=-objective, A_ub=a_ext, b_ub=b_ext, bounds=bounds, method="highs"
-                )
+                res2, keep = solve(keep)
                 if res2.status == 0:
                     x = res2.x[:width]
                 else:
@@ -616,71 +701,71 @@ class ScenarioLP:
         # authority on the real conditions
         scale = max(max(float(np.max(np.abs(v))) for v in vectors), 1.0)
         dust = 1e-9 * scale
+        if flavor == "finite-horizon":
+            t_hor = int(cfg.horizon)
+            gamma = up(ext["init_max"])
+            lam = down(ext["unsafe_min"])
+            delta = up(max(0.0, ext["step_max"]))
+            s = lam - gamma - delta * t_hor - rho
+            if s < 0:
+                return None
+            gamma = up(gamma + s / 4.0)
+            lam = down(lam - s / 4.0)
+            delta = up(delta + s / (6.0 * t_hor))
+            constants = {"gamma": gamma, "lam": lam, "delta": delta, "T": t_hor}
+        elif flavor == "invariant":
+            shift = max(0.0, ext["init_max"])
+            if ext["step_max"] > dust:
+                return None
+            vectors = self._shifted(vectors, up(shift))
+            gamma_raw = float(
+                np.min(real_combination(vectors[0], self.unsafe_T))
+            )
+            gamma = down(max(rho, gamma_raw / 2.0))
+            if gamma < rho or gamma_raw < rho:
+                return None
+            constants = {"gamma": gamma}
+        else:
+            eps = float(cfg.eps) if cfg.eps != "free" else None
+            gam = float(cfg.gamma) if cfg.gamma != "free" else None
+            if eps is None:
+                eps = up(max(0.0, ext["step_max"]))
+            if flavor == "hybrid" and gam is None:
+                gam = up(max(0.0, ext["shift_max"]))
+            # rounding can push the fixed-threshold rows marginally over;
+            # shrink the whole family, which preserves every condition
+            # with a zero or scaled threshold
+            beta = 1.0
+            if ext["step_max"] > eps and ext["step_max"] > 0:
+                beta = min(beta, eps / ext["step_max"])
+            if flavor == "hybrid" and ext["shift_max"] > gam and ext["shift_max"] > 0:
+                beta = min(beta, gam / ext["shift_max"])
+            if beta < 1.0:
+                vectors = [self._round_vec(v * (0.999 * beta), dec) for v in vectors]
+                ext = self._extrema(vectors)
+            if ext["step_max"] > eps + dust:
+                return None
+            if flavor == "hybrid" and ext["shift_max"] > gam + dust:
+                return None
+            if ext["kstep_max"] > dust:
+                return None
+            shift = max(0.0, ext["init_max"])
+            vectors = self._shifted(vectors, up(shift))
+            d_raw = min(
+                float(np.min(real_combination(vectors[v], self.unsafe_T)))
+                for v in range(self.n_vec)
+            )
+            need = k * eps + (k * gam if flavor == "hybrid" else 0.0)
+            s = d_raw - need - rho
+            if s < 0:
+                return None
+            d = down(d_raw - s / 2.0)
+            if d - need < rho * 0.999:
+                return None
+            constants = {"d": d, "eps": eps, "k": k}
+            if flavor == "hybrid":
+                constants["gamma"] = gam
         try:
-            if flavor == "finite-horizon":
-                t_hor = int(cfg.horizon)
-                gamma = up(ext["init_max"])
-                lam = down(ext["unsafe_min"])
-                delta = up(max(0.0, ext["step_max"]))
-                s = lam - gamma - delta * t_hor - rho
-                if s < 0:
-                    return None
-                gamma = up(gamma + s / 4.0)
-                lam = down(lam - s / 4.0)
-                delta = up(delta + s / (6.0 * t_hor))
-                constants = {"gamma": gamma, "lam": lam, "delta": delta, "T": t_hor}
-            elif flavor == "invariant":
-                shift = max(0.0, ext["init_max"])
-                if ext["step_max"] > dust:
-                    return None
-                vectors = self._shifted(vectors, up(shift))
-                gamma_raw = float(
-                    np.min(real_combination(vectors[0], self.unsafe_T))
-                )
-                gamma = down(max(rho, gamma_raw / 2.0))
-                if gamma < rho or gamma_raw < rho:
-                    return None
-                constants = {"gamma": gamma}
-            else:
-                eps = float(cfg.eps) if cfg.eps != "free" else None
-                gam = float(cfg.gamma) if cfg.gamma != "free" else None
-                if eps is None:
-                    eps = up(max(0.0, ext["step_max"]))
-                if flavor == "hybrid" and gam is None:
-                    gam = up(max(0.0, ext["shift_max"]))
-                # rounding can push the fixed-threshold rows marginally over;
-                # shrink the whole family, which preserves every condition
-                # with a zero or scaled threshold
-                beta = 1.0
-                if ext["step_max"] > eps and ext["step_max"] > 0:
-                    beta = min(beta, eps / ext["step_max"])
-                if flavor == "hybrid" and ext["shift_max"] > gam and ext["shift_max"] > 0:
-                    beta = min(beta, gam / ext["shift_max"])
-                if beta < 1.0:
-                    vectors = [self._round_vec(v * (0.999 * beta), dec) for v in vectors]
-                    ext = self._extrema(vectors)
-                if ext["step_max"] > eps + dust:
-                    return None
-                if flavor == "hybrid" and ext["shift_max"] > gam + dust:
-                    return None
-                if ext["kstep_max"] > dust:
-                    return None
-                shift = max(0.0, ext["init_max"])
-                vectors = self._shifted(vectors, up(shift))
-                d_raw = min(
-                    float(np.min(real_combination(vectors[v], self.unsafe_T)))
-                    for v in range(self.n_vec)
-                )
-                need = k * eps + (k * gam if flavor == "hybrid" else 0.0)
-                s = d_raw - need - rho
-                if s < 0:
-                    return None
-                d = down(d_raw - s / 2.0)
-                if d - need < rho * 0.999:
-                    return None
-                constants = {"d": d, "eps": eps, "k": k}
-                if flavor == "hybrid":
-                    constants["gamma"] = gam
             cert = Certificate(
                 template=self.template,
                 coeff_vectors=tuple(vectors),
@@ -688,7 +773,7 @@ class ScenarioLP:
                 constants=constants,
                 decimals=dec,
             )
-        except Exception:
+        except CertificateError:
             return None
         if self.row_violation(cert) > 1e-6:
             return None
@@ -833,6 +918,17 @@ def synthesis_loop(
                 except NoCandidateError:
                     cert = None
             t_lp += time.perf_counter() - t0
+            log.info(
+                "terms %d round %d: %d LP rows; solve kept %d rows over %d HiGHS"
+                " calls; polish kept %d rows over %d HiGHS calls",
+                size,
+                round_idx,
+                problem.n_rows,
+                solution.rows_kept,
+                solution.highs_calls,
+                slp.polish_rows_kept,
+                slp.polish_calls,
+            )
             if cert is None:
                 break  # grow the template
             t1 = time.perf_counter()

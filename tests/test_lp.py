@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+import qbarrier.lp
 
 from qbarrier import (
     Dynamics,
@@ -17,6 +22,8 @@ from qbarrier import (
     synthesis_loop,
     tensor,
 )
+from qbarrier.cli import bundled_config_path
+from qbarrier.config import load_config
 from qbarrier.lp import (
     LPError,
     LPProblem,
@@ -26,6 +33,7 @@ from qbarrier.lp import (
     extract_certificate,
 )
 from qbarrier.quantum import fixed_step
+from qbarrier.templates import CertificateError
 
 
 def z3_dynamics():
@@ -224,3 +232,150 @@ def test_flavor_schedule_compatibility_checks():
     cfg2 = SynthesisConfig(flavor="hybrid", degree=2, samples=4, seed=1, k=3)
     with pytest.raises(LPError):
         ScenarioLP(full_template(4, 2).prefix(2), dyn, cfg2, scen)
+
+
+# ----- constraint generation against one direct solve on all rows ----------
+
+
+def _random_lp(seed: int, n_rows: int, n_vars: int, kind: str) -> LPProblem:
+    """Random LP: `sphere` rows are unit normals of a polytope around the
+    unit ball (many rows nearly active, like sampled scenario rows), `dense`
+    rows are Gaussian; `free` leaves some variables unbounded, `ray` leaves
+    an improving ray that at most one planted row closes, and `infeasible`
+    plants two contradicting rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_rows, n_vars))
+    objective = rng.normal(size=n_vars)
+    if kind == "sphere":
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b = np.ones(n_rows)
+    else:
+        b = a @ rng.uniform(-1, 1, n_vars) + rng.uniform(0, 1, n_rows)
+    bounds = [(-5.0, 5.0)] * n_vars
+    if kind == "free":
+        bounds[: n_vars // 2 + 1] = [(None, None)] * (n_vars // 2 + 1)
+    e0 = np.eye(n_vars)[0]
+    if kind == "ray":
+        a[:, 0] = -np.abs(a[:, 0])
+        b = np.abs(b)
+        objective[0] = abs(objective[0]) + 0.1
+        bounds[0] = (None, None)
+        if rng.random() < 0.5:
+            i = rng.integers(n_rows)
+            a[i], b[i] = e0, 3.0  # x0 <= 3
+    if kind == "infeasible":
+        i, j = rng.choice(n_rows, 2, replace=False)
+        a[i], b[i] = e0, -1.0  # x0 <= -1
+        a[j], b[j] = -e0, -1.0  # x0 >= 1
+    return LPProblem(
+        a_ub=a,
+        b_ub=b,
+        bounds=bounds,
+        objective=objective,
+        var_names=[f"x{i}" for i in range(n_vars)],
+        families=[("rows", 0, n_rows)],
+        flavor="invariant",
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(200, 3000),
+    n_vars=st.integers(2, 8),
+    kind=st.sampled_from(["sphere", "dense", "free", "ray", "infeasible"]),
+)
+def test_constraint_generation_matches_direct_solve(seed, n_rows, n_vars, kind):
+    problem = _random_lp(seed, n_rows, n_vars, kind)
+    direct = linprog(
+        c=-problem.objective,
+        A_ub=problem.a_ub,
+        b_ub=problem.b_ub,
+        bounds=problem.bounds,
+        method="highs",
+    )
+    sol = solve_lp(problem)
+    expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[direct.status]
+    assert sol.status == expected
+    if kind == "infeasible":
+        assert sol.status == "infeasible"
+    if expected == "optimal":
+        obj = float(-direct.fun)
+        assert abs(sol.objective - obj) <= 1e-7 * max(1.0, abs(obj))
+        assert recheck_solution(problem, sol.x) <= 1e-7
+        assert sol.rows_kept <= n_rows and sol.highs_calls >= 1
+
+
+def _bundled_lp(name: str, size: int):
+    job = load_config(bundled_config_path(name))
+    cfg = job.synthesis
+    scen = sample_scenarios(job.init_region, job.unsafe_region, job.global_region, cfg)
+    template = full_template(job.dynamics.dim, cfg.degree, size).prefix(size)
+    slp = ScenarioLP(template, job.dynamics, cfg, scen)
+    return slp, slp.build()
+
+
+def test_polish_on_bundled_config_satisfies_every_scenario_row(monkeypatch):
+    slp, problem = _bundled_lp("hadamard1_finite_t1", 4)
+    # the trailing-term re-solves run only under this gate on the full rows
+    assert slp.nt <= 24 and problem.n_rows <= 40000
+    sol = solve_lp(problem)
+    assert sol.status == "optimal"
+    assert recheck_solution(problem, sol.x) <= 1e-7
+    assert sol.rows_kept < problem.n_rows
+    cut_solves = []
+    real_cut_solve = qbarrier.lp._cut_solve
+
+    def counting(*args, **kwargs):
+        out = real_cut_solve(*args, **kwargs)
+        cut_solves.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(qbarrier.lp, "_cut_solve", counting)
+    x = slp.polish(problem, sol.objective)
+    assert x is not None and x.shape == (problem.n_vars,)
+    assert recheck_solution(problem, x) <= 1e-7
+    # at least one trailing-term re-solve ran, each starting from the
+    # previous working set, and every one terminated
+    assert len(cut_solves) >= 2
+    assert cut_solves == sorted(cut_solves)
+    assert slp.polish_calls >= len(cut_solves)
+    gap_value = float(problem.objective @ x)
+    assert gap_value >= 0.5 * sol.objective - 1e-7
+
+
+# ----- finalize failures ----------------------------------------------------
+
+
+def _finalize_case():
+    init, unsafe, glob = z3_regions()
+    cfg = SynthesisConfig(
+        flavor="finite-horizon", degree=2, samples=300, seed=11, horizon=6
+    )
+    scen = sample_scenarios(init, unsafe, glob, cfg)
+    slp = ScenarioLP(full_template(8, 2).prefix(2), z3_dynamics(), cfg, scen)
+    problem = slp.build()
+    sol = solve_lp(problem)
+    return slp, slp.polish(problem, sol.objective)
+
+
+def test_finalize_side_condition_failure_is_no_candidate(monkeypatch):
+    slp, x = _finalize_case()
+    assert slp.finalize(x) is not None
+
+    def failing(**kwargs):
+        raise CertificateError("side condition lam > gamma + delta*T fails")
+
+    monkeypatch.setattr(qbarrier.lp, "Certificate", failing)
+    assert slp.finalize(x) is None
+
+
+def test_finalize_unrelated_error_propagates(monkeypatch):
+    slp, x = _finalize_case()
+
+    def broken(**kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(qbarrier.lp, "Certificate", broken)
+    with pytest.raises(TypeError):
+        slp.finalize(x)
