@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import importlib.resources
 import json
 import logging
@@ -108,8 +110,36 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
     return job
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 16 << 20
+
+
+@functools.cache
+def pin_mmap_threshold() -> bool:
+    """Give every block of MMAP_THRESHOLD bytes or more its own mapping.
+
+    glibc raises its mmap threshold to the size of each mapped block it
+    frees, up to 32 MiB. After one job has freed its scenario arrays, the
+    arrays and temporaries of the next jobs come from the heap, which keeps
+    their pages resident once they are freed, so a job's peak memory then
+    depends on which jobs ran before it in the process. The thresholds are
+    pinned where glibc's own adjustment would put them for a 16 MiB block.
+    True when the allocator took the settings (glibc only)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+    )
+
+
 def run_job(job: JobConfig, out_dir: Path) -> RunReport:
     """Execute one synthesis job end to end and assemble its report."""
+    pin_mmap_threshold()
     if job.kind == "grover":
         return _run_grover_job(job, out_dir)
     cfg = job.synthesis

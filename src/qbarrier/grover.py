@@ -115,11 +115,6 @@ def wrap_angle(phi: float) -> float:
     return phi % (2.0 * math.pi)
 
 
-def angle_state(phi: float) -> tuple[float, float]:
-    """Plane coordinates (cos phi, sin phi) of the angle state."""
-    return math.cos(phi), math.sin(phi)
-
-
 @dataclass(frozen=True)
 class AngleCertificate:
     """Linear angle certificate c*phi with finite-horizon constants."""

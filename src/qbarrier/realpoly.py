@@ -28,6 +28,14 @@ class RealPoly:
                 if c:
                     self.coeffs[tuple(e)] = Fraction(c)
 
+    @classmethod
+    def _wrap(cls, nvars: int, coeffs: dict[Exps, Fraction]) -> "RealPoly":
+        """Adopt a dict of nonzero Fractions built by this class, as is."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.coeffs = coeffs
+        return p
+
     @staticmethod
     def constant(nvars: int, value) -> "RealPoly":
         p = RealPoly(nvars)
@@ -39,44 +47,47 @@ class RealPoly:
     def variable(nvars: int, index: int) -> "RealPoly":
         e = [0] * nvars
         e[index] = 1
-        return RealPoly(nvars, {tuple(e): Fraction(1)})
+        return RealPoly._wrap(nvars, {tuple(e): Fraction(1)})
 
     def copy(self) -> "RealPoly":
-        return RealPoly(self.nvars, dict(self.coeffs))
+        return RealPoly._wrap(self.nvars, dict(self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def add(self, other: "RealPoly") -> "RealPoly":
+        return self._plus(other.coeffs.items())
+
+    def sub(self, other: "RealPoly") -> "RealPoly":
+        return self._plus((e, -c) for e, c in other.coeffs.items())
+
+    def _plus(self, items) -> "RealPoly":
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
+        for e, c in items:
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return RealPoly(self.nvars, out)
-
-    def sub(self, other: "RealPoly") -> "RealPoly":
-        return self.add(other.scale(Fraction(-1)))
+        return RealPoly._wrap(self.nvars, out)
 
     def scale(self, factor) -> "RealPoly":
         f = Fraction(factor)
         if not f:
             return RealPoly(self.nvars)
-        return RealPoly(self.nvars, {e: c * f for e, c in self.coeffs.items()})
+        return RealPoly._wrap(self.nvars, {e: c * f for e, c in self.coeffs.items()})
 
     def mul(self, other: "RealPoly") -> "RealPoly":
         out: dict[Exps, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return RealPoly(self.nvars, out)
+        return RealPoly._wrap(self.nvars, out)
 
     def substitute(self, forms: Sequence["RealPoly | None"]) -> "RealPoly":
         """Substitute variable i by forms[i] (None keeps the variable)."""
@@ -115,7 +126,7 @@ class RealPoly:
                 c = nearest
             if c:
                 out[e] = c
-        return RealPoly(self.nvars, out)
+        return RealPoly._wrap(self.nvars, out)
 
     def as_float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponent matrix (T, nvars), coefficient vector (T,)) in a fixed order."""
@@ -129,17 +140,28 @@ class RealPoly:
     def eval_floats(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points: (N, nvars) -> (N,)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        exps, coefs = self.as_float_arrays()
-        if exps.shape[0] == 0:
-            return np.zeros(points.shape[0])
-        acc = np.zeros(points.shape[0])
-        for e, c in zip(exps, coefs):
-            term = np.full(points.shape[0], c)
-            for i, power in enumerate(e):
-                if power:
-                    term = term * points[:, i] ** power
-            acc += term
-        return acc
+        return eval_terms(*self.as_float_arrays(), points)
+
+
+def eval_terms(exps: np.ndarray, coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate the polynomial given by `as_float_arrays` at a batch of
+    points: (N, nvars) -> (N,)."""
+    acc = np.zeros(points.shape[0])
+    for e, c in zip(exps, coefs):
+        term = np.full(points.shape[0], c)
+        for i in np.nonzero(e)[0]:
+            term = term * points[:, i] ** e[i]
+        acc += term
+    return acc
+
+
+def rational_sexpr(fr: Fraction) -> str:
+    """SMT-LIB2 literal of an exact rational."""
+    if fr < 0:
+        return f"(- {rational_sexpr(-fr)})"
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    return f"(/ {fr.numerator} {fr.denominator})"
 
 
 class ComplexPoly:
@@ -224,43 +246,6 @@ def sphere_poly(dim: int, nvars: int) -> RealPoly:
         acc = acc.add(var_x(dim, nvars, j).mul(var_x(dim, nvars, j)))
         acc = acc.add(var_y(dim, nvars, j).mul(var_y(dim, nvars, j)))
     return acc
-
-
-def linear_substitution_forms(
-    matrix: np.ndarray, dim: int, nvars: int
-) -> list[RealPoly | None]:
-    """Forms sending (x, y) to the real/imaginary parts of U z.
-
-    Entries of the float matrix are lifted exactly; accumulated float dirt is
-    cleaned later by RealPoly.snap on the substituted polynomial.
-    """
-    forms: list[RealPoly | None] = [None] * nvars
-    for k in range(dim):
-        re_form = RealPoly(nvars)
-        im_form = RealPoly(nvars)
-        for j in range(dim):
-            a = Fraction(float(matrix[k, j].real))
-            b = Fraction(float(matrix[k, j].imag))
-            if a:
-                re_form = re_form.add(var_x(dim, nvars, j).scale(a))
-                im_form = im_form.add(var_y(dim, nvars, j).scale(a))
-            if b:
-                re_form = re_form.add(var_y(dim, nvars, j).scale(-b))
-                im_form = im_form.add(var_x(dim, nvars, j).scale(b))
-        forms[k] = re_form
-        forms[dim + k] = im_form
-    return forms
-
-
-def substituted_certificate_poly(
-    cert, matrix: np.ndarray, offset: int = 0, extra_vars: int = 0
-) -> RealPoly:
-    """Certificate value after one application of the (fixed) matrix."""
-    dim = cert.dim
-    nvars = amplitude_vars(dim, extra_vars)
-    base = certificate_realpoly(cert, offset, extra_vars)
-    forms = linear_substitution_forms(np.asarray(matrix, dtype=complex), dim, nvars)
-    return base.substitute(forms).snap()
 
 
 def constraint_poly(constraint, dim: int, nvars: int) -> RealPoly:

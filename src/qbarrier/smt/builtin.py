@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..realpoly import RealPoly, eval_terms, rational_sexpr
+
 STRICT_RESOLUTION = Fraction(1, 10 ** 9)
 
 
@@ -101,7 +103,7 @@ def parse_numeral(expr) -> Fraction:
     if isinstance(expr, str):
         try:
             return Fraction(expr)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise SmtParseError(f"not a numeral: {expr!r}") from None
     if not expr:
         raise SmtParseError("empty numeral expression")
@@ -109,7 +111,7 @@ def parse_numeral(expr) -> Fraction:
     if head == "-" and len(expr) == 2:
         return -parse_numeral(expr[1])
     if head == "/" and len(expr) == 3:
-        return parse_numeral(expr[1]) / parse_numeral(expr[2])
+        return parse_numeral(expr[1]) / _divisor(expr[2])
     if head == "+":
         return sum((parse_numeral(e) for e in expr[1:]), Fraction(0))
     if head == "*":
@@ -120,105 +122,61 @@ def parse_numeral(expr) -> Fraction:
     raise SmtParseError(f"not a numeral expression: {expr!r}")
 
 
-class Poly:
-    """Polynomial over an indexed variable list with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs: dict[tuple[int, ...], Fraction] = dict(coeffs or {})
-
-    @staticmethod
-    def const(nv, value):
-        p = Poly()
-        if value:
-            p.coeffs[(0,) * nv] = Fraction(value)
-        return p
-
-    @staticmethod
-    def var(nv, idx):
-        e = [0] * nv
-        e[idx] = 1
-        return Poly({tuple(e): Fraction(1)})
-
-    def add(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(out)
-
-    def neg(self):
-        return Poly({e: -c for e, c in self.coeffs.items()})
-
-    def mul(self, other):
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(out)
-
-    def constant_part(self, nv):
-        return self.coeffs.get((0,) * nv, Fraction(0))
-
-    def is_constant(self, nv):
-        return all(sum(e) == 0 for e in self.coeffs)
-
-    def float_items(self):
-        return [(e, float(c)) for e, c in sorted(self.coeffs.items())]
+def _divisor(expr) -> Fraction:
+    d = parse_numeral(expr)
+    if not d:
+        raise SmtParseError(f"division by zero: {expr!r}")
+    return d
 
 
 @dataclass
 class Constraint:
-    poly: Poly
+    poly: RealPoly
     op: str  # normalized: "<=", "<", "="
     rhs: Fraction
 
 
-def _expr_to_poly(expr, names: dict[str, int], nv: int) -> Poly:
+def _expr_to_poly(expr, names: dict[str, int], nv: int) -> RealPoly:
     if isinstance(expr, str):
         if expr in names:
-            return Poly.var(nv, names[expr])
-        return Poly.const(nv, parse_numeral(expr))
+            return RealPoly.variable(nv, names[expr])
+        return RealPoly.constant(nv, parse_numeral(expr))
+    if not expr:
+        raise SmtParseError("empty expression")
     head = expr[0]
     args = expr[1:]
     if head == "+":
-        acc = Poly.const(nv, 0)
+        acc = RealPoly(nv)
         for a in args:
             acc = acc.add(_expr_to_poly(a, names, nv))
         return acc
+    if head in ("-", "/") and not args:
+        raise SmtParseError(f"{head!r} without arguments")
     if head == "-":
         if len(args) == 1:
-            return _expr_to_poly(args[0], names, nv).neg()
+            return _expr_to_poly(args[0], names, nv).scale(-1)
         acc = _expr_to_poly(args[0], names, nv)
         for a in args[1:]:
-            acc = acc.add(_expr_to_poly(a, names, nv).neg())
+            acc = acc.sub(_expr_to_poly(a, names, nv))
         return acc
     if head == "*":
-        acc = Poly.const(nv, 1)
+        acc = RealPoly.constant(nv, 1)
         for a in args:
             acc = acc.mul(_expr_to_poly(a, names, nv))
         return acc
     if head == "/":
         acc = _expr_to_poly(args[0], names, nv)
         for a in args[1:]:
-            d = parse_numeral(a)
-            acc = Poly({e: c / d for e, c in acc.coeffs.items()})
+            acc = acc.scale(1 / _divisor(a))
         return acc
     if head == "^":
+        if len(args) != 2:
+            raise SmtParseError(f"'^' takes two arguments: {expr!r}")
         base = _expr_to_poly(args[0], names, nv)
         power = parse_numeral(args[1])
         if power.denominator != 1 or power < 0:
             raise SmtParseError(f"unsupported exponent {power}")
-        acc = Poly.const(nv, 1)
+        acc = RealPoly.constant(nv, 1)
         for _ in range(int(power)):
             acc = acc.mul(base)
         return acc
@@ -243,6 +201,8 @@ def parse_problem(text: str) -> Problem:
         if not isinstance(form, list) or not form:
             continue
         head = form[0]
+        if head in ("declare-const", "declare-fun", "assert") and len(form) < 2:
+            raise SmtParseError(f"{head} without an argument")
         if head in ("declare-const", "declare-fun"):
             declared.append(form[1])
         elif head == "assert":
@@ -256,18 +216,21 @@ def parse_problem(text: str) -> Problem:
             for sub in expr[1:]:
                 add(sub)
             return
-        if not isinstance(expr, list) or expr[0] not in ("<=", ">=", "<", ">", "="):
+        if (
+            not isinstance(expr, list)
+            or len(expr) != 3
+            or expr[0] not in ("<=", ">=", "<", ">", "=")
+        ):
             raise SmtParseError(f"unsupported assertion {expr!r}")
         op = expr[0]
         lhs = _expr_to_poly(expr[1], names, nv)
-        rhs = _expr_to_poly(expr[2], names, nv)
-        diff = lhs.add(rhs.neg())  # lhs - rhs OP 0
-        rhs_c = -diff.constant_part(nv)
-        body = Poly({e: c for e, c in diff.coeffs.items() if sum(e) > 0})
+        diff = lhs.sub(_expr_to_poly(expr[2], names, nv))  # lhs - rhs OP 0
+        const = diff.coeffs.get((0,) * nv, Fraction(0))
+        body, rhs_c = diff.sub(RealPoly.constant(nv, const)), -const
         if op == ">=":
-            body, rhs_c, op = body.neg(), -rhs_c, "<="
+            body, rhs_c, op = body.scale(-1), -rhs_c, "<="
         elif op == ">":
-            body, rhs_c, op = body.neg(), -rhs_c, "<"
+            body, rhs_c, op = body.scale(-1), -rhs_c, "<"
         constraints.append(Constraint(poly=body, op=op, rhs=rhs_c))
 
     for a in raw_asserts:
@@ -570,7 +533,7 @@ _D2_FEATURES = (
 )
 
 
-def _decompose_d2(poly: Poly, idx: dict[str, int]):
+def _decompose_d2(poly: RealPoly, idx: dict[str, int]):
     """Rewrite a degree<=2 polynomial over one qubit's coordinates into the
     feature basis: probabilities p_j, bare coordinates (norm-bounded by
     sqrt(p_j) per pair), same-qubit quadratics s_j = x_j^2-y_j^2 and
@@ -694,33 +657,16 @@ def qubit_feature_refute(problem: Problem, deadline: float):
 
 
 def _constraint_arrays(problem: Problem):
-    out = []
-    for con in problem.constraints:
-        items = con.poly.float_items()
-        exps = np.array([e for e, _ in items], dtype=int) if items else np.zeros(
-            (0, problem.nv), dtype=int
-        )
-        coefs = np.array([c for _, c in items])
-        out.append((exps, coefs, con.op, float(con.rhs)))
-    return out
-
-
-def _eval_batch(exps, coefs, points):
-    if exps.shape[0] == 0:
-        return np.zeros(points.shape[0])
-    acc = np.zeros(points.shape[0])
-    for e, c in zip(exps, coefs):
-        term = np.full(points.shape[0], c)
-        for i in np.nonzero(e)[0]:
-            term = term * points[:, i] ** e[i]
-        acc += term
-    return acc
+    return [
+        (*con.poly.as_float_arrays(), con.op, float(con.rhs))
+        for con in problem.constraints
+    ]
 
 
 def _feasible_mask(arrays, points, strict_margin=1e-9):
     ok = np.ones(points.shape[0], dtype=bool)
     for exps, coefs, op, rhs in arrays:
-        vals = _eval_batch(exps, coefs, points)
+        vals = eval_terms(exps, coefs, points)
         if op == "=":
             ok &= np.abs(vals - rhs) <= 1e-9
         elif op == "<=":
@@ -873,12 +819,12 @@ def icp_refute(problem: Problem, deadline: float, max_nodes: int = 20000):
 
 def solve_problem(problem: Problem, timeout_s: float = 300.0):
     """Returns (status, model|None) with status in {"sat","unsat","unknown"}."""
-    deadline = time.monotonic() + min(timeout_s, 30.0)
+    deadline = time.monotonic() + timeout_s
     nv = problem.nv
     live: list[Constraint] = []
     for con in problem.constraints:
-        if con.poly.is_constant(nv):
-            val = con.poly.constant_part(nv)
+        if con.poly.degree() == 0:
+            val = con.poly.coeffs.get((0,) * nv, Fraction(0))
             if con.op == "=":
                 holds = val == con.rhs
             elif con.op == "<=":
@@ -921,17 +867,9 @@ def format_model(model: dict[str, float]) -> str:
     lines = ["(model"]
     for name in sorted(model):
         frac = Fraction(model[name]).limit_denominator(10 ** 15)
-        lines.append(f"  (define-fun {name} () Real {_frac_text(frac)})")
+        lines.append(f"  (define-fun {name} () Real {rational_sexpr(frac)})")
     lines.append(")")
     return "\n".join(lines)
-
-
-def _frac_text(fr: Fraction) -> str:
-    if fr < 0:
-        return f"(- {_frac_text(-fr)})"
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"(/ {fr.numerator} {fr.denominator})"
 
 
 def main(argv=None) -> int:

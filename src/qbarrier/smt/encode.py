@@ -21,7 +21,7 @@ from ..realpoly import (
     amplitude_vars,
     certificate_realpoly,
     constraint_poly,
-    linear_substitution_forms,
+    rational_sexpr,
     sphere_poly,
 )
 from ..regions import Region
@@ -30,14 +30,6 @@ from ..templates import Certificate
 
 class EncodeError(ValueError):
     pass
-
-
-def rational_sexpr(fr: Fraction) -> str:
-    if fr < 0:
-        return f"(- {rational_sexpr(-fr)})"
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"(/ {fr.numerator} {fr.denominator})"
 
 
 def poly_sexpr(poly: RealPoly, names: Sequence[str]) -> str:
@@ -153,6 +145,16 @@ def _const_fr(value: float) -> Fraction:
     return Fraction(float(value))
 
 
+def _lift_matrix(matrix: np.ndarray, nvars: int) -> list[list[ComplexPoly]]:
+    """Constant ComplexPoly entries holding the exact binary values of a
+    float matrix; the float dirt they carry is cleaned later by
+    RealPoly.snap on the substituted certificate."""
+    return [
+        [ComplexPoly.constant(nvars, float(z.real), float(z.imag)) for z in row]
+        for row in matrix
+    ]
+
+
 def _symbolic_step_matrix(
     step: StepMap, dim: int, nvars: int, param_base: int, aux_base: int
 ):
@@ -168,20 +170,9 @@ def _symbolic_step_matrix(
     extra: list[StructConstraint] = []
     p_used = 0
     a_used = 0
-    size = 2 ** step.n
     for f in step.factors:
         if isinstance(f, Gate):
-            fmat = [
-                [
-                    ComplexPoly.constant(
-                        nvars,
-                        Fraction(float(f.matrix[i, j].real)),
-                        Fraction(float(f.matrix[i, j].imag)),
-                    )
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
+            fmat = _lift_matrix(f.matrix, nvars)
         else:
             ug, targets = f
             sym = getattr(ug, "symbolic_entries", None)
@@ -275,20 +266,27 @@ def _substitute_cert(
 
 
 def matrix_row_re(mat, k, dim, nvars) -> RealPoly:
+    """Re of row k of U z; empty entry parts are skipped, which keeps sparse
+    (permutation) matrices cheap."""
     acc = RealPoly(nvars)
     for j in range(dim):
         entry = mat[k][j]
-        acc = acc.add(entry.re.mul(RealPoly.variable(nvars, j)))
-        acc = acc.add(entry.im.mul(RealPoly.variable(nvars, dim + j)).scale(-1))
+        if entry.re:
+            acc = acc.add(entry.re.mul(RealPoly.variable(nvars, j)))
+        if entry.im:
+            acc = acc.sub(entry.im.mul(RealPoly.variable(nvars, dim + j)))
     return acc
 
 
 def matrix_row_im(mat, k, dim, nvars) -> RealPoly:
+    """Im of row k of U z; see matrix_row_re."""
     acc = RealPoly(nvars)
     for j in range(dim):
         entry = mat[k][j]
-        acc = acc.add(entry.im.mul(RealPoly.variable(nvars, j)))
-        acc = acc.add(entry.re.mul(RealPoly.variable(nvars, dim + j)))
+        if entry.im:
+            acc = acc.add(entry.im.mul(RealPoly.variable(nvars, j)))
+        if entry.re:
+            acc = acc.add(entry.re.mul(RealPoly.variable(nvars, dim + j)))
     return acc
 
 
@@ -417,7 +415,6 @@ def encode_condition(
 
     if kind == "side":
         c = cert.constants
-        zero = RealPoly(0)
         if spec.condition_id == "side-positivity":
             con = StructConstraint(
                 poly=RealPoly.constant(0, _threshold(cert, kind, "unsafe")),
@@ -519,11 +516,10 @@ def encode_condition(
         )
         names = _var_names(dim, n_params, n_aux)
     else:
-        mat = dynamics.composed_matrix(t0, count)
         nvars = amplitude_vars(dim)
         names = _var_names(dim, 0, 0)
-        forms = linear_substitution_forms(mat, dim, nvars)
-        after = certificate_realpoly(cert, target_offset).substitute(forms).snap()
+        mat = _lift_matrix(dynamics.composed_matrix(t0, count), nvars)
+        after = _substitute_cert(cert, target_offset, mat, dim, nvars)
         extra = []
     before = certificate_realpoly(
         cert, offset, extra_vars=nvars - 2 * dim

@@ -76,9 +76,9 @@ def _parse_model_text(text: str) -> dict[str, float]:
             name = form[1]
             try:
                 model[name] = float(_builtin.parse_numeral(form[4]))
-            except _builtin.SmtParseError as exc:
+            except (_builtin.SmtParseError, OverflowError) as exc:
                 raise SolverToolError(
-                    f"model value for {name} is not rational: {exc}"
+                    f"model value for {name} is not a finite rational: {exc}"
                 ) from exc
             return
         for sub in form:

@@ -45,15 +45,6 @@ class Monomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def is_self_paired(self) -> bool:
-        """True for |z_j|^2-style terms: equal exponent on z_j and conj z_j only."""
-        d = self.dim
-        pairs = [
-            (self.exponents[j], self.exponents[d + j]) for j in range(d)
-        ]
-        active = [(j, a) for j, (a, b) in enumerate(pairs) if a or b]
-        return all(a == b for a, b in pairs) and len(active) >= 1
-
     def evaluate(self, amps: np.ndarray) -> complex:
         d = self.dim
         val = 1.0 + 0.0j

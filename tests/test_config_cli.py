@@ -1,11 +1,13 @@
 import csv
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
 from qbarrier import load_config
-from qbarrier.cli import bundled_config_path, main
+from qbarrier.cli import bundled_config_path, main, pin_mmap_threshold
 from qbarrier.config import ConfigError
 
 TINY_CFG = """
@@ -207,3 +209,23 @@ def test_unseparable_regions_report_unsolved(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["status"] == "unsolved"
     assert report["certificate"] is None
+
+
+def _resident_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
+    reason="glibc allocator settings, read through /proc",
+)
+def test_pinned_mmap_threshold_returns_freed_arrays():
+    assert pin_mmap_threshold()
+    # unpinned, freeing the first block lifts the threshold above 20 MiB, and
+    # the second block then stays resident in the heap after it is freed
+    for _ in range(2):
+        before = _resident_mb()
+        block = np.ones(20 << 17)  # 20 MiB, every page touched
+        del block
+        assert _resident_mb() - before < 4

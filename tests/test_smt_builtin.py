@@ -1,12 +1,16 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
+import qbarrier.smt.builtin as builtin
 from qbarrier.smt.builtin import (
     SmtParseError,
+    main,
     parse_numeral,
     parse_problem,
+    solve_problem,
     solve_text,
 )
 
@@ -145,3 +149,43 @@ def test_power_operator_supported():
     status, model = solve_text(text)
     assert status == "sat"
     assert 0.4 <= model["x0"] <= 0.5 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "assertion",
+    [
+        "(assert (<= x0 (/ 1 0)))",
+        "(assert (<= x0 1/0))",
+        "(assert ())",
+        "(assert (<= x0))",
+        "(assert (<= (^ x0) 1))",
+    ],
+)
+def test_malformed_input_is_a_parse_error(assertion, tmp_path, capsys):
+    text = wrap(assertion, decls=("x0",))
+    with pytest.raises(SmtParseError):
+        parse_problem(text)
+    path = tmp_path / "bad.smt2"
+    path.write_text(text)
+    assert main([str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# a cross-term query that neither the feature LP nor the qubit relaxation
+# decides; only the probe finds its model
+CROSS_TERM = wrap(SPHERE2, "(assert (> (+ (* x0 x1) (* y0 y1)) (/ 2 5)))")
+
+
+def test_zero_budget_leaves_probe_query_unknown():
+    assert solve_problem(parse_problem(CROSS_TERM), timeout_s=0.0) == ("unknown", None)
+
+
+def test_configured_budget_is_not_capped(monkeypatch):
+    # a clock that reads 60 s after the deadline is set: inside a 300 s
+    # budget, so the probe still runs
+    reads = iter([0.0])
+    clock = types.SimpleNamespace(monotonic=lambda: next(reads, 60.0))
+    monkeypatch.setattr(builtin, "time", clock)
+    status, model = solve_problem(parse_problem(CROSS_TERM), timeout_s=300.0)
+    assert status == "sat"
+    assert model["x0"] * model["x1"] + model["y0"] * model["y1"] > 0.4

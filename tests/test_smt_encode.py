@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qbarrier import (
     standard_gate,
     tensor,
 )
+from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
 from qbarrier.smt.builtin import parse_problem
 from qbarrier.smt.encode import EncodeError, conditions_for, encode_condition
 
@@ -83,8 +86,8 @@ def test_encoding_round_trip_matches_eval_real():
             point[f"y{j}"] = amps[j].imag
         vec = [point.get(nm, 0.0) for nm in problem.names]
         acc = 0.0
-        for exps, coef in negated.poly.float_items():
-            term = coef
+        for exps, coef in sorted(negated.poly.coeffs.items()):
+            term = float(coef)
             for i, e in enumerate(exps):
                 term *= vec[i] ** e
             acc += term
@@ -112,9 +115,7 @@ def test_unknown_condition_id_rejected():
         encode_condition(cert, "k-step", init, unsafe, glob, dyn)
 
 
-def test_uncertain_step_encoding_declares_parameters():
-    from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
-
+def he_setup():
     ug = hadamard_uncertain(0.9, 1.1)
     dyn = Dynamics(
         maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
@@ -128,8 +129,108 @@ def test_uncertain_step_encoding_declares_parameters():
     )
     init = parse_region(["prob(0) >= 0.9"], 2, "init")
     unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
-    q = encode_condition(cert, "step", init, unsafe, full_sphere(2), dyn)
+    return cert, init, unsafe, full_sphere(2), dyn
+
+
+def cx_setup():
+    """k-inductive certificate with complex and linear terms; each step is
+    the Bell circuit (H on qubit 0, then CX), and k = 2 makes the k-step
+    query compose two steps."""
+    h0 = tensor([standard_gate("H"), standard_gate("I")])
+    bell = StepMap(n=2, factors=(h0, standard_gate("CX")))
+    dyn = Dynamics(maps=(bell,), schedule=Schedule((0,)))
+    cert = Certificate(
+        template=full_template(4, 2).prefix(8),
+        coeff_vectors=(
+            np.array(
+                [0.5, -1.25, 0.75, 0.0, 2.0, 0.3 + 0.2j, -0.1j, 0.125], dtype=complex
+            ),
+        ),
+        flavor="k-inductive",
+        constants={"d": 0.5, "eps": 0.1, "k": 2},
+        decimals=6,
+    )
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(3) >= 0.5", "re(1) <= 0.25"], 4, "unsafe")
+    return cert, init, unsafe, full_sphere(4, "global"), dyn
+
+
+def test_uncertain_step_encoding_declares_parameters():
+    cert, init, unsafe, glob, dyn = he_setup()
+    q = encode_condition(cert, "step", init, unsafe, glob, dyn)
     assert "u0" in q.declarations  # gate parameter
     assert "v0" in q.declarations  # normalization auxiliary
     ops = [c.op for c in q.constraints]
     assert ops.count("=") >= 2  # sphere plus the normalization equation
+
+
+def _all_queries(setup):
+    cert, init, unsafe, glob, dyn = setup()
+    return [
+        encode_condition(cert, spec, init, unsafe, glob, dyn)
+        for spec in conditions_for(cert)
+    ]
+
+
+# sha256 of every emitted query: a change here changes the bytes handed to
+# every solver, so it has to be deliberate
+PINNED_SHA256 = {
+    "z": {
+        "init": "c0a6cfcb3676f92f95d1ce1bc94806e5396cedfedef6fb1f4c72ac1a39b3aba2",
+        "unsafe": "adee7800225e547f09ff0e71870758eb86d3f6569bc60c47cf191d19dfc6bb11",
+        "step": "33d872695c42ec873ebf0aceec82e81d850e4b8731e845c0980b484685412860",
+        "side-drift": "5af9753f064c7cd58acea212ea079ed97386fb9400200e6fdceee721fc059522",
+        "side-margin": "dadc39a93a2b2b82f2ccfede28644010523c6480ffe2435734505a6fa18f2f90",
+    },
+    "he": {
+        "init": "20bbc053fae69c7e78e172dc25496aeb0ad891e78c7a7342bb10795270fe6ef5",
+        "unsafe": "a03a7a6873b30a5a3782b02e8c9b2c559802b63ffd2b5e109ee30de7305191ad",
+        "step": "0701b15c2bfd5f705d8095efabf5cefb98fd7f5db31d41c840752411f8f7682f",
+        "side-drift": "ac67ae8d8d60c417cb7ee3fe5e7dc7fa2dfa187a5f959dfc574ab1a313499d6e",
+        "side-margin": "ee6a05aa3c4d3d3fb7818b473ad8289a0a9cc5f3b0f378be6ae5e4980a414072",
+    },
+    "cx": {
+        "init": "d432eee1e5687bf7c1d40e6515afb7f30dcec34ada5bed68212151e3bc1f21bc",
+        "unsafe": "7ad5584cf83744d7b51af48ea1bc1d366b870038be04c8528111f92209ff5078",
+        "step": "6fcd3e4179cc61b1a30149eabea954bb820d69c15a1d4d2fc4dfdca3d90cd367",
+        "k-step": "edc04ef1d5bec152a5f4b691bdb4f39a9c57089cb505ae314fe1dbad35dabd53",
+        "side-margin": "7c7a2524be62da2086b4049efe7db2e97e138f3961478762d7165c8c2ca859db",
+    },
+}
+SETUPS = {"z": z_setup, "he": he_setup, "cx": cx_setup}
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_emitted_bytes_are_pinned(name):
+    digests = {
+        q.condition_id: hashlib.sha256(q.text.encode()).hexdigest()
+        for q in _all_queries(SETUPS[name])
+    }
+    assert digests == PINNED_SHA256[name]
+
+
+def _by_name(poly, names):
+    """Coefficients keyed by sorted (name, power) pairs, so that polynomials
+    over differently ordered variable lists compare."""
+    return {
+        tuple(sorted((names[i], p) for i, p in enumerate(e) if p)): c
+        for e, c in poly.coeffs.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SETUPS))
+def test_parse_recovers_emitted_constraints_exactly(name):
+    for q in _all_queries(SETUPS[name]):
+        problem = parse_problem(q.text)
+        assert len(problem.constraints) == len(q.constraints)
+        for parsed, emitted in zip(problem.constraints, q.constraints):
+            body = _by_name(emitted.poly, q.var_names)
+            const = body.pop((), 0)
+            rhs = emitted.rhs - const
+            op = emitted.op
+            if op in (">=", ">"):
+                body = {m: -c for m, c in body.items()}
+                rhs, op = -rhs, {">=": "<=", ">": "<"}[op]
+            assert parsed.op == op
+            assert parsed.rhs == rhs
+            assert _by_name(parsed.poly, problem.names) == body

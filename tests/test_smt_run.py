@@ -8,6 +8,7 @@ from qbarrier.quantum import constant_dynamics, standard_gate, tensor
 from qbarrier.smt.encode import encode_condition
 from qbarrier.smt.run import (
     SolverToolError,
+    _parse_model_text,
     model_to_state,
     run_solver,
     verify_certificate,
@@ -87,6 +88,12 @@ def test_external_stub_sat_with_bogus_model_is_tool_error(tmp_path):
     cmd = stub_solver(tmp_path, body)
     with pytest.raises(SolverToolError):
         run_solver(q, cmd, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["(/ 1 0)", "1/0", "1e400"])
+def test_model_value_without_float_value_is_tool_error(value):
+    with pytest.raises(SolverToolError):
+        _parse_model_text(f"(model (define-fun x0 () Real {value}))")
 
 
 def test_external_garbage_output_is_tool_error(tmp_path):
