@@ -48,6 +48,7 @@ from .lp import (
     LPSolution,
     Scenarios,
     ScenarioLP,
+    ScenarioRows,
     SynthesisConfig,
     SynthesisResult,
     build_lp,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .smt.run import (
     verify_certificate,
 )
 from .templates import (
+    FLAVORS,
     BarrierTemplate,
     Certificate,
     CertificateError,
@@ -43,13 +45,6 @@ from .templates import (
 )
 
 log = logging.getLogger(__name__)
-
-FLAVOR_ROWS = {
-    "invariant": ("init", "unsafe", "step"),
-    "k-inductive": ("init", "unsafe", "step", "k-step", "side"),
-    "hybrid": ("init", "unsafe", "step", "shift", "k-step", "side"),
-    "finite-horizon": ("init", "unsafe", "step", "side"),
-}
 
 # default cap on the incremental term search; the full term count grows
 # combinatorially with the dimension, far past anything an LP of this kind
@@ -87,7 +82,7 @@ class SynthesisConfig:
     on_unknown: str = "stop"  # or "continue"
 
     def __post_init__(self):
-        if self.flavor not in FLAVOR_ROWS:
+        if self.flavor not in FLAVORS:
             raise LPError(f"unknown flavor {self.flavor!r}")
         if self.k < 1:
             raise LPError("k must be >= 1")
@@ -230,31 +225,11 @@ def recheck_solution(problem: LPProblem, x: np.ndarray) -> float:
 
 @dataclass
 class Scenarios:
-    """State arrays per region plus counterexamples accumulated by the loop."""
+    """Sampled state arrays per region."""
 
     init: np.ndarray
     unsafe: np.ndarray
     global_states: np.ndarray
-    extra_init: list = field(default_factory=list)
-    extra_unsafe: list = field(default_factory=list)
-    extra_global: list = field(default_factory=list)  # plain states
-    extra_step: list = field(default_factory=list)  # (state, params, offset)
-    extra_kstep: list = field(default_factory=list)  # (state, param_seq)
-
-    def init_all(self) -> np.ndarray:
-        return _stack(self.init, self.extra_init)
-
-    def unsafe_all(self) -> np.ndarray:
-        return _stack(self.unsafe, self.extra_unsafe)
-
-    def global_all(self) -> np.ndarray:
-        return _stack(self.global_states, self.extra_global)
-
-
-def _stack(base: np.ndarray, extras: list) -> np.ndarray:
-    if not extras:
-        return base
-    return np.vstack([base] + [np.asarray(e, dtype=complex).reshape(1, -1) for e in extras])
 
 
 def sample_scenarios(
@@ -268,102 +243,150 @@ def sample_scenarios(
     )
 
 
+def _step_matrices(dynamics: Dynamics, cfg: SynthesisConfig, t0: int, count: int):
+    """Matrices of `count` scheduled steps from `t0`: the composed matrix, or
+    one product per sampled parameter sequence when a map is uncertain."""
+    if not any(dynamics.map_at(t0 + i).n_params for i in range(count)):
+        return [dynamics.composed_matrix(t0, count)]
+    rng = np.random.default_rng([cfg.seed, 1009, t0, count])
+    domains = [dynamics.map_at(t0 + i).param_domain for i in range(count)]
+    mats = []
+    for _ in range(cfg.uncertainty_samples):
+        params = [tuple(rng.uniform(lo, hi) for lo, hi in d) or None for d in domains]
+        mats.append(dynamics.composed_matrix(t0, count, params))
+    return mats
+
+
+def _image(states: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """states @ mat.T.  BLAS multiplies a single row with another kernel,
+    whose last bits can differ, so one row goes through a two-row product:
+    an absorbed state gets the image it would get among the sampled ones."""
+    if len(states) == 1:
+        return (np.vstack([states, states]) @ mat.T)[:1]
+    return states @ mat.T
+
+
+class _Block:
+    """States and their term values: one column per term evaluated so far."""
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+        self.values = np.zeros((len(states), 0), dtype=complex)
+
+
+class ScenarioRows:
+    """Term values of every scenario row of one job.
+
+    The sampled states are fixed for a job and the template only grows, so
+    each term is evaluated once per row: a longer template adds columns and a
+    counterexample adds a block of one row. A step family is the global blocks
+    and their images under each parameter draw, then its own counterexamples.
+    """
+
+    def __init__(self, scenarios: Scenarios, dynamics: Dynamics, cfg: SynthesisConfig):
+        self.k = cfg.k if cfg.flavor in ("k-inductive", "hybrid") else 1
+        if cfg.flavor != "hybrid" and not dynamics.schedule.is_constant:
+            raise LPError(f"{cfg.flavor} flavor needs a constant schedule")
+        if cfg.flavor == "hybrid" and self.k % dynamics.schedule.period != 0:
+            raise LPError("hybrid flavor needs the schedule period to divide k")
+        self.dyn = dynamics
+        self.cfg = cfg
+        self.template: BarrierTemplate | None = None  # the terms evaluated so far
+        self.blocks: list[_Block] = []
+        gl = scenarios.global_states
+        self.init, self.unsafe = [self._new(scenarios.init)], [self._new(scenarios.unsafe)]
+        self.glob = [self._new(gl)]
+        self.draws = []  # (matrix, image blocks of the global blocks)
+
+        def images(t0, count):
+            mats = _step_matrices(dynamics, cfg, t0, count)
+            out = [(m, [self._new(_image(gl, m))]) for m in mats]
+            self.draws += out
+            return out
+
+        offsets = range(self.k) if cfg.flavor == "hybrid" else [0]
+        self.steps = [(images(t, 1), []) for t in offsets]  # (draws, own (before, after))
+        self.kstep = None
+        if cfg.flavor in ("k-inductive", "hybrid"):
+            # a one-step window draws what step 0 draws: share its images
+            self.kstep = (self.steps[0][0] if self.k == 1 else images(0, self.k), [])
+
+    def _new(self, states: np.ndarray) -> _Block:
+        self.blocks.append(_Block(states))
+        return self.blocks[-1]
+
+    @property
+    def cells(self) -> int:
+        """Term values evaluated so far; each one is evaluated once."""
+        return sum(b.values.size for b in self.blocks)
+
+    def families(self, template: BarrierTemplate):
+        """(init_T, unsafe_T, global_T, step_data, kstep_data) on a prefix of
+        the table's terms, or on a template extending them, evaluated first."""
+        have = self.template.n_terms if self.template else 0
+        nt = template.n_terms
+        if self.template and template.terms[:have] != self.template.terms[:nt]:
+            raise LPError("the template does not extend the evaluated terms")
+        if nt > have:
+            self.template = template
+        for b in self.blocks:
+            if b.values.shape[1] < self.template.n_terms:
+                new = self.template.evaluate_terms(b.states, b.values.shape[1])
+                b.values = np.hstack([b.values, new])
+
+        def rows(blocks):
+            parts = [b.values[:, :nt] for b in blocks]
+            return parts[0] if len(parts) == 1 else np.vstack(parts)
+
+        def family(draws, own):
+            after = [b for _, blocks in draws for b in blocks] + [a for _, a in own]
+            return rows(self.glob * len(draws) + [b for b, _ in own]), rows(after)
+
+        return (
+            rows(self.init),
+            rows(self.unsafe),
+            rows(self.glob),
+            [family(*step) for step in self.steps],
+            family(*self.kstep) if self.kstep else None,
+        )
+
+    def absorb(self, condition_id: str, state, params) -> None:
+        """Add a refuted condition's counterexample to the rows of that
+        condition; its term values are evaluated with the next families."""
+        state = np.asarray(state, dtype=complex).reshape(1, -1)
+        if condition_id == "init":
+            self.init.append(self._new(state))
+        elif condition_id.startswith("unsafe"):
+            self.unsafe.append(self._new(state))
+        elif condition_id.startswith("step"):
+            t = int(condition_id.rsplit("-t", 1)[1]) if "-t" in condition_id else 0
+            mat = self.dyn.map_at(t).matrix(params or None)
+            self.steps[t][1].append((self._new(state), self._new((mat @ state[0])[None])))
+        elif condition_id == "k-step":
+            flat = iter(params)  # the parameters of each step in turn
+            seq = [tuple(islice(flat, self.dyn.map_at(i).n_params)) or None for i in range(self.k)]
+            mat = self.dyn.composed_matrix(0, self.k, seq)
+            self.kstep[1].append((self._new(state), self._new((mat @ state[0])[None])))
+        else:  # time-shift (or side): a global state, so a row of every image
+            self.glob.append(self._new(state))
+            for mat, blocks in self.draws:
+                blocks.append(self._new(_image(state, mat)))
+
+
 class ScenarioLP:
     """Rows, objective, and scenario extrema for one template size."""
 
-    def __init__(
-        self,
-        template: BarrierTemplate,
-        dynamics: Dynamics,
-        cfg: SynthesisConfig,
-        scen: Scenarios,
-    ):
+    def __init__(self, template: BarrierTemplate, rows: ScenarioRows):
         self.template = template
-        self.dyn = dynamics
-        self.cfg = cfg
-        self.scen = scen
-        self.flavor = cfg.flavor
-        self.k = cfg.k if cfg.flavor in ("k-inductive", "hybrid") else 1
-        self.n_vec = self.k if cfg.flavor == "hybrid" else 1
+        self.cfg = rows.cfg
+        self.flavor = rows.cfg.flavor
+        self.k = rows.k
+        self.n_vec = self.k if self.flavor == "hybrid" else 1
         self.nt = template.n_terms
         self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
         self.polish_rows_kept = 0
-        if cfg.flavor in ("invariant", "k-inductive", "finite-horizon"):
-            if not dynamics.schedule.is_constant:
-                raise LPError(f"{cfg.flavor} flavor needs a constant schedule")
-        if cfg.flavor == "hybrid" and self.k % dynamics.schedule.period != 0:
-            raise LPError("hybrid flavor needs the schedule period to divide k")
-        self._evaluate()
-
-    # ----- scenario evaluation ------------------------------------------
-
-    def _expand_uncertain(self, states, t0, count, tag):
-        """(states_expanded, after_states) for `count` scheduled steps, one
-        row per sampled parameter sequence when maps are uncertain."""
-        needs = any(self.dyn.map_at(t0 + i).n_params for i in range(count))
-        if not needs:
-            mat = self.dyn.composed_matrix(t0, count)
-            return states, states @ mat.T, None
-        rng = np.random.default_rng([self.cfg.seed, 1009, t0, count])
-        reps = self.cfg.uncertainty_samples
-        outs, befores, seqs = [], [], []
-        for _ in range(reps):
-            seq = []
-            mat = np.eye(self.dyn.dim, dtype=complex)
-            for i in range(count):
-                m = self.dyn.map_at(t0 + i)
-                params = tuple(
-                    rng.uniform(lo, hi) for lo, hi in m.param_domain
-                )
-                seq.append(params if params else None)
-                mat = m.matrix(params if params else None) @ mat
-            befores.append(states)
-            outs.append(states @ mat.T)
-            seqs.append(seq)
-        return np.vstack(befores), np.vstack(outs), seqs
-
-    def _evaluate(self):
-        tmpl = self.template
-        self.init_T = tmpl.evaluate_terms(self.scen.init_all())
-        self.unsafe_T = tmpl.evaluate_terms(self.scen.unsafe_all())
-        gl = self.scen.global_all()
-        self.global_T = tmpl.evaluate_terms(gl)
-        self.step_data = []  # per offset: (before_T, after_T)
-        offsets = range(self.k) if self.flavor == "hybrid" else [0]
-        for t in offsets:
-            before, after, _ = self._expand_uncertain(gl, t, 1, "step")
-            extras = [
-                (np.asarray(s), p) for (s, p, off) in self.scen.extra_step if off == t
-            ]
-            if extras:
-                eb = np.vstack([e[0].reshape(1, -1) for e in extras])
-                ea = np.vstack(
-                    [
-                        (self.dyn.map_at(t).matrix(p) @ s.reshape(-1)).reshape(1, -1)
-                        for s, p in extras
-                    ]
-                )
-                before = np.vstack([before, eb])
-                after = np.vstack([after, ea])
-            self.step_data.append(
-                (tmpl.evaluate_terms(before), tmpl.evaluate_terms(after))
-            )
-        if self.flavor in ("k-inductive", "hybrid"):
-            before, after, _ = self._expand_uncertain(gl, 0, self.k, "kstep")
-            extras = self.scen.extra_kstep
-            if extras:
-                eb = np.vstack([np.asarray(s).reshape(1, -1) for s, _ in extras])
-                rows = []
-                for s, seq in extras:
-                    mat = np.eye(self.dyn.dim, dtype=complex)
-                    for i in range(self.k):
-                        mat = self.dyn.map_at(i).matrix(seq[i] if seq else None) @ mat
-                    rows.append((mat @ np.asarray(s).reshape(-1)).reshape(1, -1))
-                before = np.vstack([before, eb])
-                after = np.vstack([after, np.vstack(rows)])
-            self.kstep_data = (tmpl.evaluate_terms(before), tmpl.evaluate_terms(after))
-        else:
-            self.kstep_data = None
+        families = rows.families(template)
+        self.init_T, self.unsafe_T, self.global_T, self.step_data, self.kstep_data = families
 
     # ----- variable layout ----------------------------------------------
 
@@ -667,8 +690,6 @@ class ScenarioLP:
     def finalize(self, x: np.ndarray) -> Certificate | None:
         """Round coefficients, recompute constants from scenario extrema with
         directional rounding, and keep a slack buffer inside the optimum."""
-        cfg = self.cfg
-        rho = cfg.margin
         raw_vectors = self.coeff_vectors_from(x)
         for dec in (6, 7, 8, 9, 10, 11, 12):
             vectors = [self._round_vec(v, dec) for v in raw_vectors]
@@ -835,7 +856,7 @@ def build_lp(
     scenarios: Scenarios,
 ) -> LPProblem:
     """Assemble the scenario LP for the configured flavor."""
-    return ScenarioLP(template, dynamics, cfg, scenarios).build()
+    return ScenarioLP(template, ScenarioRows(scenarios, dynamics, cfg)).build()
 
 
 def extract_certificate(
@@ -895,7 +916,8 @@ def synthesis_loop(
     start = time.perf_counter()
     if scenarios is None:
         scenarios = sample_scenarios(init_region, unsafe_region, global_region, cfg)
-        t_lp += time.perf_counter() - start
+    rows = ScenarioRows(scenarios, dynamics, cfg)
+    t_lp += time.perf_counter() - start
     full_count = math.comb(2 * dynamics.dim + cfg.degree, cfg.degree)
     budget = cfg.max_terms if cfg.max_terms else DEFAULT_TERM_BUDGET
     budget = min(budget, full_count)
@@ -908,7 +930,8 @@ def synthesis_loop(
         template = template_all.prefix(size)
         for round_idx in range(cfg.resample_rounds + 1):
             t0 = time.perf_counter()
-            slp = ScenarioLP(template, dynamics, cfg, scenarios)
+            cells = rows.cells
+            slp = ScenarioLP(template, rows)
             problem = slp.build()
             solution = solve_lp(problem)
             cert = None
@@ -919,10 +942,11 @@ def synthesis_loop(
                     cert = None
             t_lp += time.perf_counter() - t0
             log.info(
-                "terms %d round %d: %d LP rows; solve kept %d rows over %d HiGHS"
-                " calls; polish kept %d rows over %d HiGHS calls",
+                "terms %d round %d: %d term values evaluated; %d LP rows; solve kept %d rows"
+                " over %d HiGHS calls; polish kept %d rows over %d HiGHS calls",
                 size,
                 round_idx,
+                rows.cells - cells,
                 problem.n_rows,
                 solution.rows_kept,
                 solution.highs_calls,
@@ -975,9 +999,7 @@ def synthesis_loop(
                     round_idx,
                     ref.condition_id,
                 )
-                _absorb_counterexample(
-                    scenarios, ref.condition_id, state, params, cfg, dynamics
-                )
+                rows.absorb(ref.condition_id, state, params)
                 continue
             unknown_seen = True
             last_unknown = (cert, report)
@@ -1016,29 +1038,3 @@ def synthesis_loop(
         unknown_seen=unknown_seen,
     )
 
-
-def _absorb_counterexample(
-    scen: Scenarios, condition_id: str, state, params, cfg, dynamics: Dynamics
-):
-    if condition_id == "init":
-        scen.extra_init.append(state)
-    elif condition_id.startswith("unsafe"):
-        scen.extra_unsafe.append(state)
-    elif condition_id.startswith("shift"):
-        scen.extra_global.append(state)
-    elif condition_id.startswith("step"):
-        t = 0
-        if "-t" in condition_id:
-            t = int(condition_id.rsplit("-t", 1)[1])
-        scen.extra_step.append((state, params if params else None, t))
-    elif condition_id == "k-step":
-        k = cfg.k
-        seq: list = []
-        used = 0
-        for i in range(k):
-            need = dynamics.map_at(i).n_params
-            seq.append(tuple(params[used : used + need]) if need else None)
-            used += need
-        scen.extra_kstep.append((state, seq))
-    else:
-        scen.extra_global.append(state)

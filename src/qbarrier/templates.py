@@ -143,20 +143,20 @@ class BarrierTemplate:
     def prefix(self, count: int) -> "BarrierTemplate":
         return BarrierTemplate(self.dim, self.terms[:count])
 
-    def evaluate_terms(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate every term on a batch of states: (N, D) -> (N, n_terms)."""
+    def evaluate_terms(self, states: np.ndarray, first: int = 0) -> np.ndarray:
+        """Evaluate terms[first:] on a batch of states: (N, D) -> (N, n_terms - first)."""
         states = np.atleast_2d(states)
         n = states.shape[0]
-        out = np.empty((n, len(self.terms)), dtype=complex)
-        conj = np.conj(states)
-        for i, term in enumerate(self.terms):
+        terms = self.terms[first:]
+        out = np.empty((n, len(terms)), dtype=complex)
+        for i, term in enumerate(terms):
             col = np.ones(n, dtype=complex)
             # repeated products, not **: complex power is inexact even at 1
             for j in range(self.dim):
                 for _ in range(term.exponents[j]):
                     col = col * states[:, j]
                 for _ in range(term.exponents[self.dim + j]):
-                    col = col * conj[:, j]
+                    col = col * np.conj(states[:, j])  # one column at a time
             out[:, i] = col
         return out
 

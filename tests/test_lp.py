@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,11 +32,12 @@ from qbarrier.lp import (
     LPProblem,
     NoCandidateError,
     ScenarioLP,
+    ScenarioRows,
     Scenarios,
     extract_certificate,
 )
-from qbarrier.quantum import fixed_step
-from qbarrier.templates import CertificateError
+from qbarrier.quantum import StepMap, fixed_step, hadamard_uncertain
+from qbarrier.templates import BarrierTemplate, CertificateError
 
 
 def z3_dynamics():
@@ -93,7 +97,7 @@ def test_finite_horizon_decrement_rows_vanish_for_phase_gates():
         flavor="finite-horizon", degree=2, samples=40, seed=3, horizon=5
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(8, 2).prefix(3), z3_dynamics(), cfg, scen)
+    slp = ScenarioLP(full_template(8, 2).prefix(3), ScenarioRows(scen, z3_dynamics(), cfg))
     problem = slp.build()
     (start, stop), = [
         (s, e) for fam, s, e in problem.families if fam == "step"
@@ -115,7 +119,7 @@ def test_hybrid_kstep_rows_use_schedule_composition():
     glob = full_sphere(4, "global")
     cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=25, seed=5, k=2)
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(4, 2).prefix(3), dyn, cfg, scen)
+    slp = ScenarioLP(full_template(4, 2).prefix(3), ScenarioRows(scen, dyn, cfg))
     before_T, after_T = slp.kstep_data
     composed = cz.matrix @ cx.matrix
     expected = slp.template.evaluate_terms(scen.global_states @ composed.T)
@@ -138,7 +142,7 @@ def test_extract_requires_positive_objective():
     init, unsafe, glob = z3_regions()
     cfg = SynthesisConfig(flavor="invariant", degree=2, samples=30, seed=4)
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(8, 2).prefix(1), z3_dynamics(), cfg, scen)
+    slp = ScenarioLP(full_template(8, 2).prefix(1), ScenarioRows(scen, z3_dynamics(), cfg))
     problem = slp.build()
     sol = solve_lp(problem)  # constant-only template cannot separate
     assert sol.status != "optimal" or sol.objective < cfg.margin
@@ -152,7 +156,7 @@ def test_extracted_certificate_satisfies_rows_and_side_condition():
         flavor="finite-horizon", degree=2, samples=500, seed=11, horizon=6
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(8, 2).prefix(2), z3_dynamics(), cfg, scen)
+    slp = ScenarioLP(full_template(8, 2).prefix(2), ScenarioRows(scen, z3_dynamics(), cfg))
     problem = slp.build()
     sol = solve_lp(problem)
     cert = extract_certificate(slp, problem, sol)
@@ -162,7 +166,7 @@ def test_extracted_certificate_satisfies_rows_and_side_condition():
     # independent sampled re-check of the final certificate
     from qbarrier.templates import eval_real_batch
 
-    vals_init = eval_real_batch(cert, scen.init_all())
+    vals_init = eval_real_batch(cert, scen.init)
     assert vals_init.max() <= c["gamma"] + 1e-6
 
 
@@ -195,7 +199,7 @@ def test_uncertain_dynamics_expand_step_rows_per_parameter_point():
         uncertainty_samples=5,
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(2, 2).prefix(2), dyn, cfg, scen)
+    slp = ScenarioLP(full_template(2, 2).prefix(2), ScenarioRows(scen, dyn, cfg))
     problem = slp.build()
     assert problem.family_rows("step") == 5 * n
     # the loop terminates cleanly on the uncertain job (verdict may be
@@ -228,10 +232,10 @@ def test_flavor_schedule_compatibility_checks():
     )
     cfg = SynthesisConfig(flavor="invariant", degree=2, samples=4, seed=1)
     with pytest.raises(LPError):
-        ScenarioLP(full_template(4, 2).prefix(2), dyn, cfg, scen)
+        ScenarioRows(scen, dyn, cfg)
     cfg2 = SynthesisConfig(flavor="hybrid", degree=2, samples=4, seed=1, k=3)
     with pytest.raises(LPError):
-        ScenarioLP(full_template(4, 2).prefix(2), dyn, cfg2, scen)
+        ScenarioRows(scen, dyn, cfg2)
 
 
 # ----- constraint generation against one direct solve on all rows ----------
@@ -311,7 +315,7 @@ def _bundled_lp(name: str, size: int):
     cfg = job.synthesis
     scen = sample_scenarios(job.init_region, job.unsafe_region, job.global_region, cfg)
     template = full_template(job.dynamics.dim, cfg.degree, size).prefix(size)
-    slp = ScenarioLP(template, job.dynamics, cfg, scen)
+    slp = ScenarioLP(template, ScenarioRows(scen, job.dynamics, cfg))
     return slp, slp.build()
 
 
@@ -353,7 +357,7 @@ def _finalize_case():
         flavor="finite-horizon", degree=2, samples=300, seed=11, horizon=6
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    slp = ScenarioLP(full_template(8, 2).prefix(2), z3_dynamics(), cfg, scen)
+    slp = ScenarioLP(full_template(8, 2).prefix(2), ScenarioRows(scen, z3_dynamics(), cfg))
     problem = slp.build()
     sol = solve_lp(problem)
     return slp, slp.polish(problem, sol.objective)
@@ -379,3 +383,174 @@ def test_finalize_unrelated_error_propagates(monkeypatch):
     monkeypatch.setattr(qbarrier.lp, "Certificate", broken)
     with pytest.raises(TypeError):
         slp.finalize(x)
+
+
+# ----- synthesis output pinned ----------------------------------------------
+
+# sha256 of certificate.to_json() followed by json.dumps(rejections,
+# sort_keys=True), computed before the scenario rows were kept in one table
+# per job: a change to how the LP rows are assembled must keep every
+# certificate and every counterexample byte for byte
+PINNED_SYNTHESIS = {
+    ("cnot4_infinite", 11): "8329a932e2a7718bfa34b77725af8308547362e40d5244eb651411132dd2e4ee",
+    ("zgate3_finite", 13): "4ae5499de31f841a705d60801f34c5f3f9ef033378dffd114187e9bd3ad76a4b",
+    ("xgate2_infinite", 12): "91d83311ab1964b71b45fc01aa4821611d0bfbe49ff7285ea8c78877143170a3",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_SYNTHESIS))
+def test_synthesis_output_is_pinned(name, seed, tmp_path):
+    job = load_config(bundled_config_path(name))
+    job.synthesis.seed = seed
+    res = synthesis_loop(
+        job.dynamics,
+        job.init_region,
+        job.unsafe_region,
+        job.global_region,
+        job.synthesis,
+        solver_command=job.smt.solver,
+        workdir=tmp_path,
+        timeout_s=job.smt.timeout,
+    )
+    assert res.status == "solved" and res.rejections
+    text = res.certificate.to_json() + json.dumps(res.rejections, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SYNTHESIS[(name, seed)]
+
+
+# ----- the scenario row table -----------------------------------------------
+
+
+def _draw_matrices(dyn, cfg, t0, count):
+    """Step matrices as one evaluation per LP draws them."""
+    if not any(dyn.map_at(t0 + i).n_params for i in range(count)):
+        return [dyn.composed_matrix(t0, count)]
+    rng = np.random.default_rng([cfg.seed, 1009, t0, count])
+    mats = []
+    for _ in range(cfg.uncertainty_samples):
+        mat = np.eye(dyn.dim, dtype=complex)
+        for i in range(count):
+            m = dyn.map_at(t0 + i)
+            params = tuple(rng.uniform(lo, hi) for lo, hi in m.param_domain)
+            mat = m.matrix(params or None) @ mat
+        mats.append(mat)
+    return mats
+
+
+def _reference_families(template, dyn, cfg, scen, cexes):
+    """Hybrid term matrices from stacked states: sampled rows first (one copy
+    of the global rows, with the global counterexamples, per parameter
+    draw), then the family's own counterexamples in arrival order."""
+    k = cfg.k
+    init, unsafe, glob, kstep = [scen.init], [scen.unsafe], [scen.global_states], []
+    steps = {t: [] for t in range(k)}
+    for cid, state, params in cexes:
+        s = np.asarray(state, dtype=complex).reshape(1, -1)
+        if cid == "init":
+            init.append(s)
+        elif cid.startswith("unsafe"):
+            unsafe.append(s)
+        elif cid.startswith("step"):
+            t = int(cid.rsplit("-t", 1)[1])
+            steps[t].append((s, dyn.map_at(t).matrix(params or None) @ s[0]))
+        elif cid == "k-step":
+            mat, used = np.eye(dyn.dim, dtype=complex), 0
+            for i in range(k):
+                need = dyn.map_at(i).n_params
+                mat = dyn.map_at(i).matrix(tuple(params[used : used + need]) or None) @ mat
+                used += need
+            kstep.append((s, mat @ s[0]))
+        else:
+            glob.append(s)
+    ev = template.evaluate_terms
+    gl = np.vstack(glob)
+
+    def family(mats, extras):
+        before = np.vstack([gl] * len(mats) + [s for s, _ in extras])
+        after = np.vstack([gl @ m.T for m in mats] + [a.reshape(1, -1) for _, a in extras])
+        return ev(before), ev(after)
+
+    step_data = [family(_draw_matrices(dyn, cfg, t, 1), steps[t]) for t in range(k)]
+    kstep_data = family(_draw_matrices(dyn, cfg, 0, k), kstep)
+    return ev(np.vstack(init)), ev(np.vstack(unsafe)), ev(gl), step_data, kstep_data
+
+
+def _cx_cz_dynamics():
+    cx, cz = standard_gate("CX"), standard_gate("CZ")
+    return Dynamics(maps=(fixed_step(cx), fixed_step(cz)), schedule=Schedule((0, 1)))
+
+
+def _he_dynamics():
+    ug = hadamard_uncertain(0.9, 1.1)
+    step_map = StepMap(n=2, factors=(standard_gate("CX"), (ug, (1,))))
+    return Dynamics(maps=(step_map,), schedule=Schedule((0,)))
+
+
+def _unit(rng, dim):
+    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("make_dynamics", [_cx_cz_dynamics, _he_dynamics])
+def test_row_table_matches_stacked_evaluation(make_dynamics):
+    dyn = make_dynamics()
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
+    cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=30, seed=5, k=2)
+    scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
+    template = full_template(4, 2, 6)
+    rng = np.random.default_rng(3)
+
+    def params(t0, count):
+        return tuple(
+            rng.uniform(lo, hi) for i in range(count) for lo, hi in dyn.map_at(t0 + i).param_domain
+        )
+
+    cexes = [
+        ("init", _unit(rng, 4), ()),
+        ("unsafe-t1", _unit(rng, 4), ()),
+        ("step-t1", _unit(rng, 4), params(1, 1)),
+        ("shift-t0", _unit(rng, 4), ()),
+        ("k-step", _unit(rng, 4), params(0, 2)),
+        ("step-t1", _unit(rng, 4), params(1, 1)),
+    ]
+    rows = ScenarioRows(scen, dyn, cfg)
+    ScenarioLP(template.prefix(2), rows)
+    for cid, state, p in cexes:
+        rows.absorb(cid, state, p)
+    for nt in (2, 6, 3):
+        slp = ScenarioLP(template.prefix(nt), rows)
+        got = (slp.init_T, slp.unsafe_T, slp.global_T, slp.step_data, slp.kstep_data)
+        want = _reference_families(template.prefix(nt), dyn, cfg, scen, cexes)
+        for name, g, w in zip(("init", "unsafe", "global"), got, want):
+            assert np.array_equal(g, w), name
+        for t, (g, w) in enumerate(zip(got[3], want[3])):
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1]), f"step@{t}"
+        assert np.array_equal(got[4][0], want[4][0]) and np.array_equal(got[4][1], want[4][1])
+    other = BarrierTemplate(4, (template.terms[0], template.terms[3]))
+    with pytest.raises(LPError):
+        ScenarioLP(other, rows)
+
+
+def test_synthesis_evaluates_each_term_once_per_row(monkeypatch, tmp_path):
+    cells = []
+    evaluate = BarrierTemplate.evaluate_terms
+
+    def counting(self, states, first=0):
+        out = evaluate(self, states, first)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(BarrierTemplate, "evaluate_terms", counting)
+    job = load_config(bundled_config_path("xgate3_finite_t1"))
+    cfg = job.synthesis
+    cfg.samples = 1000
+    res = synthesis_loop(
+        job.dynamics, job.init_region, job.unsafe_region, job.global_region, cfg,
+        workdir=tmp_path,
+    )
+    assert res.status == "unsolved"
+    # finite horizon, fixed step: init, unsafe, global and its one image,
+    # and one row per init counterexample
+    assert res.rejections and all(r["condition"] == "init" for r in res.rejections)
+    n_rows = 4 * cfg.samples + len(res.rejections)
+    assert sum(cells) == n_rows * res.terms_used
