@@ -241,11 +241,13 @@ def certificate_realpoly(cert, offset: int = 0, extra_vars: int = 0) -> RealPoly
 
 def sphere_poly(dim: int, nvars: int) -> RealPoly:
     """sum_j x_j^2 + y_j^2 as a polynomial."""
-    acc = RealPoly(nvars)
+    coeffs: dict[Exps, Fraction] = {}
     for j in range(dim):
-        acc = acc.add(var_x(dim, nvars, j).mul(var_x(dim, nvars, j)))
-        acc = acc.add(var_y(dim, nvars, j).mul(var_y(dim, nvars, j)))
-    return acc
+        for i in (j, dim + j):  # x_j, then y_j
+            e = [0] * nvars
+            e[i] = 2
+            coeffs[tuple(e)] = Fraction(1)
+    return RealPoly._wrap(nvars, coeffs)
 
 
 def constraint_poly(constraint, dim: int, nvars: int) -> RealPoly:

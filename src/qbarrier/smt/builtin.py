@@ -23,6 +23,7 @@ same external-command contract as any other solver:
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 import time
@@ -34,6 +35,8 @@ import numpy as np
 from ..realpoly import RealPoly, eval_terms, rational_sexpr
 
 STRICT_RESOLUTION = Fraction(1, 10 ** 9)
+
+log = logging.getLogger(__name__)
 
 
 class SmtParseError(ValueError):
@@ -663,22 +666,27 @@ def _constraint_arrays(problem: Problem):
     ]
 
 
+def _holds(vals, op, rhs, strict_margin=1e-9):
+    """One constraint on an array of values or on one float: equalities
+    within 1e-9, strict inequalities by more than the margin."""
+    if op == "=":
+        return abs(vals - rhs) <= 1e-9
+    if op == "<=":
+        return vals <= rhs
+    return vals < rhs - strict_margin  # "<", strict
+
+
 def _feasible_mask(arrays, points, strict_margin=1e-9):
     ok = np.ones(points.shape[0], dtype=bool)
     for exps, coefs, op, rhs in arrays:
-        vals = eval_terms(exps, coefs, points)
-        if op == "=":
-            ok &= np.abs(vals - rhs) <= 1e-9
-        elif op == "<=":
-            ok &= vals <= rhs
-        else:  # "<", strict
-            ok &= vals < rhs - strict_margin
+        ok &= _holds(eval_terms(exps, coefs, points), op, rhs, strict_margin)
     return ok
 
 
 def _var_bounds(problem: Problem):
     """Interval per variable: amplitudes in [-1, 1]; parameters from any
-    single-variable linear constraints, else a wide guard box."""
+    single-variable linear constraints (an equality fixes both ends), else a
+    wide guard box."""
     nv = problem.nv
     lo = np.full(nv, -1e3)
     hi = np.full(nv, 1e3)
@@ -696,9 +704,9 @@ def _var_bounds(problem: Problem):
             continue
         i = active[0][0]
         bound = float(con.rhs / c)
-        if (c > 0) == (con.op in ("<=", "<")):
+        if con.op == "=" or (c > 0) == (con.op in ("<=", "<")):
             hi[i] = min(hi[i], bound)
-        else:
+        if con.op == "=" or (c > 0) != (con.op in ("<=", "<")):
             lo[i] = max(lo[i], bound)
     return lo, hi
 
@@ -748,69 +756,115 @@ def probe_sat(problem: Problem, deadline: float, rng_seed: int = 20240917):
     return None
 
 
-def _interval_eval(exps, coefs, lo, hi):
+def _term_program(problem: Problem):
+    """Each constraint as (terms, op, rhs) over plain floats, compiled once
+    per query. A term is (coef, factors, powers) in `as_float_arrays` order:
+    `factors` repeats each variable by its power, ascending; `powers` pairs
+    each variable with its power."""
+    program = []
+    for exps, coefs, op, rhs in _constraint_arrays(problem):
+        terms = []
+        for e, c in zip(exps.tolist(), coefs.tolist()):
+            powers = tuple((i, p) for i, p in enumerate(e) if p)
+            factors = tuple(i for i, p in powers for _ in range(p))
+            terms.append((c, factors, powers))
+        program.append((terms, op, rhs))
+    return program
+
+
+def _hull(terms, lo, hi):
+    """Padded interval enclosure of a term list over the box [lo, hi]."""
     tot_lo, tot_hi = 0.0, 0.0
-    for e, c in zip(exps, coefs):
-        t_lo, t_hi = c, c
-        for i in np.nonzero(e)[0]:
+    for c, factors, _ in terms:
+        t_lo = t_hi = c
+        for i in factors:
             p_lo, p_hi = lo[i], hi[i]
-            for _ in range(e[i]):
-                cands = (t_lo * p_lo, t_lo * p_hi, t_hi * p_lo, t_hi * p_hi)
-                t_lo, t_hi = min(cands), max(cands)
+            cands = (t_lo * p_lo, t_lo * p_hi, t_hi * p_lo, t_hi * p_hi)
+            t_lo, t_hi = min(cands), max(cands)
         tot_lo += t_lo
         tot_hi += t_hi
     pad = 1e-12 * (1.0 + abs(tot_lo) + abs(tot_hi))
     return tot_lo - pad, tot_hi + pad
 
 
+def _point_value(terms, x):
+    """A term list at one point, with the float operations of `eval_terms`:
+    numpy's array power is x*x for squares, so only higher powers go
+    through numpy."""
+    acc = 0.0
+    for c, _, powers in terms:
+        t = c
+        for i, p in powers:
+            if p == 1:
+                t *= x[i]
+            elif p == 2:
+                t *= x[i] * x[i]
+            else:
+                t *= float((np.array([x[i]]) ** p)[0])
+        acc += t
+    return acc
+
+
 def icp_refute(problem: Problem, deadline: float, max_nodes: int = 20000):
     """Branch-and-prune: "unsat" if every box is refuted, "sat" with a model
     if a center probe lands inside, else "unknown"."""
-    arrays = _constraint_arrays(problem)
+    program = _term_program(problem)
     pairs = _amplitude_pairs(problem.names) or {}
     amp_vars = sorted(i for x, y in pairs.values() for i in (x, y))
     lo0, hi0 = _var_bounds(problem)
-    stack = [(lo0.copy(), hi0.copy())]
-    nodes = 0
+    stack = [(lo0.tolist(), hi0.tolist())]
+    nodes = pruned = 0
+    ending, model = "refuted", None
     while stack:
+        if nodes >= max_nodes:
+            ending = "node-limit"
+            break
+        if time.monotonic() > deadline:
+            ending = "deadline"
+            break
         nodes += 1
-        if nodes > max_nodes or time.monotonic() > deadline:
-            return "unknown", None
         lo, hi = stack.pop()
-        pruned = False
-        for exps, coefs, op, rhs in arrays:
-            v_lo, v_hi = _interval_eval(exps, coefs, lo, hi)
-            if op == "=" and (v_hi < rhs or v_lo > rhs):
-                pruned = True
+        for terms, op, rhs in program:
+            v_lo, v_hi = _hull(terms, lo, hi)
+            if v_lo > rhs or (op == "=" and v_hi < rhs):
+                pruned += 1
                 break
-            if op in ("<=", "<") and v_lo > rhs:
-                pruned = True
-                break
-        if pruned:
-            continue
-        center = (lo + hi) / 2.0
-        if amp_vars:
-            norm = math.sqrt(sum(center[i] ** 2 for i in amp_vars))
-            if norm > 1e-12:
+        else:
+            center = [(l + h) / 2.0 for l, h in zip(lo, hi)]
+            if amp_vars:
+                # squares by `** 2` (libm pow), summed in order, fix the
+                # centers and so the models; `x * x`, or `sum` over floats
+                # (compensated from Python 3.12), moves some of them
+                sq = 0.0
                 for i in amp_vars:
-                    center[i] /= norm
-        point = center.reshape(1, -1)
-        if bool(_feasible_mask(arrays, point)[0]):
-            return "sat", {
-                problem.names[i]: float(center[i]) for i in range(problem.nv)
-            }
-        widths = hi - lo
-        split = int(np.argmax(widths))
-        if widths[split] < 1e-7:
-            return "unknown", None
-        mid = (lo[split] + hi[split]) / 2.0
-        l2, h2 = lo.copy(), hi.copy()
-        h2[split] = mid
-        stack.append((l2, h2))
-        l3, h3 = lo.copy(), hi.copy()
-        l3[split] = mid
-        stack.append((l3, h3))
-    return "unsat", None
+                    sq += center[i] ** 2
+                norm = math.sqrt(sq)
+                if norm > 1e-12:
+                    for i in amp_vars:
+                        center[i] /= norm
+            if all(
+                _holds(_point_value(terms, center), op, rhs)
+                for terms, op, rhs in program
+            ):
+                ending = "sat-center"
+                model = dict(zip(problem.names, center))
+                break
+            widths = [h - l for l, h in zip(lo, hi)]
+            widest = max(widths)
+            if widest < 1e-7:
+                ending = "width-floor"
+                break
+            split = widths.index(widest)
+            mid = (lo[split] + hi[split]) / 2.0
+            h2 = hi.copy()
+            h2[split] = mid
+            stack.append((lo, h2))
+            l3 = lo.copy()
+            l3[split] = mid
+            stack.append((l3, hi))
+    log.info("icp: %d boxes, %d pruned, %s", nodes, pruned, ending)
+    status = {"refuted": "unsat", "sat-center": "sat"}.get(ending, "unknown")
+    return status, model
 
 
 # ---------------------------------------------------------------------------
