@@ -44,6 +44,7 @@ from .templates import (
     full_template,
 )
 from .lp import (
+    DenseRows,
     LPProblem,
     LPSolution,
     Scenarios,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 from scipy.stats import qmc
 
-from .lp import LPProblem, solve_lp
+from .lp import DenseRows, LPProblem, solve_lp
 from .smt.encode import SMTQuery, StructConstraint
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly
@@ -281,15 +281,17 @@ def synth_angle_certificate(
     # variables: c, gamma, lam, delta; with c >= 0 the sampled rows
     # c*phi <= gamma and c*phi >= lam reduce exactly to the extreme angles
     problem = LPProblem(
-        a_ub=np.array(
-            [
-                [float(np.max(init_phis)), -1.0, 0.0, 0.0],
-                [-float(np.min(unsafe_phis)), 0.0, 1.0, 0.0],
-                [th + g.eta, 0.0, 0.0, -1.0],
-                [0.0, 1.0, -1.0, float(t_steps)],
-            ]
+        rows=DenseRows(
+            np.array(
+                [
+                    [float(np.max(init_phis)), -1.0, 0.0, 0.0],
+                    [-float(np.min(unsafe_phis)), 0.0, 1.0, 0.0],
+                    [th + g.eta, 0.0, 0.0, -1.0],
+                    [0.0, 1.0, -1.0, float(t_steps)],
+                ]
+            ),
+            np.array([0.0, 0.0, 0.0, -margin]),
         ),
-        b_ub=np.array([0.0, 0.0, 0.0, -margin]),
         bounds=[
             (0.0, coeff_bound),
             (-coeff_bound, coeff_bound),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -94,10 +94,35 @@ class SynthesisConfig:
             raise LPError("finite-horizon flavor needs a horizon")
 
 
+class DenseRows:
+    """Rows a @ x <= b held as one dense matrix, for small LPs."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+
+    @property
+    def n_rows(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.a.shape[1]
+
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A[idx], b[idx])."""
+        return self.a[idx], self.b[idx]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """A @ x - b over every row."""
+        return self.a @ x - self.b
+
+
 @dataclass
 class LPProblem:
-    a_ub: np.ndarray
-    b_ub: np.ndarray
+    # the rows A @ x <= b: n_rows, n_cols, take(idx) -> (A[idx], b[idx]) and
+    # residual(x) -> A @ x - b over every row
+    rows: DenseRows | ScenarioMatrix
     bounds: list[tuple[float | None, float | None]]
     objective: np.ndarray  # maximized
     var_names: list[str]
@@ -106,11 +131,11 @@ class LPProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.a_ub.shape[0]
+        return self.rows.n_rows
 
     @property
     def n_vars(self) -> int:
-        return self.a_ub.shape[1]
+        return self.rows.n_cols
 
     def family_rows(self, name: str) -> int:
         return sum(stop - start for f, start, stop in self.families if f == name)
@@ -142,15 +167,14 @@ def _spread(n_rows: int, count: int) -> np.ndarray:
 
 def _cut_solve(
     cost: np.ndarray,
-    a_gen: np.ndarray,
-    b_gen: np.ndarray,
+    rows: DenseRows | ScenarioMatrix,
     bounds: list,
     keep: np.ndarray,
     a_fixed: np.ndarray | None = None,
     b_fixed: np.ndarray | None = None,
 ):
-    """Minimize cost @ x subject to a_gen @ x[:a_gen.shape[1]] <= b_gen and
-    a_fixed @ x <= b_fixed, by constraint generation over the a_gen rows.
+    """Minimize cost @ x subject to rows A @ x[:rows.n_cols] <= b and
+    a_fixed @ x <= b_fixed, by constraint generation over the A rows.
 
     Each round solves on the rows `keep` plus every fixed row, then adds the
     most violated remaining rows; it stops when no row outside the working
@@ -160,20 +184,20 @@ def _cut_solve(
 
     Returns (the last scipy result, the final working set, HiGHS calls).
     """
-    n_rows, n_cols = a_gen.shape
+    n_rows, n_cols = rows.n_rows, rows.n_cols
     width = len(cost)
     if a_fixed is None:
         a_fixed = np.zeros((0, width))
         b_fixed = np.zeros(0)
     calls = 0
     while True:
-        sub = a_gen[keep]
+        sub, b_sub = rows.take(keep)
         if n_cols < width:
             sub = np.hstack([sub, np.zeros((len(keep), width - n_cols))])
         res = linprog(
             c=cost,
             A_ub=np.vstack([sub, a_fixed]),
-            b_ub=np.concatenate([b_gen[keep], b_fixed]),
+            b_ub=np.concatenate([b_sub, b_fixed]),
             bounds=bounds,
             method="highs",
         )
@@ -184,7 +208,7 @@ def _cut_solve(
             continue
         if res.status != 0:
             return res, keep, calls
-        viol = a_gen @ res.x[:n_cols] - b_gen
+        viol = rows.residual(res.x[:n_cols])
         viol[keep] = -np.inf
         out = np.flatnonzero(viol > CUT_TOL)
         if out.size == 0:
@@ -204,7 +228,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
     """Solve with scipy's HiGHS backend by constraint generation over the
     rows; the returned point satisfies every row.  Numerical failures raise."""
     res, keep, calls = _cut_solve(
-        -problem.objective, problem.a_ub, problem.b_ub, problem.bounds, _seed_rows(problem)
+        -problem.objective, problem.rows, problem.bounds, _seed_rows(problem)
     )
     stats = {"rows_kept": len(keep), "highs_calls": calls}
     if res.status == 0:
@@ -220,7 +244,7 @@ def recheck_solution(problem: LPProblem, x: np.ndarray) -> float:
     """Max constraint violation, evaluated outside the solver."""
     if problem.n_rows == 0:
         return 0.0
-    return float(np.max(problem.a_ub @ x - problem.b_ub))
+    return float(np.max(problem.rows.residual(x)))
 
 
 @dataclass
@@ -267,11 +291,28 @@ def _image(states: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    """States and their term values: one column per term evaluated so far."""
+    """States and their term values: one column per term evaluated so far.
+
+    The columns live in a buffer with spare capacity that doubles when it
+    fills, so a longer template writes its new columns in place."""
 
     def __init__(self, states: np.ndarray):
         self.states = states
-        self.values = np.zeros((len(states), 0), dtype=complex)
+        self.n_terms = 0
+        self._buf = np.empty((len(states), 0), dtype=complex)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._buf[:, : self.n_terms]
+
+    def extend(self, new: np.ndarray) -> None:
+        stop = self.n_terms + new.shape[1]
+        if stop > self._buf.shape[1]:
+            buf = np.empty((len(self.states), max(stop, 2 * self._buf.shape[1])), dtype=complex)
+            buf[:, : self.n_terms] = self.values
+            self._buf = buf
+        self._buf[:, self.n_terms : stop] = new
+        self.n_terms = stop
 
 
 class ScenarioRows:
@@ -289,6 +330,16 @@ class ScenarioRows:
             raise LPError(f"{cfg.flavor} flavor needs a constant schedule")
         if cfg.flavor == "hybrid" and self.k % dynamics.schedule.period != 0:
             raise LPError("hybrid flavor needs the schedule period to divide k")
+        # the fixed flavor constants that reach the right-hand side, summed as
+        # in the side row; the term values are checked as they are evaluated
+        if cfg.flavor != "invariant":
+            rhs = cfg.margin
+            if cfg.flavor != "finite-horizon" and cfg.eps != "free":
+                rhs += self.k * float(cfg.eps)
+            if cfg.flavor == "hybrid" and cfg.gamma != "free":
+                rhs += self.k * float(cfg.gamma)
+            if not math.isfinite(rhs):
+                raise LPError("non-finite coefficients in the scenario rows")
         self.dyn = dynamics
         self.cfg = cfg
         self.template: BarrierTemplate | None = None  # the terms evaluated so far
@@ -330,9 +381,11 @@ class ScenarioRows:
         if nt > have:
             self.template = template
         for b in self.blocks:
-            if b.values.shape[1] < self.template.n_terms:
-                new = self.template.evaluate_terms(b.states, b.values.shape[1])
-                b.values = np.hstack([b.values, new])
+            if b.n_terms < self.template.n_terms:
+                new = self.template.evaluate_terms(b.states, b.n_terms)
+                if not np.isfinite(new).all():
+                    raise LPError("non-finite coefficients in the scenario rows")
+                b.extend(new)
 
         def rows(blocks):
             parts = [b.values[:, :nt] for b in blocks]
@@ -371,6 +424,105 @@ class ScenarioRows:
             self.glob.append(self._new(state))
             for mat, blocks in self.draws:
                 blocks.append(self._new(_image(state, mat)))
+
+
+@dataclass
+class _Family:
+    """Rows sign * B_vec(after) - B_before_vec(before) + flavor @ x <= rhs,
+    one per row of term values (`before` only for difference rows); without
+    term values, one row over the flavor variables alone."""
+
+    after: np.ndarray | None = None
+    vec: int = 0
+    sign: float = 1.0
+    before: np.ndarray | None = None
+    before_vec: int = 0
+    flavor: dict[int, float] = field(default_factory=dict)  # column -> coefficient
+    rhs: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return 1 if self.after is None else len(self.after)
+
+
+def _real_view(term_vals: np.ndarray) -> np.ndarray:
+    """(N, 2T) float view of complex term values: Re, Im of each term."""
+    return term_vals.view(np.float64)
+
+
+class ScenarioMatrix:
+    """The scenario rows of one LP, kept as term values per family.
+
+    Over variables (re, im of each coefficient vector, then the flavor
+    variables), B_v at term values T is the row T.real at re_v and -T.imag
+    at im_v. No matrix of every row is formed: `take` builds the rows of a
+    working set, and `residual` multiplies the term values.
+    """
+
+    def __init__(self, nt: int, width: int):
+        self.nt = nt
+        self.n_cols = width
+        self.n_rows = 0
+        self.parts: list[tuple[int, _Family]] = []  # (first row, family)
+
+    def add(self, fam: _Family) -> None:
+        self.parts.append((self.n_rows, fam))
+        self.n_rows += fam.n
+
+    def _coef_block(self, term_vals: np.ndarray, vec: int, sign=1.0) -> np.ndarray:
+        """Columns for sign * B_vec at the given term values."""
+        block = np.zeros((term_vals.shape[0], self.n_cols))
+        base = vec * 2 * self.nt
+        block[:, base : base + 2 * self.nt : 2] = sign * term_vals.real
+        block[:, base + 1 : base + 2 * self.nt : 2] = -sign * term_vals.imag
+        return block
+
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A[idx], b[idx])."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
+            raise IndexError("row index out of range")
+        a = np.empty((len(idx), self.n_cols))
+        b = np.empty(len(idx))
+        for first, fam in self.parts:
+            hit = (idx >= first) & (idx < first + fam.n)
+            if not hit.any():
+                continue
+            sel = idx[hit] - first
+            if fam.after is None:
+                blk = np.zeros((len(sel), self.n_cols))
+            else:
+                blk = self._coef_block(fam.after[sel], fam.vec, fam.sign)
+                if fam.before is not None:
+                    blk = blk - self._coef_block(fam.before[sel], fam.before_vec)
+            for col, value in fam.flavor.items():
+                blk[:, col] = value
+            a[hit] = blk
+            b[hit] = fam.rhs
+        return a, b
+
+    def _part(self, x: np.ndarray, vec: int) -> np.ndarray:
+        """Vector `vec` of x with its imaginary entries negated, so that
+        _real_view(T) @ part is B_vec at T."""
+        base = vec * 2 * self.nt
+        part = x[base : base + 2 * self.nt].copy()
+        part[1::2] *= -1.0
+        return part
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """A @ x - b over every row."""
+        out = np.empty(self.n_rows)
+        for first, fam in self.parts:
+            r = out[first : first + fam.n]
+            shift = sum(value * x[col] for col, value in fam.flavor.items()) - fam.rhs
+            if fam.after is None:
+                r.fill(shift)
+                continue
+            np.matmul(_real_view(fam.after), fam.sign * self._part(x, fam.vec), out=r)
+            if fam.before is not None:
+                r -= _real_view(fam.before) @ self._part(x, fam.before_vec)
+            r += shift
+        return out
 
 
 class ScenarioLP:
@@ -417,15 +569,6 @@ class ScenarioLP:
             return out
         return ["gamma", "lam", "delta"]
 
-    def _coef_block(self, term_vals: np.ndarray, vec: int, width: int, sign=1.0):
-        """Columns for sign * B_vec at the given term values."""
-        rows = term_vals.shape[0]
-        block = np.zeros((rows, width))
-        base = vec * 2 * self.nt
-        block[:, base : base + 2 * self.nt : 2] = sign * term_vals.real
-        block[:, base + 1 : base + 2 * self.nt : 2] = -sign * term_vals.imag
-        return block
-
     # ----- LP assembly ----------------------------------------------------
 
     def build(self) -> LPProblem:
@@ -433,70 +576,63 @@ class ScenarioLP:
         names = self.var_layout()
         width = len(names)
         fv = self.flavor_vars
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
+        rows = ScenarioMatrix(self.nt, width)
         families: list[tuple[str, int, int]] = []
 
-        def family(name, block, bvals):
-            start = sum(b.shape[0] for b in rows)
-            rows.append(block)
-            rhs.extend(bvals)
-            families.append((name, start, start + block.shape[0]))
+        def family(name, **rows_of):
+            start = rows.n_rows
+            rows.add(_Family(**rows_of))
+            families.append((name, start, rows.n_rows))
 
         eps_fixed = None if cfg.eps == "free" else float(cfg.eps)
         gam_fixed = None if cfg.gamma == "free" else float(cfg.gamma)
 
         # init rows: B_0 <= 0 (or <= gamma for finite horizon)
-        blk = self._coef_block(self.init_T, 0, width)
-        b = np.zeros(blk.shape[0])
-        if self.flavor == "finite-horizon":
-            blk[:, fv["gamma"]] = -1.0
-        family("init", blk, b)
+        flavor = {fv["gamma"]: -1.0} if self.flavor == "finite-horizon" else {}
+        family("init", after=self.init_T, flavor=flavor)
 
         # unsafe rows: B_t >= threshold  ->  -B_t + threshold <= 0
+        level = {"invariant": "gamma", "finite-horizon": "lam"}.get(self.flavor, "d")
         for v in range(self.n_vec):
-            blk = self._coef_block(self.unsafe_T, v, width, sign=-1.0)
-            if self.flavor == "invariant":
-                blk[:, fv["gamma"]] = 1.0
-            elif self.flavor == "finite-horizon":
-                blk[:, fv["lam"]] = 1.0
-            else:
-                blk[:, fv["d"]] = 1.0
-            family(f"unsafe@{v}" if self.n_vec > 1 else "unsafe", blk, np.zeros(blk.shape[0]))
+            family(
+                f"unsafe@{v}" if self.n_vec > 1 else "unsafe",
+                after=self.unsafe_T, vec=v, sign=-1.0, flavor={fv[level]: 1.0},
+            )
 
         # step rows: B_t(f_t z) - B_t(z) <= {0 | eps | delta}
         for t, (before_T, after_T) in enumerate(self.step_data):
             v = t if self.flavor == "hybrid" else 0
-            blk = self._coef_block(after_T, v, width) - self._coef_block(before_T, v, width)
-            b = np.zeros(blk.shape[0])
+            flavor, rhs = {}, 0.0
             if self.flavor == "finite-horizon":
-                blk[:, fv["delta"]] = -1.0
+                flavor = {fv["delta"]: -1.0}
             elif self.flavor in ("k-inductive", "hybrid"):
                 if eps_fixed is None:
-                    blk[:, fv["eps"]] = -1.0
+                    flavor = {fv["eps"]: -1.0}
                 else:
-                    b += eps_fixed
-            family(f"step@{t}" if self.n_vec > 1 else "step", blk, b)
+                    rhs += eps_fixed
+            family(
+                f"step@{t}" if self.n_vec > 1 else "step",
+                after=after_T, vec=v, before=before_T, before_vec=v, flavor=flavor, rhs=rhs,
+            )
 
         # hybrid time-shift rows: B_{t+1} - B_t <= gamma
         if self.flavor == "hybrid":
             for t in range(self.k):
-                nxt = (t + 1) % self.k
-                blk = self._coef_block(self.global_T, nxt, width) - self._coef_block(
-                    self.global_T, t, width
-                )
-                b = np.zeros(blk.shape[0])
+                flavor, rhs = {}, 0.0
                 if gam_fixed is None:
-                    blk[:, fv["gamma"]] = -1.0
+                    flavor = {fv["gamma"]: -1.0}
                 else:
-                    b += gam_fixed
-                family(f"shift@{t}", blk, b)
+                    rhs += gam_fixed
+                family(
+                    f"shift@{t}",
+                    after=self.global_T, vec=(t + 1) % self.k,
+                    before=self.global_T, before_vec=t, flavor=flavor, rhs=rhs,
+                )
 
         # k-step rows: B_0(f^{(k)} z) - B_0(z) <= 0
         if self.kstep_data is not None:
             before_T, after_T = self.kstep_data
-            blk = self._coef_block(after_T, 0, width) - self._coef_block(before_T, 0, width)
-            family("k-step", blk, np.zeros(blk.shape[0]))
+            family("k-step", after=after_T, before=before_T)
 
         # side-condition row and objective
         objective = np.zeros(width)
@@ -507,28 +643,24 @@ class ScenarioLP:
             objective[fv["gamma"]] = -1.0
             objective[fv["lam"]] = 1.0
             objective[fv["delta"]] = -float(t_hor)
-            side = np.zeros((1, width))
-            side[0, fv["gamma"]] = 1.0
-            side[0, fv["lam"]] = -1.0
-            side[0, fv["delta"]] = float(t_hor)
-            family("side", side, np.array([-cfg.margin]))
+            side = {fv["gamma"]: 1.0, fv["lam"]: -1.0, fv["delta"]: float(t_hor)}
+            family("side", flavor=side, rhs=-cfg.margin)
         else:
             objective[fv["d"]] = 1.0
-            side = np.zeros((1, width))
-            side[0, fv["d"]] = -1.0
+            side = {fv["d"]: -1.0}
             bound = -cfg.margin
             if eps_fixed is None:
-                side[0, fv["eps"]] = float(self.k)
+                side[fv["eps"]] = float(self.k)
                 objective[fv["eps"]] = -float(self.k)
             else:
                 bound -= self.k * eps_fixed
             if self.flavor == "hybrid":
                 if gam_fixed is None:
-                    side[0, fv["gamma"]] = float(self.k)
+                    side[fv["gamma"]] = float(self.k)
                     objective[fv["gamma"]] = -float(self.k)
                 else:
                     bound -= self.k * gam_fixed
-            family("side", side, np.array([bound]))
+            family("side", flavor=side, rhs=bound)
 
         c_bound = cfg.coeff_bound
         bounds: list[tuple[float | None, float | None]] = []
@@ -542,13 +674,8 @@ class ScenarioLP:
             else:
                 bounds.append((-c_bound, c_bound))
 
-        a_ub = np.vstack(rows)
-        b_ub = np.asarray(rhs)
-        if not (np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
-            raise LPError("non-finite coefficients in the scenario rows")
         return LPProblem(
-            a_ub=a_ub,
-            b_ub=b_ub,
+            rows=rows,
             bounds=bounds,
             objective=objective,
             var_names=names,
@@ -651,7 +778,7 @@ class ScenarioLP:
 
         def solve(keep):
             res, keep, calls = _cut_solve(
-                -objective, problem.a_ub, problem.b_ub, bounds, keep, a_fixed, b_fixed
+                -objective, problem.rows, bounds, keep, a_fixed, b_fixed
             )
             self.polish_calls += calls
             self.polish_rows_kept = len(keep)

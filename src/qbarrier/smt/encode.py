@@ -9,6 +9,7 @@ configuration: declarations are sorted and monomials follow a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -254,14 +255,28 @@ def _he_symbolic(ug: UncertainGate, nvars, param_index, _unused, aux_index):
 _KNOWN_SYMBOLIC = {"HE": _he_symbolic}
 
 
-def _substitute_cert(
-    cert: Certificate, offset: int, matrix_polys, dim: int, nvars: int
-) -> RealPoly:
-    base = certificate_realpoly(cert, offset, extra_vars=nvars - 2 * dim)
+def _row_forms(matrix_polys, dim: int, nvars: int) -> tuple[RealPoly | None, ...]:
+    """Substitution forms of U z: Re and Im of each row, None for the
+    variables past the amplitudes."""
     forms: list[RealPoly | None] = [None] * nvars
     for k in range(dim):
         forms[k] = matrix_row_re(matrix_polys, k, dim, nvars)
         forms[dim + k] = matrix_row_im(matrix_polys, k, dim, nvars)
+    return tuple(forms)
+
+
+@lru_cache(maxsize=32)
+def _fixed_row_forms(matrix_bytes: bytes, dim: int, nvars: int) -> tuple[RealPoly | None, ...]:
+    """_row_forms of a fixed step matrix, given by its complex128 bytes; the
+    forms depend only on the dynamics, so each is built once."""
+    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
+    return _row_forms(_lift_matrix(matrix, nvars), dim, nvars)
+
+
+def _substitute_cert(
+    cert: Certificate, offset: int, forms: Sequence[RealPoly | None], dim: int, nvars: int
+) -> RealPoly:
+    base = certificate_realpoly(cert, offset, extra_vars=nvars - 2 * dim)
     return base.substitute(forms).snap()
 
 
@@ -386,7 +401,7 @@ def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
         p_base += p_used
         a_base += a_used
         mat = m if mat is None else _matmul_symbolic(m, mat, nvars)
-    poly = _substitute_cert(cert, offset, mat, dim, nvars)
+    poly = _substitute_cert(cert, offset, _row_forms(mat, dim, nvars), dim, nvars)
     return poly, extra, nvars, n_params, n_aux
 
 
@@ -518,8 +533,9 @@ def encode_condition(
     else:
         nvars = amplitude_vars(dim)
         names = _var_names(dim, 0, 0)
-        mat = _lift_matrix(dynamics.composed_matrix(t0, count), nvars)
-        after = _substitute_cert(cert, target_offset, mat, dim, nvars)
+        mat = np.ascontiguousarray(dynamics.composed_matrix(t0, count), dtype=complex)
+        forms = _fixed_row_forms(mat.tobytes(), dim, nvars)
+        after = _substitute_cert(cert, target_offset, forms, dim, nvars)
         extra = []
     before = certificate_realpoly(
         cert, offset, extra_vars=nvars - 2 * dim

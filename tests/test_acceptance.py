@@ -24,7 +24,13 @@ from qbarrier.grover import (
     unsafe_interval,
     initial_interval,
 )
-from qbarrier.lp import SynthesisConfig, build_lp, sample_scenarios, solve_lp
+from qbarrier.lp import (
+    SynthesisConfig,
+    build_lp,
+    recheck_solution,
+    sample_scenarios,
+    solve_lp,
+)
 from qbarrier.oracle import trajectory_safe
 from qbarrier.regions import full_sphere, parse_region, sample_states
 from qbarrier.smt.run import verify_certificate
@@ -416,7 +422,7 @@ def test_criterion_9_lp_layer():
         )
         sol = solve_lp(problem)
         if sol.status == "optimal":
-            residual = float(np.max(problem.a_ub @ sol.x - problem.b_ub))
+            residual = recheck_solution(problem, sol.x)
             ok &= passline(
                 residual <= 1e-6, f"solution re-check residual {residual:.2e} <= 1e-6"
             )

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from qbarrier import (
 from qbarrier.cli import bundled_config_path
 from qbarrier.config import load_config
 from qbarrier.lp import (
+    DenseRows,
     LPError,
     LPProblem,
     NoCandidateError,
@@ -63,8 +66,7 @@ def test_invariant_flavor_has_exactly_3n_rows():
 
 def test_solve_trivial_bounded_lp():
     problem = LPProblem(
-        a_ub=np.array([[1.0]]),
-        b_ub=np.array([1.0]),
+        rows=DenseRows(np.array([[1.0]]), np.array([1.0])),
         bounds=[(None, None)],
         objective=np.array([1.0]),
         var_names=["g"],
@@ -78,8 +80,7 @@ def test_solve_trivial_bounded_lp():
 
 def test_solve_infeasible_pair():
     problem = LPProblem(
-        a_ub=np.array([[-1.0], [1.0]]),
-        b_ub=np.array([-1.0, 0.0]),  # g >= 1 and g <= 0
+        rows=DenseRows(np.array([[-1.0], [1.0]]), np.array([-1.0, 0.0])),  # g >= 1 and g <= 0
         bounds=[(None, None)],
         objective=np.array([1.0]),
         var_names=["g"],
@@ -103,7 +104,7 @@ def test_finite_horizon_decrement_rows_vanish_for_phase_gates():
         (s, e) for fam, s, e in problem.families if fam == "step"
     ]
     delta_col = slp.flavor_vars["delta"]
-    rows = problem.a_ub[start:stop]
+    rows, _ = problem.rows.take(np.arange(start, stop))
     coef_part = np.delete(rows, delta_col, axis=1)
     assert np.max(np.abs(coef_part)) < 1e-12
     assert np.allclose(rows[:, delta_col], -1.0)
@@ -272,8 +273,7 @@ def _random_lp(seed: int, n_rows: int, n_vars: int, kind: str) -> LPProblem:
         a[i], b[i] = e0, -1.0  # x0 <= -1
         a[j], b[j] = -e0, -1.0  # x0 >= 1
     return LPProblem(
-        a_ub=a,
-        b_ub=b,
+        rows=DenseRows(a, b),
         bounds=bounds,
         objective=objective,
         var_names=[f"x{i}" for i in range(n_vars)],
@@ -293,8 +293,8 @@ def test_constraint_generation_matches_direct_solve(seed, n_rows, n_vars, kind):
     problem = _random_lp(seed, n_rows, n_vars, kind)
     direct = linprog(
         c=-problem.objective,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
+        A_ub=problem.rows.a,
+        b_ub=problem.rows.b,
         bounds=problem.bounds,
         method="highs",
     )
@@ -554,3 +554,277 @@ def test_synthesis_evaluates_each_term_once_per_row(monkeypatch, tmp_path):
     assert res.rejections and all(r["condition"] == "init" for r in res.rejections)
     n_rows = 4 * cfg.samples + len(res.rejections)
     assert sum(cells) == n_rows * res.terms_used
+
+
+# ----- the scenario rows against the dense assembly they replace ------------
+
+
+def _reference_build(slp: ScenarioLP):
+    """The dense assembly the scenario rows replace: every row formed and
+    stacked. Returns (a_ub, b_ub, families, bounds, objective)."""
+    cfg = slp.cfg
+    names = slp.var_layout()
+    width = len(names)
+    fv = slp.flavor_vars
+    rows, rhs, families = [], [], []
+
+    def coef_block(term_vals, vec, sign=1.0):
+        block = np.zeros((term_vals.shape[0], width))
+        base = vec * 2 * slp.nt
+        block[:, base : base + 2 * slp.nt : 2] = sign * term_vals.real
+        block[:, base + 1 : base + 2 * slp.nt : 2] = -sign * term_vals.imag
+        return block
+
+    def family(name, block, bvals):
+        start = sum(b.shape[0] for b in rows)
+        rows.append(block)
+        rhs.extend(bvals)
+        families.append((name, start, start + block.shape[0]))
+
+    eps_fixed = None if cfg.eps == "free" else float(cfg.eps)
+    gam_fixed = None if cfg.gamma == "free" else float(cfg.gamma)
+    blk = coef_block(slp.init_T, 0)
+    if slp.flavor == "finite-horizon":
+        blk[:, fv["gamma"]] = -1.0
+    family("init", blk, np.zeros(blk.shape[0]))
+    for v in range(slp.n_vec):
+        blk = coef_block(slp.unsafe_T, v, sign=-1.0)
+        if slp.flavor == "invariant":
+            blk[:, fv["gamma"]] = 1.0
+        elif slp.flavor == "finite-horizon":
+            blk[:, fv["lam"]] = 1.0
+        else:
+            blk[:, fv["d"]] = 1.0
+        family(f"unsafe@{v}" if slp.n_vec > 1 else "unsafe", blk, np.zeros(blk.shape[0]))
+    for t, (before_T, after_T) in enumerate(slp.step_data):
+        v = t if slp.flavor == "hybrid" else 0
+        blk = coef_block(after_T, v) - coef_block(before_T, v)
+        b = np.zeros(blk.shape[0])
+        if slp.flavor == "finite-horizon":
+            blk[:, fv["delta"]] = -1.0
+        elif slp.flavor in ("k-inductive", "hybrid"):
+            if eps_fixed is None:
+                blk[:, fv["eps"]] = -1.0
+            else:
+                b += eps_fixed
+        family(f"step@{t}" if slp.n_vec > 1 else "step", blk, b)
+    if slp.flavor == "hybrid":
+        for t in range(slp.k):
+            nxt = (t + 1) % slp.k
+            blk = coef_block(slp.global_T, nxt) - coef_block(slp.global_T, t)
+            b = np.zeros(blk.shape[0])
+            if gam_fixed is None:
+                blk[:, fv["gamma"]] = -1.0
+            else:
+                b += gam_fixed
+            family(f"shift@{t}", blk, b)
+    if slp.kstep_data is not None:
+        before_T, after_T = slp.kstep_data
+        blk = coef_block(after_T, 0) - coef_block(before_T, 0)
+        family("k-step", blk, np.zeros(blk.shape[0]))
+    objective = np.zeros(width)
+    if slp.flavor == "invariant":
+        objective[fv["gamma"]] = 1.0
+    elif slp.flavor == "finite-horizon":
+        t_hor = int(cfg.horizon)
+        objective[fv["gamma"]] = -1.0
+        objective[fv["lam"]] = 1.0
+        objective[fv["delta"]] = -float(t_hor)
+        side = np.zeros((1, width))
+        side[0, fv["gamma"]] = 1.0
+        side[0, fv["lam"]] = -1.0
+        side[0, fv["delta"]] = float(t_hor)
+        family("side", side, np.array([-cfg.margin]))
+    else:
+        objective[fv["d"]] = 1.0
+        side = np.zeros((1, width))
+        side[0, fv["d"]] = -1.0
+        bound = -cfg.margin
+        if eps_fixed is None:
+            side[0, fv["eps"]] = float(slp.k)
+            objective[fv["eps"]] = -float(slp.k)
+        else:
+            bound -= slp.k * eps_fixed
+        if slp.flavor == "hybrid":
+            if gam_fixed is None:
+                side[0, fv["gamma"]] = float(slp.k)
+                objective[fv["gamma"]] = -float(slp.k)
+            else:
+                bound -= slp.k * gam_fixed
+        family("side", side, np.array([bound]))
+    c_bound = cfg.coeff_bound
+    bounds = [(-c_bound, c_bound)] * (2 * slp.nt * slp.n_vec)
+    for fname in slp._flavor_var_names():
+        if fname in ("delta", "eps", "d") or (fname == "gamma" and slp.flavor == "hybrid"):
+            bounds.append((0.0, c_bound))
+        else:
+            bounds.append((-c_bound, c_bound))
+    return np.vstack(rows), np.asarray(rhs), families, bounds, objective
+
+
+def _params(rng, dyn, t0, count):
+    return tuple(
+        rng.uniform(lo, hi) for i in range(count) for lo, hi in dyn.map_at(t0 + i).param_domain
+    )
+
+
+# (flavor, dynamics, k, eps, gamma, counterexample condition ids)
+ROW_CASES = {
+    "invariant": ("invariant", lambda: constant_dynamics(standard_gate("CX")), 1, 0.01, 0.01,
+                  ("init", "unsafe", "step")),
+    "finite-horizon": ("finite-horizon", lambda: constant_dynamics(standard_gate("CX")), 1,
+                       0.01, 0.01, ("init", "step")),
+    "k-inductive-HE": ("k-inductive", _he_dynamics, 2, 0.01, 0.01,
+                       ("init", "step", "k-step", "unsafe")),
+    "k-inductive-free-eps": ("k-inductive", lambda: constant_dynamics(standard_gate("CZ")), 2,
+                             "free", 0.01, ("step", "k-step")),
+    "hybrid": ("hybrid", _cx_cz_dynamics, 2, 0.01, 0.01,
+               ("init", "unsafe-t1", "step-t1", "shift-t0", "k-step", "step-t1")),
+    "hybrid-free": ("hybrid", _cx_cz_dynamics, 2, "free", "free",
+                    ("init", "step-t0", "shift-t0", "k-step")),
+    "hybrid-HE": ("hybrid", _he_dynamics, 2, 0.01, "free",
+                  ("init", "unsafe-t1", "step-t1", "shift-t0", "k-step")),
+}
+
+
+def _row_case(name, nt=9, samples=30):
+    flavor, make_dynamics, k, eps, gamma, cexes = ROW_CASES[name]
+    dyn = make_dynamics()
+    cfg = SynthesisConfig(
+        flavor=flavor, degree=2, samples=samples, seed=7, k=k, eps=eps, gamma=gamma,
+        horizon=4 if flavor == "finite-horizon" else None,
+    )
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
+    scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
+    rows = ScenarioRows(scen, dyn, cfg)
+    rng = np.random.default_rng(11)
+    template = full_template(4, 2, nt)
+    ScenarioLP(template.prefix(2), rows)  # evaluate some terms first
+    for cid in cexes:
+        if cid == "k-step":
+            t0, count = 0, k
+        else:
+            t0, count = (int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0), 1
+        rows.absorb(cid, _unit(rng, 4), _params(rng, dyn, t0, count))
+    return ScenarioLP(template, rows)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_scenario_rows_match_the_dense_assembly(name):
+    slp = _row_case(name)
+    problem = slp.build()
+    a_ref, b_ref, families, bounds, objective = _reference_build(slp)
+    assert problem.families == families
+    assert (problem.n_rows, problem.n_vars) == a_ref.shape
+    assert problem.bounds == bounds and np.array_equal(problem.objective, objective)
+    kinds = {f.split("@")[0] for f, start, stop in families if stop > start}
+    assert kinds == {"init", "unsafe", "step"} | {
+        "invariant": set(),
+        "finite-horizon": {"side"},
+        "k-inductive": {"side", "k-step"},
+        "hybrid": {"side", "k-step", "shift"},
+    }[slp.flavor]
+    rng = np.random.default_rng(5)
+    n = problem.n_rows
+    for idx in (
+        np.zeros(0, dtype=np.intp),
+        np.array([0]),
+        np.array([n - 1]),
+        np.sort(rng.choice(n, 57, replace=False)),
+        rng.integers(0, n, 40),  # any order, repeats
+        np.arange(n),
+    ):
+        a, b = problem.rows.take(idx)
+        assert a.tobytes() == a_ref[idx].tobytes()
+        assert b.tobytes() == b_ref[idx].tobytes()
+    for _ in range(3):
+        x = rng.uniform(-3, 3, problem.n_vars)
+        scale = max(1.0, float(np.max(np.abs(a_ref) @ np.abs(x) + np.abs(b_ref))))
+        assert np.max(np.abs(problem.rows.residual(x) - (a_ref @ x - b_ref))) <= 1e-12 * scale
+        assert recheck_solution(problem, x) == pytest.approx(
+            float(np.max(a_ref @ x - b_ref)), abs=1e-12 * scale
+        )
+    with pytest.raises(IndexError):
+        problem.rows.take(np.array([n]))
+
+
+def test_scenario_lp_forms_no_dense_row_matrix():
+    # tracemalloc sees numpy's buffers, not HiGHS's own memory: this bounds
+    # what the assembly and the cut loop allocate on the Python side
+    init, unsafe, glob = z3_regions()
+    cfg = SynthesisConfig(flavor="invariant", degree=2, samples=40000, seed=2)
+    scen = sample_scenarios(init, unsafe, glob, cfg)
+    slp = ScenarioLP(full_template(8, 2).prefix(6), ScenarioRows(scen, z3_dynamics(), cfg))
+    tracemalloc.start()
+    try:
+        problem = slp.build()
+        sol = solve_lp(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and problem.n_rows == 3 * cfg.samples
+    assert peak < problem.n_rows * problem.n_vars * 8 / 4
+
+
+def _no_highs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qbarrier.lp, "linprog", lambda **kw: calls.append(kw))
+    return calls
+
+
+def test_non_finite_term_values_raise_before_any_solve(monkeypatch):
+    calls = _no_highs(monkeypatch)
+    init, unsafe, glob = z3_regions()
+    cfg = SynthesisConfig(flavor="invariant", degree=2, samples=20, seed=2)
+    scen = sample_scenarios(init, unsafe, glob, cfg)
+    template = full_template(8, 2).prefix(3)
+    bad = Scenarios(init=scen.init.copy(), unsafe=scen.unsafe, global_states=scen.global_states)
+    bad.init[4] = np.nan
+    with pytest.raises(LPError, match="non-finite"):
+        ScenarioLP(template, ScenarioRows(bad, z3_dynamics(), cfg))
+    # a counterexample block: its values are checked when they are evaluated
+    rows = ScenarioRows(scen, z3_dynamics(), cfg)
+    ScenarioLP(template, rows).build()
+    state = np.full(8, np.nan, dtype=complex)
+    rows.absorb("step", state, ())
+    with pytest.raises(LPError, match="non-finite"):
+        ScenarioLP(template, rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flavor,constants",
+    [
+        ("k-inductive", {"eps": math.inf}),
+        ("hybrid", {"gamma": math.inf}),
+        ("hybrid", {"eps": math.nan}),
+        ("finite-horizon", {"margin": math.inf}),
+    ],
+)
+def test_non_finite_flavor_constants_raise_before_any_solve(monkeypatch, flavor, constants):
+    calls = _no_highs(monkeypatch)
+    dyn = constant_dynamics(standard_gate("Z"))
+    init = parse_region(["prob(0) >= 0.9"], 2, "init")
+    unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
+    cfg = SynthesisConfig(
+        flavor=flavor, degree=2, samples=20, seed=4, k=1,
+        horizon=3 if flavor == "finite-horizon" else None, **constants,
+    )
+    with pytest.raises(LPError, match="non-finite"):
+        synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir="/tmp/nonfinite")
+    assert calls == []
+
+
+def test_term_columns_grow_in_place():
+    init, unsafe, glob = z3_regions()
+    cfg = SynthesisConfig(flavor="invariant", degree=2, samples=25, seed=3)
+    scen = sample_scenarios(init, unsafe, glob, cfg)
+    rows = ScenarioRows(scen, z3_dynamics(), cfg)
+    template = full_template(8, 2, 11)
+    for nt in range(1, 12):
+        slp = ScenarioLP(template.prefix(nt), rows)
+        # values of the whole evaluated prefix, and cells count values, not capacity
+        assert np.array_equal(slp.init_T, template.prefix(nt).evaluate_terms(scen.init))
+        assert rows.cells == sum(len(b.states) for b in rows.blocks) * nt
+        assert all(b.values.shape == (len(b.states), nt) for b in rows.blocks)

@@ -15,7 +15,12 @@ from qbarrier import (
 )
 from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
 from qbarrier.smt.builtin import parse_problem
-from qbarrier.smt.encode import EncodeError, conditions_for, encode_condition
+from qbarrier.smt.encode import (
+    EncodeError,
+    _fixed_row_forms,
+    conditions_for,
+    encode_condition,
+)
 
 
 def z_setup(a=-10.0, b=13.0, flavor="finite-horizon"):
@@ -100,6 +105,18 @@ def test_encoding_round_trip_matches_eval_real():
         )
         direct = eval_real(cert, amps) - cert.constants["gamma"]
         assert abs(margin - direct) < 1e-9
+
+
+def test_step_forms_are_built_once_per_matrix():
+    cert, init, unsafe, glob, dyn = z_setup()
+    _fixed_row_forms.cache_clear()
+    first = encode_condition(cert, "step", init, unsafe, glob, dyn).text
+    # an equal matrix from another Dynamics object hits the same entry
+    again = constant_dynamics(tensor([standard_gate("Z")] * 3))
+    second = encode_condition(cert, "step", init, unsafe, glob, again).text
+    info = _fixed_row_forms.cache_info()
+    assert first == second
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_z_step_condition_collapses_to_zero_polynomial():
