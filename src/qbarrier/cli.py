@@ -189,8 +189,6 @@ def _run_grover_job(job: JobConfig, out_dir: Path) -> RunReport:
         job.grover,
         samples=cfg.samples,
         seed=cfg.seed,
-        margin=cfg.margin,
-        coeff_bound=cfg.coeff_bound,
         solver_command=job.smt.solver,
         workdir=out_dir / "smt2",
         timeout_s=job.smt.timeout,

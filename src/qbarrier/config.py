@@ -23,14 +23,19 @@ Grammar (see the README for the full reference):
     epsilon = 0.01             ; or: free
     gamma   = 0.01             ; or: free
     horizon = 6                ; finite-horizon only
-    ...
+    max-terms = 20             ; optional cap on the incremental term search
+    resample-rounds = 10       ; counterexample-guided re-solves per size
 
     [smt]
     solver  = builtin          ; or a command template with {file} {timeout_s}
     timeout = 300
+    jobs    = 1
 
 Grover angle-model jobs replace [circuit]/[regions] with a [grover] section
-(fields: qubits, solutions, err, eta, steps, samples, seed).
+(keys: qubits, solutions, err, eta, steps); their samples and seed go in
+[synthesis]. A key left out keeps the default of its settings dataclass. An
+unknown section or key, or a value that does not convert, raises ConfigError
+naming the section and key.
 
 Region constraints are comma-separated predicates over prob(j), re(j), im(j);
 gate tokens are the standard names plus HE (tunable mixing gate, with an
@@ -102,6 +107,7 @@ def _parse_factor(token: str, n: int):
         if len(parts) < 2:
             raise ConfigError("HE needs a target qubit")
         q = int(parts[1])
+        _check_qubit(q, n)
         lo, hi = 0.9, 1.1
         if len(parts) >= 3:
             spec = "".join(parts[2:]).strip("[]")
@@ -115,9 +121,13 @@ def _parse_factor(token: str, n: int):
             f"gate {name} takes {gate.m} qubit(s), got targets {targets}"
         )
     for q in targets:
-        if not 0 <= q < n:
-            raise ConfigError(f"qubit index {q} out of range for {n} qubits")
+        _check_qubit(q, n)
     return lift(gate, targets, n)
+
+
+def _check_qubit(q: int, n: int) -> None:
+    if not 0 <= q < n:
+        raise ConfigError(f"qubit index {q} out of range for {n} qubits")
 
 
 def _parse_map(value: str, n: int) -> StepMap:
@@ -132,6 +142,9 @@ def _parse_map(value: str, n: int) -> StepMap:
 
 
 def _parse_circuit(section) -> Dynamics:
+    for key in section:
+        if key not in ("qubits", "schedule") and not key.startswith("map."):
+            raise ConfigError(f"[circuit] unknown key {key!r}")
     try:
         n = section.getint("qubits")
     except (TypeError, ValueError):
@@ -174,9 +187,10 @@ def _parse_circuit(section) -> Dynamics:
 
 
 def _parse_regions(section, dim: int):
+    _check_keys("regions", section, ("init", "unsafe", "global"))
+
     def region_of(key, fallback_sphere=False):
-        text = section.get(key, "") if section is not None else ""
-        specs = [s for s in (text or "").split(",") if s.strip()]
+        specs = [s for s in section.get(key, "").split(",") if s.strip()]
         if not specs:
             if fallback_sphere:
                 return full_sphere(dim, name=key)
@@ -193,56 +207,60 @@ def _parse_regions(section, dim: int):
     )
 
 
-def _parse_synthesis(section) -> SynthesisConfig:
-    if section is None:
-        raise ConfigError("[synthesis] section is required")
+def _number_or_free(raw: str) -> float | str:
+    return "free" if raw.strip() == "free" else float(raw)
 
-    def num(key, default):
-        raw = section.get(key, None)
-        if raw is None:
-            return default
-        if raw.strip() == "free":
-            return "free"
+
+_SECTIONS = ("circuit", "regions", "synthesis", "smt", "grover")
+
+# key -> (dataclass field, converter)
+_SYNTHESIS_KEYS = {
+    "flavor": ("flavor", str),
+    "degree": ("degree", int),
+    "samples": ("samples", int),
+    "seed": ("seed", int),
+    "k": ("k", int),
+    "epsilon": ("eps", _number_or_free),
+    "gamma": ("gamma", _number_or_free),
+    "horizon": ("horizon", int),
+    "max-terms": ("max_terms", int),
+    "resample-rounds": ("resample_rounds", int),
+}
+_SMT_KEYS = {
+    "solver": ("solver", str),
+    "timeout": ("timeout", float),
+    "jobs": ("jobs", int),
+}
+_GROVER_KEYS = {
+    "qubits": ("n", int),
+    "solutions": ("solutions", float),
+    "err": ("err", float),
+    "eta": ("eta", float),
+    "steps": ("steps", int),
+}
+
+
+def _check_keys(name: str, section, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"[{name}] unknown key {key!r}")
+
+
+def _settings(cls, name: str, section, table: dict, errors=()):
+    """cls built from the keys present in one section; a key left out keeps
+    the default of its field."""
+    _check_keys(name, section, table)
+    kwargs = {}
+    for key, raw in section.items():
+        attr, convert = table[key]
         try:
-            return float(raw)
+            kwargs[attr] = convert(raw)
         except ValueError:
-            raise ConfigError(f"[synthesis] {key} must be a number") from None
-
+            raise ConfigError(f"[{name}] {key}: bad value {raw!r}") from None
     try:
-        cfg = SynthesisConfig(
-            flavor=section.get("flavor", "invariant"),
-            degree=section.getint("degree", 2),
-            samples=section.getint("samples", 1000),
-            seed=section.getint("seed", 1),
-            k=section.getint("k", 1),
-            eps=num("epsilon", 0.01),
-            gamma=num("gamma", 0.01),
-            horizon=section.getint("horizon", None),
-            margin=float(section.get("margin", 1e-4)),
-            coeff_bound=float(section.get("coeff-bound", 100.0)),
-            max_terms=section.getint("max-terms", None),
-            resample_rounds=section.getint("resample-rounds", 10),
-            uncertainty_samples=section.getint("uncertainty-samples", 5),
-            on_unknown=section.get("on-unknown", "stop"),
-        )
-    except (ValueError, LPError) as exc:
-        raise ConfigError(f"[synthesis] {exc}") from exc
-    if cfg.on_unknown not in ("stop", "continue"):
-        raise ConfigError("[synthesis] on-unknown must be 'stop' or 'continue'")
-    return cfg
-
-
-def _parse_grover(section) -> GroverInstance:
-    try:
-        return GroverInstance(
-            n=section.getint("qubits"),
-            solutions=section.getfloat("solutions"),
-            err=section.getfloat("err", 0.0),
-            eta=section.getfloat("eta", 0.0),
-            steps=section.getint("steps", None),
-        )
-    except (TypeError, ValueError, GroverError) as exc:
-        raise ConfigError(f"[grover] {exc}") from exc
+        return cls(**kwargs)
+    except errors as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def load_config(path: str | Path) -> JobConfig:
@@ -256,20 +274,27 @@ def load_config(path: str | Path) -> JobConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for title in parser.sections():
+        if title not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{title}]")
 
-    smt = SMTSettings(
-        solver=parser.get("smt", "solver", fallback="builtin"),
-        timeout=parser.getfloat("smt", "timeout", fallback=300.0),
-        jobs=parser.getint("smt", "jobs", fallback=1),
+    def section(name):
+        return parser[name] if parser.has_section(name) else {}
+
+    if not parser.has_section("synthesis"):
+        raise ConfigError("[synthesis] section is required")
+    synth = _settings(
+        SynthesisConfig, "synthesis", parser["synthesis"], _SYNTHESIS_KEYS, LPError
     )
+    smt = _settings(SMTSettings, "smt", section("smt"), _SMT_KEYS)
     name = path.stem
     raw = {s: dict(parser[s]) for s in parser.sections()}
 
     if parser.has_section("grover"):
-        synth = _parse_synthesis(
-            parser["synthesis"] if parser.has_section("synthesis") else None
-        )
-        g = _parse_grover(parser["grover"])
+        for key in ("qubits", "solutions"):
+            if key not in parser["grover"]:
+                raise ConfigError(f"[grover] {key} is required")
+        g = _settings(GroverInstance, "grover", parser["grover"], _GROVER_KEYS, GroverError)
         return JobConfig(
             name=name, kind="grover", synthesis=synth, smt=smt, grover=g, raw=raw
         )
@@ -277,14 +302,7 @@ def load_config(path: str | Path) -> JobConfig:
     if not parser.has_section("circuit"):
         raise ConfigError(f"{path}: needs a [circuit] or [grover] section")
     dynamics = _parse_circuit(parser["circuit"])
-    regions = _parse_regions(
-        parser["regions"] if parser.has_section("regions") else None, dynamics.dim
-    )
-    synth = _parse_synthesis(
-        parser["synthesis"] if parser.has_section("synthesis") else None
-    )
-    if synth.flavor == "finite-horizon" and synth.horizon is None:
-        raise ConfigError("[synthesis] finite-horizon flavor needs horizon")
+    regions = _parse_regions(section("regions"), dynamics.dim)
     return JobConfig(
         name=name,
         kind="circuit",

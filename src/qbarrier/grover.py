@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 from scipy.stats import qmc
 
-from .lp import DenseRows, LPProblem, solve_lp
+from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
 from .smt.encode import SMTQuery, StructConstraint
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly
@@ -256,8 +256,6 @@ def synth_angle_certificate(
     g: GroverInstance,
     samples: int,
     seed: int,
-    margin: float = 1e-4,
-    coeff_bound: float = 100.0,
     solver_command: str = BUILTIN_COMMAND,
     workdir: str | Path = "runs/grover",
     timeout_s: float = 300.0,
@@ -266,8 +264,8 @@ def synth_angle_certificate(
 
     Rows: c*phi <= gamma on sampled initial angles, c*phi >= lam on sampled
     unsafe angles, one worst-case decrement row c*(theta+eta) <= delta, and
-    the side condition lam - gamma - delta*T >= margin; the objective
-    maximizes that side slack, with every variable boxed by coeff_bound and
+    the side condition lam - gamma - delta*T >= MARGIN; the objective
+    maximizes that side slack, with every variable boxed by COEFF_BOUND and
     c constrained nonnegative.
     """
     import time as _time
@@ -290,13 +288,13 @@ def synth_angle_certificate(
                     [0.0, 1.0, -1.0, float(t_steps)],
                 ]
             ),
-            np.array([0.0, 0.0, 0.0, -margin]),
+            np.array([0.0, 0.0, 0.0, -MARGIN]),
         ),
         bounds=[
-            (0.0, coeff_bound),
-            (-coeff_bound, coeff_bound),
-            (-coeff_bound, coeff_bound),
-            (0.0, coeff_bound),
+            (0.0, COEFF_BOUND),
+            (-COEFF_BOUND, COEFF_BOUND),
+            (-COEFF_BOUND, COEFF_BOUND),
+            (0.0, COEFF_BOUND),
         ],
         objective=np.array([0.0, -1.0, 1.0, -float(t_steps)]),
         var_names=["c", "gamma", "lam", "delta"],
@@ -305,11 +303,11 @@ def synth_angle_certificate(
     )
     sol = solve_lp(problem)
     lp_time = _time.perf_counter() - t0
-    if sol.status != "optimal" or sol.objective < margin:
+    if sol.status != "optimal" or sol.objective < MARGIN:
         return AngleSynthesisResult("unsolved", None, None, lp_time, 0.0)
     c, gamma, lam, delta = (float(v) for v in sol.x)
     # keep part of the slack as a buffer against boundary samples
-    slack = lam - gamma - delta * t_steps - margin
+    slack = lam - gamma - delta * t_steps - MARGIN
     gamma += slack / 4.0
     lam -= slack / 4.0
     delta += slack / (6.0 * t_steps)

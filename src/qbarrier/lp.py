@@ -50,6 +50,12 @@ log = logging.getLogger(__name__)
 # combinatorially with the dimension, far past anything an LP of this kind
 # can use (override per job with max-terms)
 DEFAULT_TERM_BUDGET = 60
+# strictness margin rho of the side condition
+MARGIN = 1e-4
+# box bound on every coefficient and flavor constant
+COEFF_BOUND = 100.0
+# parameter draws per scenario row of an uncertain step map
+UNCERTAINTY_SAMPLES = 5
 
 
 class LPError(RuntimeError):
@@ -74,24 +80,21 @@ class SynthesisConfig:
     eps: float | str = 0.01  # fixed value or "free"
     gamma: float | str = 0.01  # hybrid time-shift bound, fixed or "free"
     horizon: int | None = None
-    margin: float = 1e-4  # strictness margin rho
-    coeff_bound: float = 100.0
     max_terms: int | None = None
     resample_rounds: int = 10
-    uncertainty_samples: int = 5
-    on_unknown: str = "stop"  # or "continue"
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise LPError(f"unknown flavor {self.flavor!r}")
-        if self.k < 1:
-            raise LPError("k must be >= 1")
-        if self.margin <= 0:
-            raise LPError("margin must be positive")
-        if self.coeff_bound <= 0:
-            raise LPError("coefficient bound must be positive")
-        if self.flavor == "finite-horizon" and not self.horizon:
-            raise LPError("finite-horizon flavor needs a horizon")
+        for name in ("degree", "samples", "k"):
+            if getattr(self, name) < 1:
+                raise LPError(f"{name} must be >= 1")
+        if self.max_terms is not None and self.max_terms < 1:
+            raise LPError("max-terms must be >= 1")
+        if self.resample_rounds < 0:
+            raise LPError("resample-rounds must be >= 0")
+        if self.flavor == "finite-horizon" and (self.horizon or 0) < 1:
+            raise LPError("finite-horizon flavor needs a horizon >= 1")
 
 
 class DenseRows:
@@ -275,7 +278,7 @@ def _step_matrices(dynamics: Dynamics, cfg: SynthesisConfig, t0: int, count: int
     rng = np.random.default_rng([cfg.seed, 1009, t0, count])
     domains = [dynamics.map_at(t0 + i).param_domain for i in range(count)]
     mats = []
-    for _ in range(cfg.uncertainty_samples):
+    for _ in range(UNCERTAINTY_SAMPLES):
         params = [tuple(rng.uniform(lo, hi) for lo, hi in d) or None for d in domains]
         mats.append(dynamics.composed_matrix(t0, count, params))
     return mats
@@ -333,7 +336,7 @@ class ScenarioRows:
         # the fixed flavor constants that reach the right-hand side, summed as
         # in the side row; the term values are checked as they are evaluated
         if cfg.flavor != "invariant":
-            rhs = cfg.margin
+            rhs = MARGIN
             if cfg.flavor != "finite-horizon" and cfg.eps != "free":
                 rhs += self.k * float(cfg.eps)
             if cfg.flavor == "hybrid" and cfg.gamma != "free":
@@ -644,11 +647,11 @@ class ScenarioLP:
             objective[fv["lam"]] = 1.0
             objective[fv["delta"]] = -float(t_hor)
             side = {fv["gamma"]: 1.0, fv["lam"]: -1.0, fv["delta"]: float(t_hor)}
-            family("side", flavor=side, rhs=-cfg.margin)
+            family("side", flavor=side, rhs=-MARGIN)
         else:
             objective[fv["d"]] = 1.0
             side = {fv["d"]: -1.0}
-            bound = -cfg.margin
+            bound = -MARGIN
             if eps_fixed is None:
                 side[fv["eps"]] = float(self.k)
                 objective[fv["eps"]] = -float(self.k)
@@ -662,17 +665,16 @@ class ScenarioLP:
                     bound -= self.k * gam_fixed
             family("side", flavor=side, rhs=bound)
 
-        c_bound = cfg.coeff_bound
         bounds: list[tuple[float | None, float | None]] = []
         for v in range(self.n_vec):
-            bounds += [(-c_bound, c_bound)] * (2 * self.nt)
+            bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (2 * self.nt)
         for fname in self._flavor_var_names():
             if fname in ("delta", "eps", "d"):
-                bounds.append((0.0, c_bound))
+                bounds.append((0.0, COEFF_BOUND))
             elif fname == "gamma" and self.flavor == "hybrid":
-                bounds.append((0.0, c_bound))
+                bounds.append((0.0, COEFF_BOUND))
             else:
-                bounds.append((-c_bound, c_bound))
+                bounds.append((-COEFF_BOUND, COEFF_BOUND))
 
         return LPProblem(
             rows=rows,
@@ -733,10 +735,9 @@ class ScenarioLP:
 
         The scenario rows are generated as in `solve_lp`; the gap, |coef|
         and coefficient-difference rows stay in every solve."""
-        cfg = self.cfg
         width = problem.n_vars
         n_coef = self.n_vec * 2 * self.nt
-        gap = max(cfg.margin, 0.5 * opt_value)
+        gap = max(MARGIN, 0.5 * opt_value)
         # |coef| helper variables; for hybrid families also penalize the
         # coefficient differences between consecutive vectors so the polish
         # prefers time-uniform certificates
@@ -834,7 +835,7 @@ class ScenarioLP:
 
     def _finalize_at(self, vectors, dec) -> Certificate | None:
         cfg = self.cfg
-        rho = cfg.margin
+        rho = MARGIN
 
         def up(v):
             return math.ceil(v * 10 ** dec) / 10 ** dec if dec is not None else v
@@ -956,7 +957,7 @@ class ScenarioLP:
                 ext["init_max"] - c["gamma"],
                 c["lam"] - ext["unsafe_min"],
                 ext["step_max"] - c["delta"],
-                c["gamma"] + c["delta"] * c["T"] + self.cfg.margin * 0.5 - c["lam"],
+                c["gamma"] + c["delta"] * c["T"] + MARGIN * 0.5 - c["lam"],
             )
         elif cert.flavor == "invariant":
             worst = max(
@@ -992,7 +993,7 @@ def extract_certificate(
     """Polish and round an optimal LP point into a certificate."""
     if solution.status != "optimal" or solution.objective is None:
         raise NoCandidateError("no candidate at this template size")
-    if solution.objective < slp.cfg.margin:
+    if solution.objective < MARGIN:
         raise NoCandidateError(
             f"no candidate at this template size (objective {solution.objective:.3g})"
         )
@@ -1014,7 +1015,6 @@ class SynthesisResult:
     lp_time: float
     smt_time: float
     rejections: list
-    unknown_seen: bool = False
 
 
 def synthesis_loop(
@@ -1034,8 +1034,9 @@ def synthesis_loop(
     A refuted candidate feeds its counterexample back into the scenario rows
     for up to `resample_rounds` re-solves before the template grows. The
     verdict taxonomy: solved means found and SMT-verified; unknown means a
-    candidate could not be adjudicated (timeout or out-of-scope query);
-    unsolved means every size was exhausted without an accepted candidate.
+    candidate could not be adjudicated (timeout or out-of-scope query), and
+    the loop stops at the first one; unsolved means every size was exhausted
+    without an accepted candidate.
     """
     workdir = Path(workdir)
     t_lp = 0.0
@@ -1051,8 +1052,6 @@ def synthesis_loop(
     template_all = full_template(dynamics.dim, cfg.degree, budget)
     max_terms = template_all.n_terms
     rejections: list = []
-    unknown_seen = False
-    last_unknown: tuple[Certificate, VerificationReport] | None = None
     for size in range(1, max_terms + 1):
         template = template_all.prefix(size)
         for round_idx in range(cfg.resample_rounds + 1):
@@ -1062,7 +1061,7 @@ def synthesis_loop(
             problem = slp.build()
             solution = solve_lp(problem)
             cert = None
-            if solution.status == "optimal" and solution.objective >= cfg.margin:
+            if solution.status == "optimal" and solution.objective >= MARGIN:
                 try:
                     cert = extract_certificate(slp, problem, solution)
                 except NoCandidateError:
@@ -1095,65 +1094,36 @@ def synthesis_loop(
                 jobs=jobs,
             )
             t_smt += time.perf_counter() - t1
-            if report.overall == "verified":
+            if report.overall != "refuted":
                 return SynthesisResult(
-                    status="solved",
+                    status="solved" if report.overall == "verified" else "unknown",
                     certificate=cert,
                     verification=report,
                     terms_used=size,
                     lp_time=t_lp,
                     smt_time=t_smt,
                     rejections=rejections,
-                    unknown_seen=unknown_seen,
                 )
-            if report.overall == "refuted":
-                ref = report.refutation
-                query = next(q for q in queries if q.condition_id == ref.condition_id)
-                state = model_to_state(query, ref.model)
-                params = model_params(query, ref.model)
-                rejections.append(
-                    {
-                        "terms": size,
-                        "round": round_idx,
-                        "condition": ref.condition_id,
-                        "state": [[float(a.real), float(a.imag)] for a in state],
-                        "params": list(params),
-                    }
-                )
-                log.info(
-                    "candidate rejected at %d terms (round %d): %s",
-                    size,
-                    round_idx,
-                    ref.condition_id,
-                )
-                rows.absorb(ref.condition_id, state, params)
-                continue
-            unknown_seen = True
-            last_unknown = (cert, report)
-            if cfg.on_unknown == "stop":
-                return SynthesisResult(
-                    status="unknown",
-                    certificate=cert,
-                    verification=report,
-                    terms_used=size,
-                    lp_time=t_lp,
-                    smt_time=t_smt,
-                    rejections=rejections,
-                    unknown_seen=True,
-                )
-            break  # on_unknown == continue: try a larger template
-    if unknown_seen and last_unknown is not None:
-        cert, report = last_unknown
-        return SynthesisResult(
-            status="unknown",
-            certificate=cert,
-            verification=report,
-            terms_used=cert.template.n_terms,
-            lp_time=t_lp,
-            smt_time=t_smt,
-            rejections=rejections,
-            unknown_seen=True,
-        )
+            ref = report.refutation
+            query = next(q for q in queries if q.condition_id == ref.condition_id)
+            state = model_to_state(query, ref.model)
+            params = model_params(query, ref.model)
+            rejections.append(
+                {
+                    "terms": size,
+                    "round": round_idx,
+                    "condition": ref.condition_id,
+                    "state": [[float(a.real), float(a.imag)] for a in state],
+                    "params": list(params),
+                }
+            )
+            log.info(
+                "candidate rejected at %d terms (round %d): %s",
+                size,
+                round_idx,
+                ref.condition_id,
+            )
+            rows.absorb(ref.condition_id, state, params)
     return SynthesisResult(
         status="unsolved",
         certificate=None,
@@ -1162,6 +1132,5 @@ def synthesis_loop(
         lp_time=t_lp,
         smt_time=t_smt,
         rejections=rejections,
-        unknown_seen=unknown_seen,
     )
 

@@ -156,9 +156,7 @@ def _lift_matrix(matrix: np.ndarray, nvars: int) -> list[list[ComplexPoly]]:
     ]
 
 
-def _symbolic_step_matrix(
-    step: StepMap, dim: int, nvars: int, param_base: int, aux_base: int
-):
+def _symbolic_step_matrix(step: StepMap, nvars: int, param_base: int, aux_base: int):
     """Matrix of ComplexPoly entries for a step map, threading uncertainty
     parameters (u vars) and any auxiliary normalization variables (v vars).
 
@@ -176,19 +174,16 @@ def _symbolic_step_matrix(
             fmat = _lift_matrix(f.matrix, nvars)
         else:
             ug, targets = f
-            sym = getattr(ug, "symbolic_entries", None)
-            if sym is None:
-                sym = _KNOWN_SYMBOLIC.get(ug.name)
-            if sym is None:
+            if ug.name != "HE":
                 raise EncodeError(
                     f"uncertain gate {ug.name!r} has no polynomial form for "
                     "SMT encoding"
                 )
-            small, constraints, n_par, n_aux = sym(
-                ug, nvars, param_base + p_used, dim + dim, aux_base + a_used
+            small, constraints = _he_symbolic(
+                ug, nvars, param_base + p_used, aux_base + a_used
             )
-            p_used += n_par
-            a_used += n_aux
+            p_used += 1
+            a_used += 1
             extra.extend(constraints)
             fmat = _lift_symbolic(small, targets, step.n, nvars)
         mat = _matmul_symbolic(fmat, mat, nvars)
@@ -230,10 +225,11 @@ def _matmul_symbolic(a, b, nvars):
     return out
 
 
-def _he_symbolic(ug: UncertainGate, nvars, param_index, _unused, aux_index):
+def _he_symbolic(ug: UncertainGate, nvars, param_index, aux_index):
     """Polynomial form of the tunable mixing gate: entries (s, s*e; s*e, -s)
-    with s the normalization 1/sqrt(1+e^2) introduced as an auxiliary
-    variable constrained by s^2*(1+e^2) = 1 and s >= 0."""
+    with e its one parameter and s the normalization 1/sqrt(1+e^2),
+    introduced as an auxiliary variable constrained by s^2*(1+e^2) = 1 and
+    s >= 0. Returns (entries, constraints)."""
     e = RealPoly.variable(nvars, param_index)
     s = RealPoly.variable(nvars, aux_index)
     zero = RealPoly(nvars)
@@ -249,10 +245,7 @@ def _he_symbolic(ug: UncertainGate, nvars, param_index, _unused, aux_index):
         StructConstraint(poly=e, op=">=", rhs=_const_fr(lo)),
         StructConstraint(poly=e, op="<=", rhs=_const_fr(hi)),
     ]
-    return entries, constraints, 1, 1
-
-
-_KNOWN_SYMBOLIC = {"HE": _he_symbolic}
+    return entries, constraints
 
 
 def _row_forms(matrix_polys, dim: int, nvars: int) -> tuple[RealPoly | None, ...]:
@@ -396,7 +389,7 @@ def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
     extra: list[StructConstraint] = []
     p_base, a_base = 2 * dim, 2 * dim + n_params
     for s in steps:
-        m, cons, p_used, a_used = _symbolic_step_matrix(s, dim, nvars, p_base, a_base)
+        m, cons, p_used, a_used = _symbolic_step_matrix(s, nvars, p_base, a_base)
         extra.extend(cons)
         p_base += p_used
         a_base += a_used

@@ -2,10 +2,12 @@ import csv
 import json
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbarrier
 from qbarrier import load_config
 from qbarrier.cli import bundled_config_path, main, pin_mmap_threshold
 from qbarrier.config import ConfigError
@@ -47,6 +49,21 @@ def test_load_bundled_configs_parse():
         assert job.smt.timeout == 300.0
 
 
+SHIPPED_CONFIGS = sorted(
+    (Path(qbarrier.__file__).parent / "configs").glob("*.cfg")
+) + sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.cfg"))
+
+
+def test_config_corpus_is_found():
+    assert len(SHIPPED_CONFIGS) == 39
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    job = load_config(path)
+    assert job.kind == ("grover" if "grover" in job.raw else "circuit")
+
+
 def test_config_error_reports_field(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CFG.replace("prob(0) >= 0.9", "prob(zero) >= 0.9"))
@@ -61,6 +78,43 @@ def test_config_error_reports_field(tmp_path):
     bad3.write_text(TINY_CFG.replace("Z 0", "Z 4"))
     with pytest.raises(ConfigError):
         load_config(bad3)
+    bad4 = tmp_path / "bad4.cfg"
+    bad4.write_text(
+        TINY_CFG.replace("qubits = 1", "qubits = 2").replace("Z 0", "Z 0; HE 5")
+    )
+    with pytest.raises(ConfigError, match="map.u0.*out of range"):
+        load_config(bad4)
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("unsafe = prob(0) <= 0.1", "unsafe = prob(0) <= 0.1\nglobl =", "globl"),
+        ("seed = 3", "seed = 3\nmarginn = 5", "marginn"),
+        ("seed = 3", "seed = 3\non-unknown = continue", "on-unknown"),
+        ("[smt]", "[extras]\nx = 1\n\n[smt]", "extras"),
+        ("timeout = 60", "timeout = soon", "timeout"),
+        ("degree = 2", "degree = 0", "degree"),
+        ("seed = 3", "seed = 3\nmax-terms = -1", "max-terms"),
+        ("seed = 3", "seed = 3\nresample-rounds = -1", "resample-rounds"),
+    ],
+    ids=[
+        "regions-key",
+        "synthesis-key",
+        "removed-key",
+        "section",
+        "smt-value",
+        "degree-range",
+        "max-terms-range",
+        "rounds-range",
+    ],
+)
+def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG.replace(old, new))
+    code = main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert key in capsys.readouterr().err
 
 
 def test_synth_command_solves_and_writes_report(tiny_config, tmp_path, capsys):

@@ -30,6 +30,9 @@ from qbarrier import (
 from qbarrier.cli import bundled_config_path
 from qbarrier.config import load_config
 from qbarrier.lp import (
+    COEFF_BOUND,
+    MARGIN,
+    UNCERTAINTY_SAMPLES,
     DenseRows,
     LPError,
     LPProblem,
@@ -146,7 +149,7 @@ def test_extract_requires_positive_objective():
     slp = ScenarioLP(full_template(8, 2).prefix(1), ScenarioRows(scen, z3_dynamics(), cfg))
     problem = slp.build()
     sol = solve_lp(problem)  # constant-only template cannot separate
-    assert sol.status != "optimal" or sol.objective < cfg.margin
+    assert sol.status != "optimal" or sol.objective < MARGIN
     with pytest.raises(NoCandidateError):
         extract_certificate(slp, problem, sol)
 
@@ -180,7 +183,7 @@ def test_template_growth_is_monotone_prefix():
         prev = cur
 
 
-def test_uncertain_dynamics_expand_step_rows_per_parameter_point():
+def test_uncertain_dynamics_expand_step_rows_per_parameter_point(tmp_path):
     from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
 
     ug = hadamard_uncertain(0.9, 1.1)
@@ -197,24 +200,23 @@ def test_uncertain_dynamics_expand_step_rows_per_parameter_point():
         samples=n,
         seed=6,
         horizon=1,
-        uncertainty_samples=5,
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
     slp = ScenarioLP(full_template(2, 2).prefix(2), ScenarioRows(scen, dyn, cfg))
     problem = slp.build()
-    assert problem.family_rows("step") == 5 * n
+    assert problem.family_rows("step") == UNCERTAINTY_SAMPLES * n
     # the loop terminates cleanly on the uncertain job (verdict may be
     # unknown: the gate parameter enters the queries nonlinearly)
-    res = synthesis_loop(dyn, init, unsafe, glob, cfg, workdir="/tmp/he-loop")
+    res = synthesis_loop(dyn, init, unsafe, glob, cfg, workdir=tmp_path)
     assert res.status in ("solved", "unknown", "unsolved")
 
 
-def test_loop_returns_certificate_only_with_verified_gate():
+def test_loop_returns_certificate_only_with_verified_gate(tmp_path):
     dyn = constant_dynamics(standard_gate("Z"))
     init = parse_region(["prob(0) >= 0.9"], 2, "init")
     unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
     cfg = SynthesisConfig(flavor="invariant", degree=2, samples=150, seed=4)
-    res = synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir="/tmp/zloop")
+    res = synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir=tmp_path)
     assert res.status == "solved"
     assert res.verification is not None and res.verification.overall == "verified"
     assert all(v.status == "unsat" for v in res.verification.verdicts)
@@ -426,7 +428,7 @@ def _draw_matrices(dyn, cfg, t0, count):
         return [dyn.composed_matrix(t0, count)]
     rng = np.random.default_rng([cfg.seed, 1009, t0, count])
     mats = []
-    for _ in range(cfg.uncertainty_samples):
+    for _ in range(UNCERTAINTY_SAMPLES):
         mat = np.eye(dyn.dim, dtype=complex)
         for i in range(count):
             m = dyn.map_at(t0 + i)
@@ -634,12 +636,12 @@ def _reference_build(slp: ScenarioLP):
         side[0, fv["gamma"]] = 1.0
         side[0, fv["lam"]] = -1.0
         side[0, fv["delta"]] = float(t_hor)
-        family("side", side, np.array([-cfg.margin]))
+        family("side", side, np.array([-MARGIN]))
     else:
         objective[fv["d"]] = 1.0
         side = np.zeros((1, width))
         side[0, fv["d"]] = -1.0
-        bound = -cfg.margin
+        bound = -MARGIN
         if eps_fixed is None:
             side[0, fv["eps"]] = float(slp.k)
             objective[fv["eps"]] = -float(slp.k)
@@ -652,7 +654,7 @@ def _reference_build(slp: ScenarioLP):
             else:
                 bound -= slp.k * gam_fixed
         family("side", side, np.array([bound]))
-    c_bound = cfg.coeff_bound
+    c_bound = COEFF_BOUND
     bounds = [(-c_bound, c_bound)] * (2 * slp.nt * slp.n_vec)
     for fname in slp._flavor_var_names():
         if fname in ("delta", "eps", "d") or (fname == "gamma" and slp.flavor == "hybrid"):
@@ -799,20 +801,20 @@ def test_non_finite_term_values_raise_before_any_solve(monkeypatch):
         ("k-inductive", {"eps": math.inf}),
         ("hybrid", {"gamma": math.inf}),
         ("hybrid", {"eps": math.nan}),
-        ("finite-horizon", {"margin": math.inf}),
     ],
 )
-def test_non_finite_flavor_constants_raise_before_any_solve(monkeypatch, flavor, constants):
+def test_non_finite_flavor_constants_raise_before_any_solve(
+    monkeypatch, tmp_path, flavor, constants
+):
     calls = _no_highs(monkeypatch)
     dyn = constant_dynamics(standard_gate("Z"))
     init = parse_region(["prob(0) >= 0.9"], 2, "init")
     unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
     cfg = SynthesisConfig(
-        flavor=flavor, degree=2, samples=20, seed=4, k=1,
-        horizon=3 if flavor == "finite-horizon" else None, **constants,
+        flavor=flavor, degree=2, samples=20, seed=4, k=1, **constants
     )
     with pytest.raises(LPError, match="non-finite"):
-        synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir="/tmp/nonfinite")
+        synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir=tmp_path)
     assert calls == []
 
 

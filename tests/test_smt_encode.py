@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -179,6 +180,16 @@ def test_uncertain_step_encoding_declares_parameters():
     assert "v0" in q.declarations  # normalization auxiliary
     ops = [c.op for c in q.constraints]
     assert ops.count("=") >= 2  # sphere plus the normalization equation
+
+
+def test_uncertain_gate_without_polynomial_form_is_rejected():
+    cert, init, unsafe, glob, _ = he_setup()
+    ug = dataclasses.replace(hadamard_uncertain(0.9, 1.1), name="PHASE")
+    dyn = Dynamics(
+        maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
+    )
+    with pytest.raises(EncodeError, match="PHASE"):
+        encode_condition(cert, "step", init, unsafe, glob, dyn)
 
 
 def _all_queries(setup):
