@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import importlib.resources
 import json
@@ -103,10 +104,15 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
     elif os.environ.get("QBARRIER_SOLVER"):
         # the solver path is the one setting with an environment override
         job.smt.solver = os.environ["QBARRIER_SOLVER"]
-    if getattr(args, "timeout", None) is not None:
-        job.smt.timeout = args.timeout
-    if getattr(args, "jobs", None) is not None:
-        job.smt.jobs = args.jobs
+    budgets = {
+        key: getattr(args, key)
+        for key in ("timeout", "jobs")
+        if getattr(args, key, None) is not None
+    }
+    try:
+        job.smt = dataclasses.replace(job.smt, **budgets)
+    except ConfigError as exc:
+        raise ConfigError(f"command line: {exc}") from None
     return job
 
 

@@ -45,6 +45,7 @@ indices).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,6 +73,13 @@ class SMTSettings:
     solver: str = "builtin"
     timeout: float = 300.0
     jobs: int = 1
+
+    def __post_init__(self):
+        # the report states these budgets, so only ones that can apply load
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -286,7 +294,7 @@ def load_config(path: str | Path) -> JobConfig:
     synth = _settings(
         SynthesisConfig, "synthesis", parser["synthesis"], _SYNTHESIS_KEYS, LPError
     )
-    smt = _settings(SMTSettings, "smt", section("smt"), _SMT_KEYS)
+    smt = _settings(SMTSettings, "smt", section("smt"), _SMT_KEYS, ConfigError)
     name = path.stem
     raw = {s: dict(parser[s]) for s in parser.sections()}
 

@@ -11,7 +11,6 @@ the unwrapped angle while state semantics can wrap into [0, 2*pi).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -21,12 +20,12 @@ import numpy as np
 # unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
 # still wraps this name and its smoke test requires every wrapped name to exist
 from scipy.optimize import linprog  # noqa: F401
-from scipy.stats import qmc
 
 from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
 from .smt.encode import SMTQuery, StructConstraint
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly
+from .regions import SobolStream
 
 
 class GroverError(ValueError):
@@ -149,10 +148,7 @@ def sample_interval(lo: float, hi: float, count: int, seed: int) -> np.ndarray:
     """Low-discrepancy points in [lo, hi]; the first point hits lo exactly."""
     if count < 1:
         raise GroverError("sample count must be >= 1")
-    eng = qmc.Sobol(d=1, scramble=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u = eng.random(count).reshape(-1)
+    u = SobolStream(1).draw(count).reshape(-1)
     return lo + u * (hi - lo)
 
 

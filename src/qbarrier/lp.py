@@ -95,6 +95,9 @@ class SynthesisConfig:
             raise LPError("resample-rounds must be >= 0")
         if self.flavor == "finite-horizon" and (self.horizon or 0) < 1:
             raise LPError("finite-horizon flavor needs a horizon >= 1")
+        for key, value in (("epsilon", self.eps), ("gamma", self.gamma)):
+            if value != "free" and not math.isfinite(value):
+                raise LPError(f"{key} must be finite or free, got {value}")
 
 
 class DenseRows:

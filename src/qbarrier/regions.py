@@ -9,19 +9,23 @@ shapes where plain rejection would be hopeless.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .quantum import NORM_TOL, QuantumState
 
 REJECTION_FACTOR = 10_000
+SOBOL_BITS = 30
+# rows of the shipped Joe-Kuo table: 2^n - 1 coordinates cover n = 14 qubits
+MAX_SOBOL_DIMS = 2**14 - 1
+_SOBOL_TABLE = Path(__file__).parent / "data" / "sobol_joe_kuo.npz"
 
 
 class RegionError(ValueError):
@@ -301,14 +305,91 @@ def _classify(region: Region):
     return "reject"
 
 
-class _SobolStream:
-    def __init__(self, ndims: int):
-        self._eng = qmc.Sobol(d=ndims, scramble=False)
+@functools.cache
+def _joe_kuo() -> tuple[np.ndarray, np.ndarray]:
+    """(poly, vinit) rows of the Joe-Kuo table, read-only."""
+    with np.load(_SOBOL_TABLE) as table:
+        poly, vinit = table["poly"].astype(np.int64), table["vinit"].astype(np.int64)
+    poly.setflags(write=False)
+    vinit.setflags(write=False)
+    return poly, vinit
+
+
+def _direction_matrix(d: int) -> np.ndarray:
+    """(SOBOL_BITS, d) int32: row b holds the direction number of bit b for
+    every coordinate, scaled to SOBOL_BITS bits (all below 2^30)."""
+    poly, vinit = _joe_kuo()
+    m = np.zeros((d, SOBOL_BITS), dtype=np.int64)
+    m[0] = 1
+    deg = np.frexp(poly[:d])[1] - 1
+    for s in np.unique(deg[1:]):
+        rows = np.flatnonzero(deg == s)
+        ms = m[rows]
+        ms[:, :s] = vinit[rows, :s]
+        # bits a_1 .. a_{s-1}, 1 of the polynomial below its leading term
+        a = (poly[rows, None] >> np.arange(s - 1, -1, -1)) & 1
+        shifts = np.arange(1, s + 1)
+        for j in range(s, SOBOL_BITS):
+            terms = (a * ms[:, j - s : j][:, ::-1]) << shifts
+            ms[:, j] = ms[:, j - s] ^ np.bitwise_xor.reduce(terms, axis=1)
+        m[rows] = ms
+    return (m << np.arange(SOBOL_BITS - 1, -1, -1)).T.astype(np.int32)
+
+
+@functools.lru_cache(maxsize=16)
+def _powers_of_two(d: int) -> np.ndarray:
+    """(SOBOL_BITS, d) int32, read-only: row b is point(2^b) of the stream,
+    direction b XOR direction b-1 for b >= 1, as gray(2^b) = 2^b + 2^(b-1)."""
+    v = _direction_matrix(d)
+    points = v.copy()
+    points[1:] ^= v[:-1]
+    points.setflags(write=False)
+    return points
+
+
+class SobolStream:
+    """Unscrambled Sobol points in [0,1)^d, bit for bit those of SciPy's
+    ``qmc.Sobol(d, scramble=False).random`` over consecutive draws:
+    Joe-Kuo direction numbers in Gray-code order (Bratley & Fox, ACM TOMS
+    Algorithm 659), SOBOL_BITS bits.
+
+    Point(i) is the XOR of the direction numbers of the set bits of
+    gray(i) = i ^ (i >> 1). Both maps are linear under XOR, so point(i) is
+    the XOR of point(2^b) over the set bits b of i, and for i a multiple of
+    2k and j < k, point(i + k + j) = point(i + j) XOR point(k). A draw fills
+    aligned power-of-two blocks by doubling, with no sequential scan."""
+
+    def __init__(self, d: int):
+        if not 1 <= d <= MAX_SOBOL_DIMS:
+            raise RegionError(
+                f"Sobol stream needs 1 to {MAX_SOBOL_DIMS} coordinates "
+                f"(at most 14 qubits), got {d}"
+            )
+        self._pow2 = _powers_of_two(d)
+        self._count = 0
 
     def draw(self, n: int) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # power-of-two balance warning
-            return self._eng.random(n)
+        """The next n points, (n, d) float64."""
+        start, stop = self._count, self._count + n
+        if stop > 2**SOBOL_BITS:
+            raise RegionError(f"Sobol stream exhausted after 2^{SOBOL_BITS} points")
+        points = np.empty((n, self._pow2.shape[1]), dtype=np.int32)
+        pos = start
+        while pos < stop:
+            size = pos & -pos or 2**SOBOL_BITS  # largest aligned block at pos
+            while size > stop - pos:
+                size //= 2
+            block = points[pos - start : pos - start + size]
+            bits = [b for b in range(pos.bit_length()) if pos >> b & 1]
+            block[0] = np.bitwise_xor.reduce(self._pow2[bits], axis=0)
+            k = 1
+            while k < size:
+                step = self._pow2[k.bit_length() - 1]
+                np.bitwise_xor(block[:k], step, out=block[k : 2 * k])
+                k *= 2
+            pos += size
+        self._count = stop
+        return points * 2.0**-SOBOL_BITS
 
 
 def _phases(rng: np.random.Generator, shape) -> np.ndarray:
@@ -383,7 +464,7 @@ def sample_states(r: Region, count: int, seed: int) -> ScenarioSet:
         raise RegionError("sample count must be >= 1")
     dim = r.dim
     plan = _classify(r)
-    stream = _SobolStream(dim - 1)
+    stream = SobolStream(dim - 1)
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     n_acc = 0

@@ -97,6 +97,14 @@ def test_config_error_reports_field(tmp_path):
         ("degree = 2", "degree = 0", "degree"),
         ("seed = 3", "seed = 3\nmax-terms = -1", "max-terms"),
         ("seed = 3", "seed = 3\nresample-rounds = -1", "resample-rounds"),
+        ("timeout = 60", "timeout = -5", "timeout"),
+        ("timeout = 60", "timeout = 0", "timeout"),
+        ("timeout = 60", "timeout = inf", "timeout"),
+        ("timeout = 60", "timeout = nan", "timeout"),
+        ("timeout = 60", "timeout = 60\njobs = -2", "jobs"),
+        ("epsilon = 0.01", "epsilon = inf", "epsilon"),
+        ("epsilon = 0.01", "epsilon = nan", "epsilon"),
+        ("epsilon = 0.01", "epsilon = 0.01\ngamma = -inf", "gamma"),
     ],
     ids=[
         "regions-key",
@@ -107,6 +115,14 @@ def test_config_error_reports_field(tmp_path):
         "degree-range",
         "max-terms-range",
         "rounds-range",
+        "timeout-negative",
+        "timeout-zero",
+        "timeout-inf",
+        "timeout-nan",
+        "jobs-range",
+        "epsilon-inf",
+        "epsilon-nan",
+        "gamma-inf",
     ],
 )
 def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key):
@@ -115,6 +131,16 @@ def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key
     code = main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 4
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--timeout", "-5"), ("--timeout", "inf"), ("--jobs", "0")]
+)
+def test_budget_overrides_exit_four_naming_the_key(tiny_config, tmp_path, capsys, flag, value):
+    code = main(["synth", "--config", str(tiny_config), "--out", str(tmp_path / "o"), flag, value])
+    assert code == 4
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_command_solves_and_writes_report(tiny_config, tmp_path, capsys):

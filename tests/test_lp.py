@@ -795,12 +795,13 @@ def test_non_finite_term_values_raise_before_any_solve(monkeypatch):
     assert calls == []
 
 
+# finite margins whose k-fold sum on the right-hand side overflows
 @pytest.mark.parametrize(
     "flavor,constants",
     [
-        ("k-inductive", {"eps": math.inf}),
-        ("hybrid", {"gamma": math.inf}),
-        ("hybrid", {"eps": math.nan}),
+        ("k-inductive", {"eps": 1e308, "k": 2}),
+        ("hybrid", {"gamma": 1e308, "k": 2}),
+        ("hybrid", {"eps": 1e308, "gamma": 1e308}),
     ],
 )
 def test_non_finite_flavor_constants_raise_before_any_solve(
@@ -811,11 +812,20 @@ def test_non_finite_flavor_constants_raise_before_any_solve(
     init = parse_region(["prob(0) >= 0.9"], 2, "init")
     unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
     cfg = SynthesisConfig(
-        flavor=flavor, degree=2, samples=20, seed=4, k=1, **constants
+        flavor=flavor, degree=2, samples=20, seed=4, **{"k": 1, **constants}
     )
     with pytest.raises(LPError, match="non-finite"):
         synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir=tmp_path)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "key,constants",
+    [("epsilon", {"eps": math.inf}), ("gamma", {"gamma": -math.inf}), ("epsilon", {"eps": math.nan})],
+)
+def test_non_finite_margins_are_rejected_by_the_config(key, constants):
+    with pytest.raises(LPError, match=f"{key} must be finite or free"):
+        SynthesisConfig(flavor="hybrid", **constants)
 
 
 def test_term_columns_grow_in_place():
