@@ -293,9 +293,7 @@ def synth_angle_certificate(
             (0.0, COEFF_BOUND),
         ],
         objective=np.array([0.0, -1.0, 1.0, -float(t_steps)]),
-        var_names=["c", "gamma", "lam", "delta"],
         families=[("init", 0, 1), ("unsafe", 1, 2), ("step", 2, 3), ("side", 3, 4)],
-        flavor="finite-horizon",
     )
     sol = solve_lp(problem)
     lp_time = _time.perf_counter() - t0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from .smt.run import (
 )
 from .templates import (
     FLAVORS,
+    THRESHOLDS,
     BarrierTemplate,
     Certificate,
     CertificateError,
@@ -98,6 +99,23 @@ class SynthesisConfig:
         for key, value in (("epsilon", self.eps), ("gamma", self.gamma)):
             if value != "free" and not math.isfinite(value):
                 raise LPError(f"{key} must be finite or free, got {value}")
+        # the side row takes k times each fixed threshold
+        rhs = MARGIN
+        for name, value in self.fixed_constants().items():
+            rhs += self.k * value
+            if not math.isfinite(rhs):
+                key = "epsilon" if name == "eps" else name
+                raise LPError(f"{key} = {value:g} overflows the side condition at k = {self.k}")
+
+    def fixed_constants(self) -> dict[str, float]:
+        """The thresholds this job fixes: epsilon is the step threshold eps
+        and gamma the time-shift threshold, where the flavor has them."""
+        values = {"eps": self.eps, "gamma": self.gamma}
+        return {
+            name: 0.0 + float(values[name])
+            for kind, name in (("step", "eps"), ("time-shift", "gamma"))
+            if THRESHOLDS[self.flavor].get(kind) == name and values[name] != "free"
+        }
 
 
 class DenseRows:
@@ -131,9 +149,7 @@ class LPProblem:
     rows: DenseRows | ScenarioMatrix
     bounds: list[tuple[float | None, float | None]]
     objective: np.ndarray  # maximized
-    var_names: list[str]
     families: list[tuple[str, int, int]]  # (family, start row, stop row)
-    flavor: str
 
     @property
     def n_rows(self) -> int:
@@ -336,16 +352,6 @@ class ScenarioRows:
             raise LPError(f"{cfg.flavor} flavor needs a constant schedule")
         if cfg.flavor == "hybrid" and self.k % dynamics.schedule.period != 0:
             raise LPError("hybrid flavor needs the schedule period to divide k")
-        # the fixed flavor constants that reach the right-hand side, summed as
-        # in the side row; the term values are checked as they are evaluated
-        if cfg.flavor != "invariant":
-            rhs = MARGIN
-            if cfg.flavor != "finite-horizon" and cfg.eps != "free":
-                rhs += self.k * float(cfg.eps)
-            if cfg.flavor == "hybrid" and cfg.gamma != "free":
-                rhs += self.k * float(cfg.gamma)
-            if not math.isfinite(rhs):
-                raise LPError("non-finite coefficients in the scenario rows")
         self.dyn = dynamics
         self.cfg = cfg
         self.template: BarrierTemplate | None = None  # the terms evaluated so far
@@ -545,6 +551,41 @@ class ScenarioLP:
         self.polish_rows_kept = 0
         families = rows.families(template)
         self.init_T, self.unsafe_T, self.global_T, self.step_data, self.kstep_data = families
+        self.thresholds = THRESHOLDS[self.flavor]
+        self.term_families = self._term_families()
+
+    def _term_families(self) -> list[tuple[str, str, _Family]]:
+        """(family name, condition kind, rows without their threshold) in
+        condition order: sign * B at `after`, less B at `before` for the
+        conditions on a difference."""
+
+        def name(base, t):
+            return f"{base}@{t}" if self.n_vec > 1 else base
+
+        out = []
+        for kind in self.thresholds:
+            if kind == "init":
+                out.append(("init", kind, _Family(after=self.init_T)))
+            elif kind == "unsafe":
+                out += [
+                    (name("unsafe", v), kind, _Family(after=self.unsafe_T, vec=v, sign=-1.0))
+                    for v in range(self.n_vec)
+                ]
+            elif kind == "step":
+                out += [
+                    (name("step", t), kind, _Family(after=after, vec=t, before=before, before_vec=t))
+                    for t, (before, after) in enumerate(self.step_data)
+                ]
+            elif kind == "time-shift":  # B_{t+1} - B_t on the global states
+                gl = self.global_T
+                out += [
+                    (f"shift@{t}", kind, _Family(after=gl, vec=(t + 1) % self.k, before=gl, before_vec=t))
+                    for t in range(self.k)
+                ]
+            else:  # k-step
+                before, after = self.kstep_data
+                out.append(("k-step", kind, _Family(after=after, before=before)))
+        return out
 
     # ----- variable layout ----------------------------------------------
 
@@ -561,19 +602,9 @@ class ScenarioLP:
         return names
 
     def _flavor_var_names(self):
-        cfg = self.cfg
-        if self.flavor == "invariant":
-            return ["gamma"]
-        if self.flavor == "k-inductive":
-            return ["d"] + (["eps"] if cfg.eps == "free" else [])
-        if self.flavor == "hybrid":
-            out = ["d"]
-            if cfg.eps == "free":
-                out.append("eps")
-            if cfg.gamma == "free":
-                out.append("gamma")
-            return out
-        return ["gamma", "lam", "delta"]
+        """The thresholds the job does not fix, in condition order."""
+        fixed = self.cfg.fixed_constants()
+        return [c for c in self.thresholds.values() if c is not None and c not in fixed]
 
     # ----- LP assembly ----------------------------------------------------
 
@@ -585,60 +616,20 @@ class ScenarioLP:
         rows = ScenarioMatrix(self.nt, width)
         families: list[tuple[str, int, int]] = []
 
-        def family(name, **rows_of):
+        def family(name, fam):
             start = rows.n_rows
-            rows.add(_Family(**rows_of))
+            rows.add(fam)
             families.append((name, start, rows.n_rows))
 
-        eps_fixed = None if cfg.eps == "free" else float(cfg.eps)
-        gam_fixed = None if cfg.gamma == "free" else float(cfg.gamma)
-
-        # init rows: B_0 <= 0 (or <= gamma for finite horizon)
-        flavor = {fv["gamma"]: -1.0} if self.flavor == "finite-horizon" else {}
-        family("init", after=self.init_T, flavor=flavor)
-
-        # unsafe rows: B_t >= threshold  ->  -B_t + threshold <= 0
-        level = {"invariant": "gamma", "finite-horizon": "lam"}.get(self.flavor, "d")
-        for v in range(self.n_vec):
-            family(
-                f"unsafe@{v}" if self.n_vec > 1 else "unsafe",
-                after=self.unsafe_T, vec=v, sign=-1.0, flavor={fv[level]: 1.0},
-            )
-
-        # step rows: B_t(f_t z) - B_t(z) <= {0 | eps | delta}
-        for t, (before_T, after_T) in enumerate(self.step_data):
-            v = t if self.flavor == "hybrid" else 0
-            flavor, rhs = {}, 0.0
-            if self.flavor == "finite-horizon":
-                flavor = {fv["delta"]: -1.0}
-            elif self.flavor in ("k-inductive", "hybrid"):
-                if eps_fixed is None:
-                    flavor = {fv["eps"]: -1.0}
-                else:
-                    rhs += eps_fixed
-            family(
-                f"step@{t}" if self.n_vec > 1 else "step",
-                after=after_T, vec=v, before=before_T, before_vec=v, flavor=flavor, rhs=rhs,
-            )
-
-        # hybrid time-shift rows: B_{t+1} - B_t <= gamma
-        if self.flavor == "hybrid":
-            for t in range(self.k):
-                flavor, rhs = {}, 0.0
-                if gam_fixed is None:
-                    flavor = {fv["gamma"]: -1.0}
-                else:
-                    rhs += gam_fixed
-                family(
-                    f"shift@{t}",
-                    after=self.global_T, vec=(t + 1) % self.k,
-                    before=self.global_T, before_vec=t, flavor=flavor, rhs=rhs,
-                )
-
-        # k-step rows: B_0(f^{(k)} z) - B_0(z) <= 0
-        if self.kstep_data is not None:
-            before_T, after_T = self.kstep_data
-            family("k-step", after=after_T, before=before_T)
+        # sign * B <= sign * threshold: a column of the LP or a fixed bound
+        fixed = cfg.fixed_constants()
+        for name, kind, fam in self.term_families:
+            const = self.thresholds[kind]
+            if const in fv:
+                fam = replace(fam, flavor={fv[const]: -fam.sign})
+            elif const is not None:
+                fam = replace(fam, rhs=fam.sign * fixed[const])
+            family(name, fam)
 
         # side-condition row and objective
         objective = np.zeros(width)
@@ -650,23 +641,18 @@ class ScenarioLP:
             objective[fv["lam"]] = 1.0
             objective[fv["delta"]] = -float(t_hor)
             side = {fv["gamma"]: 1.0, fv["lam"]: -1.0, fv["delta"]: float(t_hor)}
-            family("side", flavor=side, rhs=-MARGIN)
-        else:
+            family("side", _Family(flavor=side, rhs=-MARGIN))
+        else:  # d > k * (eps [+ gamma]) + margin
             objective[fv["d"]] = 1.0
             side = {fv["d"]: -1.0}
             bound = -MARGIN
-            if eps_fixed is None:
-                side[fv["eps"]] = float(self.k)
-                objective[fv["eps"]] = -float(self.k)
-            else:
-                bound -= self.k * eps_fixed
-            if self.flavor == "hybrid":
-                if gam_fixed is None:
-                    side[fv["gamma"]] = float(self.k)
-                    objective[fv["gamma"]] = -float(self.k)
+            for name in ("eps", "gamma") if self.flavor == "hybrid" else ("eps",):
+                if name in fv:
+                    side[fv[name]] = float(self.k)
+                    objective[fv[name]] = -float(self.k)
                 else:
-                    bound -= self.k * gam_fixed
-            family("side", flavor=side, rhs=bound)
+                    bound -= self.k * fixed[name]
+            family("side", _Family(flavor=side, rhs=bound))
 
         bounds: list[tuple[float | None, float | None]] = []
         for v in range(self.n_vec):
@@ -679,14 +665,7 @@ class ScenarioLP:
             else:
                 bounds.append((-COEFF_BOUND, COEFF_BOUND))
 
-        return LPProblem(
-            rows=rows,
-            bounds=bounds,
-            objective=objective,
-            var_names=names,
-            families=families,
-            flavor=self.flavor,
-        )
+        return LPProblem(rows=rows, bounds=bounds, objective=objective, families=families)
 
     # ----- candidate extraction -------------------------------------------
 
@@ -699,37 +678,14 @@ class ScenarioLP:
             out.append(re + 1j * im)
         return out
 
-    def _extrema(self, vectors):
-        """Scenario extrema of the candidate before constants are pinned."""
-        ext = {}
-        ext["init_max"] = float(np.max(real_combination(vectors[0], self.init_T)))
-        ext["unsafe_min"] = min(
-            float(np.min(real_combination(vectors[v], self.unsafe_T)))
-            for v in range(self.n_vec)
-        )
-        step_max = -math.inf
-        for t, (before_T, after_T) in enumerate(self.step_data):
-            v = t if self.flavor == "hybrid" else 0
-            diff = real_combination(vectors[v], after_T) - real_combination(
-                vectors[v], before_T
-            )
-            step_max = max(step_max, float(np.max(diff)))
-        ext["step_max"] = step_max
-        if self.flavor == "hybrid":
-            shift_max = -math.inf
-            for t in range(self.k):
-                nxt = (t + 1) % self.k
-                diff = real_combination(vectors[nxt], self.global_T) - real_combination(
-                    vectors[t], self.global_T
-                )
-                shift_max = max(shift_max, float(np.max(diff)))
-            ext["shift_max"] = shift_max
-        if self.kstep_data is not None:
-            before_T, after_T = self.kstep_data
-            diff = real_combination(vectors[0], after_T) - real_combination(
-                vectors[0], before_T
-            )
-            ext["kstep_max"] = float(np.max(diff))
+    def _extrema(self, vectors) -> dict[str, float]:
+        """Per condition kind, the scenario maximum of sign * B over its rows."""
+        ext: dict[str, float] = {}
+        for _, kind, fam in self.term_families:
+            vals = fam.sign * real_combination(vectors[fam.vec], fam.after)
+            if fam.before is not None:
+                vals = vals - real_combination(vectors[fam.before_vec], fam.before)
+            ext[kind] = max(ext.get(kind, -math.inf), float(np.max(vals)))
         return ext
 
     def polish(self, problem: LPProblem, opt_value: float) -> np.ndarray:
@@ -855,9 +811,9 @@ class ScenarioLP:
         dust = 1e-9 * scale
         if flavor == "finite-horizon":
             t_hor = int(cfg.horizon)
-            gamma = up(ext["init_max"])
-            lam = down(ext["unsafe_min"])
-            delta = up(max(0.0, ext["step_max"]))
+            gamma = up(ext["init"])
+            lam = down(-ext["unsafe"])
+            delta = up(max(0.0, ext["step"]))
             s = lam - gamma - delta * t_hor - rho
             if s < 0:
                 return None
@@ -866,8 +822,8 @@ class ScenarioLP:
             delta = up(delta + s / (6.0 * t_hor))
             constants = {"gamma": gamma, "lam": lam, "delta": delta, "T": t_hor}
         elif flavor == "invariant":
-            shift = max(0.0, ext["init_max"])
-            if ext["step_max"] > dust:
+            shift = max(0.0, ext["init"])
+            if ext["step"] > dust:
                 return None
             vectors = self._shifted(vectors, up(shift))
             gamma_raw = float(
@@ -878,30 +834,30 @@ class ScenarioLP:
                 return None
             constants = {"gamma": gamma}
         else:
-            eps = float(cfg.eps) if cfg.eps != "free" else None
-            gam = float(cfg.gamma) if cfg.gamma != "free" else None
+            fixed = cfg.fixed_constants()
+            eps, gam = fixed.get("eps"), fixed.get("gamma")
             if eps is None:
-                eps = up(max(0.0, ext["step_max"]))
+                eps = up(max(0.0, ext["step"]))
             if flavor == "hybrid" and gam is None:
-                gam = up(max(0.0, ext["shift_max"]))
+                gam = up(max(0.0, ext["time-shift"]))
             # rounding can push the fixed-threshold rows marginally over;
             # shrink the whole family, which preserves every condition
             # with a zero or scaled threshold
             beta = 1.0
-            if ext["step_max"] > eps and ext["step_max"] > 0:
-                beta = min(beta, eps / ext["step_max"])
-            if flavor == "hybrid" and ext["shift_max"] > gam and ext["shift_max"] > 0:
-                beta = min(beta, gam / ext["shift_max"])
+            if ext["step"] > eps and ext["step"] > 0:
+                beta = min(beta, eps / ext["step"])
+            if flavor == "hybrid" and ext["time-shift"] > gam and ext["time-shift"] > 0:
+                beta = min(beta, gam / ext["time-shift"])
             if beta < 1.0:
                 vectors = [self._round_vec(v * (0.999 * beta), dec) for v in vectors]
                 ext = self._extrema(vectors)
-            if ext["step_max"] > eps + dust:
+            if ext["step"] > eps + dust:
                 return None
-            if flavor == "hybrid" and ext["shift_max"] > gam + dust:
+            if flavor == "hybrid" and ext["time-shift"] > gam + dust:
                 return None
-            if ext["kstep_max"] > dust:
+            if ext["k-step"] > dust:
                 return None
-            shift = max(0.0, ext["init_max"])
+            shift = max(0.0, ext["init"])
             vectors = self._shifted(vectors, up(shift))
             d_raw = min(
                 float(np.min(real_combination(vectors[v], self.unsafe_T)))
@@ -954,29 +910,13 @@ class ScenarioLP:
         certificate (independent re-check of the rounded candidate)."""
         ext = self._extrema(list(cert.coeff_vectors))
         c = cert.constants
-        worst = -math.inf
+        sign = {kind: fam.sign for _, kind, fam in self.term_families}
+        worst = max(
+            ext[kind] - (sign[kind] * c[name] if name else 0.0)
+            for kind, name in self.thresholds.items()
+        )
         if cert.flavor == "finite-horizon":
-            worst = max(
-                ext["init_max"] - c["gamma"],
-                c["lam"] - ext["unsafe_min"],
-                ext["step_max"] - c["delta"],
-                c["gamma"] + c["delta"] * c["T"] + MARGIN * 0.5 - c["lam"],
-            )
-        elif cert.flavor == "invariant":
-            worst = max(
-                ext["init_max"],
-                c["gamma"] - ext["unsafe_min"],
-                ext["step_max"],
-            )
-        else:
-            worst = max(
-                ext["init_max"],
-                c["d"] - ext["unsafe_min"],
-                ext["step_max"] - c["eps"],
-                ext["kstep_max"],
-            )
-            if cert.flavor == "hybrid":
-                worst = max(worst, ext["shift_max"] - c["gamma"])
+            worst = max(worst, c["gamma"] + c["delta"] * c["T"] + MARGIN * 0.5 - c["lam"])
         return worst
 
 
@@ -994,9 +934,9 @@ def extract_certificate(
     slp: ScenarioLP, problem: LPProblem, solution: LPSolution
 ) -> Certificate:
     """Polish and round an optimal LP point into a certificate."""
-    if solution.status != "optimal" or solution.objective is None:
+    if solution.status != "optimal":
         raise NoCandidateError("no candidate at this template size")
-    if solution.objective < MARGIN:
+    if not solution.objective >= MARGIN:  # a NaN objective included
         raise NoCandidateError(
             f"no candidate at this template size (objective {solution.objective:.3g})"
         )
@@ -1063,12 +1003,10 @@ def synthesis_loop(
             slp = ScenarioLP(template, rows)
             problem = slp.build()
             solution = solve_lp(problem)
-            cert = None
-            if solution.status == "optimal" and solution.objective >= MARGIN:
-                try:
-                    cert = extract_certificate(slp, problem, solution)
-                except NoCandidateError:
-                    cert = None
+            try:
+                cert = extract_certificate(slp, problem, solution)
+            except NoCandidateError:
+                cert = None
             t_lp += time.perf_counter() - t0
             log.info(
                 "terms %d round %d: %d term values evaluated; %d LP rows; solve kept %d rows"

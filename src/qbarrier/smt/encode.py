@@ -26,7 +26,7 @@ from ..realpoly import (
     sphere_poly,
 )
 from ..regions import Region
-from ..templates import Certificate
+from ..templates import THRESHOLDS, Certificate
 
 
 class EncodeError(ValueError):
@@ -307,70 +307,38 @@ class ConditionSpec:
     offset: int = 0
 
 
+# the side conditions on the constants, checked after the state conditions
+_SIDE_CONDITIONS = {
+    "invariant": ("side-positivity",),
+    "k-inductive": ("side-margin",),
+    "hybrid": ("side-margin",),
+    "finite-horizon": ("side-drift", "side-margin"),
+}
+
+
 def conditions_for(cert: Certificate) -> list[ConditionSpec]:
-    """Canonical per-flavor condition list; verification order follows it."""
-    flavor = cert.flavor
-    if flavor == "invariant":
-        return [
-            ConditionSpec("init", "init"),
-            ConditionSpec("unsafe", "unsafe"),
-            ConditionSpec("step", "step"),
-            ConditionSpec("side-positivity", "side"),
-        ]
-    if flavor == "k-inductive":
-        return [
-            ConditionSpec("init", "init"),
-            ConditionSpec("unsafe", "unsafe"),
-            ConditionSpec("step", "step"),
-            ConditionSpec("k-step", "k-step"),
-            ConditionSpec("side-margin", "side"),
-        ]
-    if flavor == "hybrid":
-        k = cert.k
-        out = [ConditionSpec("init", "init")]
-        out += [ConditionSpec(f"unsafe-t{t}", "unsafe", t) for t in range(k)]
-        out += [ConditionSpec(f"step-t{t}", "step", t) for t in range(k)]
-        out += [ConditionSpec(f"shift-t{t}", "time-shift", t) for t in range(k)]
-        out.append(ConditionSpec("k-step", "k-step"))
-        out.append(ConditionSpec("side-margin", "side"))
-        return out
-    # finite-horizon
-    return [
-        ConditionSpec("init", "init"),
-        ConditionSpec("unsafe", "unsafe"),
-        ConditionSpec("step", "step"),
-        ConditionSpec("side-drift", "side"),
-        ConditionSpec("side-margin", "side"),
-    ]
+    """Canonical per-flavor condition list; verification order follows it.
+    A hybrid certificate has unsafe, step and time-shift once per offset."""
+    out = []
+    for kind in THRESHOLDS[cert.flavor]:
+        base = "shift" if kind == "time-shift" else kind
+        if cert.flavor == "hybrid" and kind in ("unsafe", "step", "time-shift"):
+            out += [ConditionSpec(f"{base}-t{t}", kind, t) for t in range(cert.k)]
+        else:
+            out.append(ConditionSpec(base, kind))
+    out += [ConditionSpec(cid, "side") for cid in _SIDE_CONDITIONS[cert.flavor]]
+    return out
 
 
-def _threshold(cert: Certificate, kind: str, which: str) -> Fraction:
-    c = cert.constants
+def _threshold(cert: Certificate, kind: str) -> Fraction:
+    """The constant a condition of this kind is compared against, exact at
+    the certificate's decimals."""
+    name = THRESHOLDS[cert.flavor][kind]
+    if name is None:
+        return Fraction(0)
+    value = cert.constants[name]
     dec = cert.decimals
-
-    def f(v):
-        return Fraction(format(v, f".{dec}f")) if dec is not None else Fraction(float(v))
-
-    flavor = cert.flavor
-    if which == "init":
-        return f(c["gamma"]) if flavor == "finite-horizon" else Fraction(0)
-    if which == "unsafe":
-        if flavor == "invariant":
-            return f(c["gamma"])
-        if flavor == "finite-horizon":
-            return f(c["lam"])
-        return f(c["d"])
-    if which == "step":
-        if flavor == "finite-horizon":
-            return f(c["delta"])
-        if flavor in ("k-inductive", "hybrid"):
-            return f(c["eps"])
-        return Fraction(0)
-    if which == "time-shift":
-        return f(c["gamma"])
-    if which == "k-step":
-        return Fraction(0)
-    raise EncodeError(f"no threshold for {which}")
+    return Fraction(format(value, f".{dec}f")) if dec is not None else Fraction(float(value))
 
 
 def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
@@ -425,7 +393,7 @@ def encode_condition(
         c = cert.constants
         if spec.condition_id == "side-positivity":
             con = StructConstraint(
-                poly=RealPoly.constant(0, _threshold(cert, kind, "unsafe")),
+                poly=RealPoly.constant(0, _threshold(cert, "unsafe")),
                 op="<=",
                 rhs=Fraction(0),
                 negated_condition=True,
@@ -474,7 +442,7 @@ def encode_condition(
                 StructConstraint(
                     poly=body,
                     op=">",
-                    rhs=_threshold(cert, kind, "init"),
+                    rhs=_threshold(cert, kind),
                     negated_condition=True,
                 )
             )
@@ -486,7 +454,7 @@ def encode_condition(
                 StructConstraint(
                     poly=body,
                     op="<",
-                    rhs=_threshold(cert, kind, "unsafe"),
+                    rhs=_threshold(cert, kind),
                     negated_condition=True,
                 )
             )
@@ -499,7 +467,7 @@ def encode_condition(
                 StructConstraint(
                     poly=nxt.sub(cur),
                     op=">",
-                    rhs=_threshold(cert, kind, "time-shift"),
+                    rhs=_threshold(cert, kind),
                     negated_condition=True,
                 )
             )
@@ -540,7 +508,7 @@ def encode_condition(
         StructConstraint(
             poly=after.sub(before),
             op=">",
-            rhs=_threshold(cert, kind, kind),
+            rhs=_threshold(cert, kind),
             negated_condition=True,
         )
     )

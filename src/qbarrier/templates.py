@@ -14,6 +14,18 @@ import numpy as np
 
 FLAVORS = ("invariant", "k-inductive", "hybrid", "finite-horizon")
 
+# Each flavor's conditions in verification order, with the certificate
+# constant each one is compared against (None: zero). init bounds B from
+# above and unsafe from below; step, time-shift and k-step bound from above
+# the growth of B over one step, from one offset to the next, and over k
+# steps. The side conditions on the constants follow these, per flavor.
+THRESHOLDS = {
+    "invariant": {"init": None, "unsafe": "gamma", "step": None},
+    "k-inductive": {"init": None, "unsafe": "d", "step": "eps", "k-step": None},
+    "hybrid": {"init": None, "unsafe": "d", "step": "eps", "time-shift": "gamma", "k-step": None},
+    "finite-horizon": {"init": "gamma", "unsafe": "lam", "step": "delta"},
+}
+
 
 class TemplateError(ValueError):
     pass
@@ -44,16 +56,6 @@ class Monomial:
     @property
     def is_constant(self) -> bool:
         return self.degree == 0
-
-    def evaluate(self, amps: np.ndarray) -> complex:
-        d = self.dim
-        val = 1.0 + 0.0j
-        for j in range(d):
-            for _ in range(self.exponents[j]):
-                val *= amps[j]
-            for _ in range(self.exponents[d + j]):
-                val *= np.conj(amps[j])
-        return complex(val)
 
     def label(self) -> str:
         d = self.dim

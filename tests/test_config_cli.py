@@ -105,6 +105,7 @@ def test_config_error_reports_field(tmp_path):
         ("epsilon = 0.01", "epsilon = inf", "epsilon"),
         ("epsilon = 0.01", "epsilon = nan", "epsilon"),
         ("epsilon = 0.01", "epsilon = 0.01\ngamma = -inf", "gamma"),
+        ("k = 1\nepsilon = 0.01", "k = 2\nepsilon = 1e308", "epsilon"),
     ],
     ids=[
         "regions-key",
@@ -123,6 +124,7 @@ def test_config_error_reports_field(tmp_path):
         "epsilon-inf",
         "epsilon-nan",
         "gamma-inf",
+        "epsilon-overflow",
     ],
 )
 def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key):

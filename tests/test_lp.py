@@ -72,9 +72,7 @@ def test_solve_trivial_bounded_lp():
         rows=DenseRows(np.array([[1.0]]), np.array([1.0])),
         bounds=[(None, None)],
         objective=np.array([1.0]),
-        var_names=["g"],
         families=[("only", 0, 1)],
-        flavor="invariant",
     )
     sol = solve_lp(problem)
     assert sol.status == "optimal"
@@ -86,9 +84,7 @@ def test_solve_infeasible_pair():
         rows=DenseRows(np.array([[-1.0], [1.0]]), np.array([-1.0, 0.0])),  # g >= 1 and g <= 0
         bounds=[(None, None)],
         objective=np.array([1.0]),
-        var_names=["g"],
         families=[("rows", 0, 2)],
-        flavor="invariant",
     )
     assert solve_lp(problem).status == "infeasible"
 
@@ -278,9 +274,7 @@ def _random_lp(seed: int, n_rows: int, n_vars: int, kind: str) -> LPProblem:
         rows=DenseRows(a, b),
         bounds=bounds,
         objective=objective,
-        var_names=[f"x{i}" for i in range(n_vars)],
         families=[("rows", 0, n_rows)],
-        flavor="invariant",
     )
 
 
@@ -397,12 +391,39 @@ PINNED_SYNTHESIS = {
     ("cnot4_infinite", 11): "8329a932e2a7718bfa34b77725af8308547362e40d5244eb651411132dd2e4ee",
     ("zgate3_finite", 13): "4ae5499de31f841a705d60801f34c5f3f9ef033378dffd114187e9bd3ad76a4b",
     ("xgate2_infinite", 12): "91d83311ab1964b71b45fc01aa4821611d0bfbe49ff7285ea8c78877143170a3",
+    ("altcxcz2_infinite", 1): "6609ec4dd8a055234693203b4f2f2c6dd77242fed64c474614156d537fa883e1",
+    ("zgate3_invariant", 1): "b0b6938833fd1e5934e764c525777009830cbd7b672fadd3b6ed98cb34c34f54",
 }
+
+# no bundled job is invariant, so the invariant one is written here
+INVARIANT_JOB = """
+[circuit]
+qubits = 3
+map.u0 = Z 0; Z 1; Z 2
+schedule = constant u0
+
+[regions]
+init = prob(0) >= 0.9
+unsafe = prob(0) <= 0.1
+
+[synthesis]
+flavor = invariant
+degree = 2
+samples = 15000
+
+[smt]
+solver = builtin
+"""
 
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_SYNTHESIS))
 def test_synthesis_output_is_pinned(name, seed, tmp_path):
-    job = load_config(bundled_config_path(name))
+    if name == "zgate3_invariant":
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(INVARIANT_JOB)
+    else:
+        path = bundled_config_path(name)
+    job = load_config(path)
     job.synthesis.seed = seed
     res = synthesis_loop(
         job.dynamics,
@@ -795,7 +816,8 @@ def test_non_finite_term_values_raise_before_any_solve(monkeypatch):
     assert calls == []
 
 
-# finite margins whose k-fold sum on the right-hand side overflows
+# finite margins whose k-fold sum in the side row overflows: the config
+# refuses them and names the key
 @pytest.mark.parametrize(
     "flavor,constants",
     [
@@ -804,19 +826,9 @@ def test_non_finite_term_values_raise_before_any_solve(monkeypatch):
         ("hybrid", {"eps": 1e308, "gamma": 1e308}),
     ],
 )
-def test_non_finite_flavor_constants_raise_before_any_solve(
-    monkeypatch, tmp_path, flavor, constants
-):
-    calls = _no_highs(monkeypatch)
-    dyn = constant_dynamics(standard_gate("Z"))
-    init = parse_region(["prob(0) >= 0.9"], 2, "init")
-    unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
-    cfg = SynthesisConfig(
-        flavor=flavor, degree=2, samples=20, seed=4, **{"k": 1, **constants}
-    )
-    with pytest.raises(LPError, match="non-finite"):
-        synthesis_loop(dyn, init, unsafe, full_sphere(2), cfg, workdir=tmp_path)
-    assert calls == []
+def test_non_finite_flavor_constants_raise_before_any_solve(flavor, constants):
+    with pytest.raises(LPError, match=r"(epsilon|gamma) = 1e\+308 overflows the side condition"):
+        SynthesisConfig(flavor=flavor, degree=2, samples=20, seed=4, **{"k": 1, **constants})
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import logging
 import math
@@ -9,11 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import qbarrier.smt.builtin as builtin
-from qbarrier.realpoly import RealPoly
+from qbarrier.realpoly import RealPoly, sphere_poly
 from qbarrier.smt.builtin import (
     Constraint,
     Problem,
@@ -28,6 +29,8 @@ from qbarrier.smt.builtin import (
     solve_problem,
     solve_text,
 )
+from qbarrier.smt.encode import SMTQuery, StructConstraint
+from qbarrier.smt.run import recheck_model
 
 SPHERE2 = (
     "(assert (= (+ (* x0 x0) (* y0 y0) (* x1 x1) (* y1 y1)) 1))"
@@ -512,3 +515,85 @@ def test_single_variable_equality_fixes_the_box(coef, root):
     assert model is not None
     assert model["u0"] == float(root)
     assert all(_exact_holds(con, model, problem.names) for con in problem.constraints)
+
+
+# ---------------------------------------------------------------------------
+# the deciders against a numeric oracle: random one-qubit degree-2 queries
+
+
+_AMPS = ("x0", "x1", "y0", "y1")  # the encoder's variable order at dim 2
+_DEGREE2 = [e for e in itertools.product(range(3), repeat=4) if 1 <= sum(e) <= 2]
+_nonzero = st.builds(Fraction, st.sampled_from([n for n in range(-6, 7) if n]), st.integers(1, 4))
+_bounds = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 8))
+
+
+@st.composite
+def _feature_polys(draw):
+    """a * p0 + b * p1, which the feature LP decides."""
+    a, b = draw(_nonzero), draw(st.just(Fraction(0)) | _nonzero)
+    return RealPoly(4, {(2, 0, 0, 0): a, (0, 0, 2, 0): a, (0, 2, 0, 0): b, (0, 0, 0, 2): b})
+
+
+_degree2_polys = st.dictionaries(
+    st.sampled_from(_DEGREE2), _nonzero, min_size=1, max_size=5
+).map(lambda coeffs: RealPoly(4, coeffs))
+
+
+@st.composite
+def _one_qubit_queries(draw, polys):
+    """Laid out as the encoder lays out a query: the sphere, up to two
+    region constraints, then the negated condition."""
+    cons = [StructConstraint(sphere_poly(2, 4), "=", Fraction(1))]
+    for _ in range(draw(st.integers(0, 2))):
+        cons.append(StructConstraint(draw(polys), draw(st.sampled_from(["<=", ">="])), draw(_bounds)))
+    cons.append(
+        StructConstraint(
+            draw(polys), draw(st.sampled_from(["<", ">"])), draw(_bounds), negated_condition=True
+        )
+    )
+    return SMTQuery("condition", 2, _AMPS, tuple(cons), timeout_s=60.0)
+
+
+@functools.cache
+def _grid():
+    return _sphere_points(40)
+
+
+def _grid_feasible(query: SMTQuery, margin=1e-9) -> bool:
+    """Some point of a dense sphere grid meets every inequality by the margin."""
+    ok = np.ones(len(_grid()), dtype=bool)
+    for con in query.constraints:
+        if con.op == "=":  # the sphere, which every grid point is on
+            continue
+        vals, rhs = con.poly.eval_floats(_grid()), float(con.rhs)
+        ok &= vals <= rhs - margin if con.op in ("<=", "<") else vals >= rhs + margin
+    return bool(ok.any())
+
+
+def _check_deciders(query: SMTQuery):
+    """An unsat verdict leaves the grid empty and a sat model passes the
+    re-check the caller applies. Returns the feature LP's verdict."""
+    problem = parse_problem(query.text)
+    verdict = decide_feature_lp(problem)
+    event(f"feature LP: {verdict and verdict[0]}")
+    if verdict is not None and verdict[0] == "unsat":
+        assert not _grid_feasible(query)
+    if verdict is not None and verdict[0] == "sat":
+        assert recheck_model(query, verdict[1])
+    refuted = qubit_feature_refute(problem, time.monotonic() + 60.0)
+    event(f"qubit relaxation: {refuted}")
+    if refuted == "unsat":
+        assert not _grid_feasible(query)
+    return verdict
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=_one_qubit_queries(_feature_polys()))
+def test_feature_lp_verdicts_match_the_sphere_grid(query):
+    assert _check_deciders(query) is not None  # affine in p0, p1: always reduced
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=_one_qubit_queries(_degree2_polys))
+def test_qubit_refutations_match_the_sphere_grid(query):
+    _check_deciders(query)

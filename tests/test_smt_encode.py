@@ -173,6 +173,28 @@ def cx_setup():
     return cert, init, unsafe, full_sphere(4, "global"), dyn
 
 
+def hybrid_setup():
+    """Hybrid certificate with k = 2 over the alternating CX/CZ circuit: two
+    coefficient vectors, so unsafe, step and time-shift are emitted once per
+    offset with their own vector."""
+    cx, cz = standard_gate("CX"), standard_gate("CZ")
+    dyn = Dynamics(maps=(StepMap(n=2, factors=(cx,)), StepMap(n=2, factors=(cz,))),
+                   schedule=Schedule((0, 1)))
+    cert = Certificate(
+        template=full_template(4, 2).prefix(9),  # 1, |z_j|^2, then z0..z3
+        coeff_vectors=(
+            np.array([-0.5, 1.0, -0.25, -0.5, -0.125, 0.1j, 0.0, 0.05, 0.0], dtype=complex),
+            np.array([-0.5, 1.0, -0.25, -0.25, -0.25, 0.0, 0.0, 0.0, 0.2], dtype=complex),
+        ),
+        flavor="hybrid",
+        constants={"d": 0.75, "eps": 0.125, "gamma": 0.0625, "k": 2},
+        decimals=6,
+    )
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(1)+prob(2)+prob(3) >= 0.5"], 4, "unsafe")
+    return cert, init, unsafe, full_sphere(4, "global"), dyn
+
+
 def test_uncertain_step_encoding_declares_parameters():
     cert, init, unsafe, glob, dyn = he_setup()
     q = encode_condition(cert, "step", init, unsafe, glob, dyn)
@@ -224,8 +246,31 @@ PINNED_SHA256 = {
         "k-step": "edc04ef1d5bec152a5f4b691bdb4f39a9c57089cb505ae314fe1dbad35dabd53",
         "side-margin": "7c7a2524be62da2086b4049efe7db2e97e138f3961478762d7165c8c2ca859db",
     },
+    "z-invariant": {
+        "init": "ef59f9c8341e8d922f53cf33aa8cacbbc874ced6e91f63c7c60a97662c622ed1",
+        "unsafe": "eb391c3a19bb513d5f271633cc6c7b073c81e35e0a635b7a867f32d604f6d646",
+        "step": "33d872695c42ec873ebf0aceec82e81d850e4b8731e845c0980b484685412860",
+        "side-positivity": "dadc39a93a2b2b82f2ccfede28644010523c6480ffe2435734505a6fa18f2f90",
+    },
+    "hybrid": {
+        "init": "b739ea8b93c064df8db3238b09a601316ecd7cea86bafbeb5747cbc82640c2c4",
+        "unsafe-t0": "6a371d5b5c69412362691760f290bfcad8f8ce9a5e80133e4d8c4a97cc6468ff",
+        "unsafe-t1": "fbef49f07a1c240fd08d3f6e73758e686963a35f221d6b64c9adb80e1a3e9d0a",
+        "step-t0": "765af09d0b32c6aea017d622590bfb3d08ebb2939b981ca76f82601c689025b9",
+        "step-t1": "b760c1812412858b9138dda45f113a6c3d0d1c204bef81b86e56d433aee4c647",
+        "shift-t0": "98d59ef23498ea96ef52e906048f8b712a57cecbc71a56b968cc3d9afe7ea03d",
+        "shift-t1": "31667102454c5cf0fa2a8dca0dfad05b7c9e33e867523979a5769c5d920ca176",
+        "k-step": "13337ef895dc9bad2ce586ec27311b3662c2217b53aa20a3acd9294e2da04bc9",
+        "side-margin": "3a05db055b5d6044cd42818e6b4471dd36fe1ed1de659beceea014c3d2b3dba8",
+    },
 }
-SETUPS = {"z": z_setup, "he": he_setup, "cx": cx_setup}
+SETUPS = {
+    "z": z_setup,
+    "he": he_setup,
+    "cx": cx_setup,
+    "z-invariant": lambda: z_setup(flavor="invariant"),
+    "hybrid": hybrid_setup,
+}
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
