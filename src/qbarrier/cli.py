@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
-import functools
 import importlib.resources
 import json
 import logging
@@ -36,8 +34,9 @@ from .grover import (
     angle_queries,
     synth_angle_certificate,
 )
+from .heap import pin_mmap_threshold
 from .lp import LPError, sample_scenarios, synthesis_loop
-from .regions import RegionError, sample_states
+from .regions import RegionError
 from .report import EXIT_CODES, TOOL_ERROR_EXIT, RunReport, conditions_doc
 from .smt.run import SolverToolError, verify_certificate, verify_queries
 from .templates import Certificate
@@ -114,33 +113,6 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
     except ConfigError as exc:
         raise ConfigError(f"command line: {exc}") from None
     return job
-
-
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 16 << 20
-
-
-@functools.cache
-def pin_mmap_threshold() -> bool:
-    """Give every block of MMAP_THRESHOLD bytes or more its own mapping.
-
-    glibc raises its mmap threshold to the size of each mapped block it
-    frees, up to 32 MiB. After one job has freed its scenario arrays, the
-    arrays and temporaries of the next jobs come from the heap, which keeps
-    their pages resident once they are freed, so a job's peak memory then
-    depends on which jobs ran before it in the process. The thresholds are
-    pinned where glibc's own adjustment would put them for a 16 MiB block.
-    True when the allocator took the settings (glibc only)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    return bool(
-        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-        and mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
-    )
 
 
 def run_job(job: JobConfig, out_dir: Path) -> RunReport:
@@ -309,19 +281,21 @@ def cmd_sample(args) -> int:
         print("config error: sample needs a circuit job with regions",
               file=sys.stderr)
         return 4
-    seed = job.synthesis.seed
-    rows = []
+    cfg = dataclasses.replace(job.synthesis, samples=args.count)
+    regions = (job.init_region, job.unsafe_region, job.global_region)
     try:
-        for region in (job.init_region, job.unsafe_region, job.global_region):
-            scen = sample_states(region, args.count, seed)
-            for state in scen.states:
-                row = [region.name]
-                for amp in state:
-                    row += [f"{amp.real:.17g}", f"{amp.imag:.17g}"]
-                rows.append(row)
+        scenarios = sample_scenarios(*regions, cfg)
     except RegionError as exc:
         print(f"tool error: {exc}", file=sys.stderr)
         return TOOL_ERROR_EXIT
+    rows = []
+    draws = (scenarios.init, scenarios.unsafe, scenarios.global_states)
+    for region, states in zip(regions, draws):
+        for state in states:
+            row = [region.name]
+            for amp in state:
+                row += [f"{amp.real:.17g}", f"{amp.imag:.17g}"]
+            rows.append(row)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
+from .heap import trim_heap
 from .quantum import Dynamics
 from .regions import Region, sample_states
 from .smt.run import (
@@ -281,12 +283,22 @@ class Scenarios:
 def sample_scenarios(
     init_region: Region, unsafe_region: Region, global_region: Region, cfg
 ) -> Scenarios:
-    n = cfg.samples
-    return Scenarios(
-        init=sample_states(init_region, n, cfg.seed).states,
-        unsafe=sample_states(unsafe_region, n, cfg.seed + 1).states,
-        global_states=sample_states(global_region, n, cfg.seed + 2).states,
-    )
+    """`cfg.samples` states from each region, drawn at seeds `cfg.seed`,
+    `cfg.seed + 1` and `cfg.seed + 2`.
+
+    The three draws write to no shared state, and their numpy loops release
+    the interpreter lock, so each runs on a thread of its own. An error in
+    any draw is raised here. The threads' freed temporaries go back to the
+    system before the arrays are returned."""
+    regions = (init_region, unsafe_region, global_region)
+    with ThreadPoolExecutor(max_workers=len(regions)) as pool:
+        draws = [
+            pool.submit(sample_states, region, cfg.samples, cfg.seed + i)
+            for i, region in enumerate(regions)
+        ]
+    init, unsafe, global_states = (draw.result().states for draw in draws)
+    trim_heap()
+    return Scenarios(init=init, unsafe=unsafe, global_states=global_states)
 
 
 def _step_matrices(dynamics: Dynamics, cfg: SynthesisConfig, t0: int, count: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import re as _re
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,11 @@ SOBOL_BITS = 30
 # rows of the shipped Joe-Kuo table: 2^n - 1 coordinates cover n = 14 qubits
 MAX_SOBOL_DIMS = 2**14 - 1
 _SOBOL_TABLE = Path(__file__).parent / "data" / "sobol_joe_kuo.npz"
+# `sample_states` runs on several threads at once (one per region). Its
+# membership tests take turns, so that a wrapper counting candidates at
+# `Region.membership_batch`, as perfbench's traced run does, sees each call
+# whole: such a counter is a read-modify-write with no lock of its own.
+_MEMBERSHIP_LOCK = threading.Lock()
 
 
 class RegionError(ValueError):
@@ -212,27 +218,31 @@ def sobol_to_state(point: np.ndarray, n: int) -> QuantumState:
         raise RegionError(
             f"need {2 * dim - 1} coordinates for n={n}, got {point.shape[0]}"
         )
-    probs = _stick_break(point[np.newaxis, : dim - 1])[0]
+    probs = _stick_break(point[np.newaxis, : dim - 1].copy())[0]
     thetas = 2.0 * math.pi * point[dim - 1 :]
     amps = np.sqrt(probs) * np.exp(1j * thetas)
     return QuantumState(amps)
 
 
 def _stick_break(u: np.ndarray) -> np.ndarray:
-    """Sorted-uniform stick-breaking, batched: (N, D-1) -> (N, D) simplex."""
+    """Sorted-uniform stick-breaking, batched: (N, D-1) -> (N, D) simplex.
+    Sorts u in place."""
     n, dm1 = u.shape
-    breaks = np.sort(u, axis=1)
-    padded = np.concatenate(
-        [np.zeros((n, 1)), breaks, np.ones((n, 1))], axis=1
-    )
-    return np.diff(padded, axis=1)
+    u.sort(axis=1)
+    probs = np.empty((n, dm1 + 1))
+    probs[:, 0] = u[:, 0]
+    np.subtract(u[:, 1:], u[:, :-1], out=probs[:, 1:-1])
+    np.subtract(1.0, u[:, -1], out=probs[:, -1])
+    return probs
 
 
 def _sub_simplex(u: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Stick-break each row of u and scale row i by total[i]."""
     if u.shape[1] == 0:
         return np.ones((u.shape[0], 1)) * total[:, None]
-    return _stick_break(u) * total[:, None]
+    probs = _stick_break(u)
+    probs *= total[:, None]
+    return probs
 
 
 class _SingleCoordPlan:
@@ -393,37 +403,52 @@ class SobolStream:
 
 
 def _phases(rng: np.random.Generator, shape) -> np.ndarray:
-    return 2.0 * math.pi * rng.random(shape)
+    thetas = rng.random(shape)
+    thetas *= 2.0 * math.pi
+    return thetas
 
 
-def _candidates_sphere(dim, batch, stream, rng):
-    u = stream.draw(batch)
-    probs = _stick_break(u)
-    return np.sqrt(probs) * np.exp(1j * _phases(rng, (batch, dim)))
+def _amplitudes(amp: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = amp * exp(1j * thetas), formed in out with no other temporary."""
+    np.multiply(1j, thetas, out=out)
+    np.exp(out, out=out)
+    out *= amp
+    return out
 
 
-def _candidates_single(plan, dim, batch, stream, rng):
+def _candidates_sphere(stream, rng, out):
+    batch, dim = out.shape
+    probs = _stick_break(stream.draw(batch))
+    amp = np.sqrt(probs, out=probs)
+    return _amplitudes(amp, _phases(rng, (batch, dim)), out)
+
+
+def _candidates_single(plan, stream, rng, out):
     if plan.lo > plan.hi:
         raise RegionEmptyError(
             "region appears empty or thin: contradictory bounds on "
             f"prob({plan.j})"
         )
+    batch, dim = out.shape
+    j = plan.j
     u = stream.draw(batch)
     pj = plan.lo + u[:, 0] * (plan.hi - plan.lo)
     rest = _sub_simplex(u[:, 1:], 1.0 - pj)
     probs = np.empty((batch, dim))
-    probs[:, plan.j] = pj
-    others = [j for j in range(dim) if j != plan.j]
-    probs[:, others] = rest[:, : len(others)]
-    return np.sqrt(probs) * np.exp(1j * _phases(rng, (batch, dim)))
+    probs[:, j] = pj
+    probs[:, :j] = rest[:, :j]
+    probs[:, j + 1 :] = rest[:, j:]
+    amp = np.sqrt(probs, out=probs)
+    return _amplitudes(amp, _phases(rng, (batch, dim)), out)
 
 
-def _candidates_box(plan, dim, batch, stream, rng):
+def _candidates_box(plan, stream, rng, out):
     lo, hi = plan.prob_lo, plan.prob_hi
     if lo.sum() > 1.0 or hi.sum() < 1.0:
         raise RegionEmptyError(
             "region appears empty or thin: probability boxes cannot sum to 1"
         )
+    batch, dim = out.shape
     u = stream.draw(batch)
     probs = np.empty((batch, dim))
     used = np.zeros(batch)
@@ -438,7 +463,7 @@ def _candidates_box(plan, dim, batch, stream, rng):
         else:
             probs[:, j] = np.clip(1.0 - used, 0.0, None)
         used += probs[:, j]
-    amp = np.sqrt(probs)
+    amp = np.sqrt(probs, out=probs)
     thetas = _phases(rng, (batch, dim))
     for j in range(dim):
         b = plan.im_bound[j]
@@ -452,7 +477,7 @@ def _candidates_box(plan, dim, batch, stream, rng):
         base = t * half
         flip = rng.random(batch) < 0.5
         thetas[:, j] = np.where(flip, math.pi - base, base)
-    return amp * np.exp(1j * thetas)
+    return _amplitudes(amp, thetas, out)
 
 
 def sample_states(r: Region, count: int, seed: int) -> ScenarioSet:
@@ -464,34 +489,36 @@ def sample_states(r: Region, count: int, seed: int) -> ScenarioSet:
         raise RegionError("sample count must be >= 1")
     dim = r.dim
     plan = _classify(r)
+    if plan == "sphere" or plan == "reject":
+        candidates = _candidates_sphere
+    elif isinstance(plan, _SingleCoordPlan):
+        candidates = functools.partial(_candidates_single, plan)
+    else:
+        candidates = functools.partial(_candidates_box, plan)
     stream = SobolStream(dim - 1)
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
+    # the batch size fixes how the box plan interleaves its draws
+    batch = max(64, min(4096, count))
+    cand = np.empty((batch, dim), dtype=complex)
+    states = np.empty((count, dim), dtype=complex)
     n_acc = 0
     consecutive_rejects = 0
     budget = REJECTION_FACTOR * count
-    batch = max(64, min(4096, count))
     while n_acc < count:
-        if plan == "sphere":
-            cand = _candidates_sphere(dim, batch, stream, rng)
-        elif isinstance(plan, _SingleCoordPlan):
-            cand = _candidates_single(plan, dim, batch, stream, rng)
-        elif isinstance(plan, _BoxPlan):
-            cand = _candidates_box(plan, dim, batch, stream, rng)
-        else:
-            cand = _candidates_sphere(dim, batch, stream, rng)
-        ok = r.membership_batch(cand)
-        got = cand[ok]
-        if got.shape[0] == 0:
+        candidates(stream, rng, cand)
+        with _MEMBERSHIP_LOCK:
+            ok = r.membership_batch(cand)
+        got = np.flatnonzero(ok)[: count - n_acc]
+        if got.size == 0:
             consecutive_rejects += batch
             if consecutive_rejects >= budget:
                 raise RegionEmptyError(
                     f"region {r.name!r} appears empty or thin: "
                     f"{consecutive_rejects} consecutive rejects"
                 )
-        else:
-            consecutive_rejects = 0
-            accepted.append(got)
-            n_acc += got.shape[0]
-    states = np.concatenate(accepted, axis=0)[:count]
+            continue
+        consecutive_rejects = 0
+        # the indices are in range; "clip" copies without a buffer
+        np.take(cand, got, axis=0, out=states[n_acc : n_acc + got.size], mode="clip")
+        n_acc += got.size
     return ScenarioSet(states=states, region_name=r.name, seed=seed)

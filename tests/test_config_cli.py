@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ import qbarrier
 from qbarrier import load_config
 from qbarrier.cli import bundled_config_path, main, pin_mmap_threshold
 from qbarrier.config import ConfigError
+from qbarrier.lp import sample_scenarios
+from qbarrier.report import TOOL_ERROR_EXIT
 
 TINY_CFG = """
 [circuit]
@@ -238,6 +243,25 @@ def test_sample_command_rows_and_determinism(tiny_config, tmp_path):
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9
 
 
+def test_sample_command_dumps_the_synthesis_scenarios(tiny_config, tmp_path):
+    # synthesis draws init, unsafe and global at seeds seed, seed + 1 and
+    # seed + 2; the dump must hold those same states
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--config", str(tiny_config), "--count", "7",
+                 "--seed", "11", "--out", str(out)]) == 0
+    with out.open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    job = load_config(tiny_config)
+    cfg = dataclasses.replace(job.synthesis, samples=7, seed=11)
+    scenarios = sample_scenarios(job.init_region, job.unsafe_region, job.global_region, cfg)
+    draws = (scenarios.init, scenarios.unsafe, scenarios.global_states)
+    for k, (region, states) in enumerate(zip(("init", "unsafe", "global"), draws)):
+        block = rows[7 * k : 7 * (k + 1)]
+        assert [row[0] for row in block] == [region] * 7
+        values = np.array([[float(v) for v in row[1:]] for row in block])
+        assert values.tobytes() == states.view(float).tobytes()
+
+
 def test_seed_flag_and_solver_env_override(tiny_config, tmp_path, monkeypatch):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sample", "--config", str(tiny_config), "--count", "5",
@@ -293,6 +317,16 @@ def test_unseparable_regions_report_unsolved(tmp_path):
     assert report["certificate"] is None
 
 
+def test_contradictory_bounds_exit_as_tool_error(tmp_path, capsys):
+    # the unsafe region is sampled on a worker thread; its error must still
+    # end the run as a tool error
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(TINY_CFG.replace("prob(0) <= 0.1", "prob(0) <= 0.1, prob(0) >= 0.2"))
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == TOOL_ERROR_EXIT
+    assert "tool error: region appears empty or thin" in capsys.readouterr().err
+
+
 def _resident_mb() -> float:
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
@@ -311,3 +345,47 @@ def test_pinned_mmap_threshold_returns_freed_arrays():
         block = np.ones(20 << 17)  # 20 MiB, every page touched
         del block
         assert _resident_mb() - before < 4
+
+
+# Run in a fresh process: which glibc arenas exist, and what the heap holds,
+# depends on every test run before it in the same process.
+SAMPLING_FOOTPRINT = """
+import os
+from qbarrier.cli import pin_mmap_threshold
+from qbarrier.lp import SynthesisConfig, sample_scenarios
+from qbarrier.regions import full_sphere, parse_region, sample_states
+
+
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+assert pin_mmap_threshold()
+dim = 32
+init = parse_region(["prob(0) >= 0.9"], dim, "init")
+unsafe = parse_region(["prob(0) <= 0.1"], dim, "unsafe")
+sample_states(full_sphere(dim), 64, seed=9)  # loads the Sobol table here
+before = resident_mb()
+scenarios = sample_scenarios(init, unsafe, full_sphere(dim), SynthesisConfig(samples=20000, seed=1))
+held = sum(a.nbytes for a in (scenarios.init, scenarios.unsafe, scenarios.global_states))
+print(resident_mb() - before - held / 2**20)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
+    reason="glibc allocator settings, read through /proc",
+)
+def test_threaded_sampling_leaves_only_its_result_resident():
+    # the 3 x 20,000 x 32 states take 29.3 MiB. Each worker thread's own
+    # arena would keep about 10 MiB of freed batches resident, and the one
+    # arena without malloc_trim about 18 MiB
+    src = str(Path(qbarrier.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", SAMPLING_FOOTPRINT],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert float(out.stdout) < 4

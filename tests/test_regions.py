@@ -1,15 +1,20 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from qbarrier import (
     QuantumState,
+    Region,
+    SynthesisConfig,
     basis_state,
     full_sphere,
     membership,
     parse_constraint,
     parse_region,
+    sample_scenarios,
     sample_states,
     sobol_to_state,
 )
@@ -96,6 +101,51 @@ def test_thin_region_exhausts_rejection_budget():
         sample_states(r, 2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["prob(0) >= 0.9", "prob(0) <= 0.1"],  # refused before any draw
+        ["re(0) >= 0.70710678", "re(0) <= 0.70710678"],  # rejection budget
+    ],
+    ids=["contradictory", "thin"],
+)
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["init", "unsafe", "global"])
+def test_region_errors_reach_the_caller_of_sample_scenarios(spec, which):
+    bad = parse_region(spec, 2, "bad")
+    with pytest.raises(RegionEmptyError) as direct:
+        sample_states(bad, 2, seed=1 + which)
+    regions = [full_sphere(2)] * 3
+    regions[which] = bad
+    with pytest.raises(RegionEmptyError) as threaded:
+        sample_scenarios(*regions, SynthesisConfig(samples=2, seed=1))
+    assert type(threaded.value) is type(direct.value)
+    assert str(threaded.value) == str(direct.value)
+
+
+def test_membership_calls_from_sampling_threads_take_turns(monkeypatch):
+    # a counter kept by a wrapper, as the traced benchmark keeps one: a
+    # read-modify-write that a thread switch between read and write splits
+    seen = [0]
+    original = Region.membership_batch
+
+    def counting(self, states):
+        ok = original(self, states)
+        count = seen[0]
+        time.sleep(0)  # let another thread run
+        seen[0] = count + ok.shape[0]
+        return ok
+
+    monkeypatch.setattr(Region, "membership_batch", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # five 4096-state batches per region, every state accepted
+        sample_scenarios(*[full_sphere(4)] * 3, SynthesisConfig(samples=20000, seed=1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[0] == 3 * 5 * 4096
+
+
 def test_sobol_to_state_degenerate_corner():
     # all simplex coordinates zero: mass lands on the last coordinate
     s = sobol_to_state(np.zeros(3), 1)
@@ -115,8 +165,10 @@ def test_sobol_to_state_normalization_exact():
         dim = 2 ** n
         for _ in range(20):
             point = rng.random(2 * dim - 1)
+            given = point.copy()
             s = sobol_to_state(point, n)
             assert abs(np.sum(np.abs(s.amps) ** 2) - 1.0) <= 1e-12
+            assert point.tobytes() == given.tobytes()
 
 
 def test_constraint_parsing():

@@ -15,9 +15,16 @@ import numpy as np
 import pytest
 
 import qbarrier
-from qbarrier import load_config, sample_states
+from qbarrier import load_config, sample_scenarios, sample_states
 from qbarrier.grover import UNSAFE_HI, UNSAFE_LO, initial_interval, sample_interval
-from qbarrier.regions import MAX_SOBOL_DIMS, RegionError, SobolStream, _direction_matrix
+from qbarrier.regions import (
+    MAX_SOBOL_DIMS,
+    RegionError,
+    SobolStream,
+    _direction_matrix,
+    _joe_kuo,
+    _powers_of_two,
+)
 
 CONFIGS = Path(qbarrier.__file__).parent / "configs"
 
@@ -87,6 +94,41 @@ def test_every_bundled_config_is_pinned():
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
 def test_samples_are_pinned(name):
     assert _digest(load_config(CONFIGS / f"{name}.cfg")) == SAMPLE_DIGESTS[name]
+
+
+# sha256 over init, unsafe and global at the job's full `samples`, drawn one
+# after another at seeds seed, seed + 1 and seed + 2 by the sampler that
+# collected accepted batches in a list and concatenated them. The jobs cover
+# the single-coordinate plan (tgate5), a region whose rejection draw accepts
+# only part of each batch (altcxcz4's unsafe) and the box plan (groverfull2's
+# init). The pins above stop at 5,000 states, short of the last, partly
+# used batch of tgate5's and altcxcz4's full draws.
+FULL_SIZE_DIGESTS = {
+    "altcxcz4_infinite": "f211c4763ede4225aef5daf05b621e20233784a93d00bf9b136a368c2fd55c48",
+    "groverfull2_infinite": "b9a8e88eded4de27603358366d8141c769f9ea4e0eab2dadd247522ea151147c",
+    "tgate5_infinite": "d4c6abe32d7cff13d92e04e80493231705a50303dcbc8d175458bdd92622952c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_DIGESTS))
+def test_threaded_full_size_draws_match_sequential_draws(name):
+    job = load_config(CONFIGS / f"{name}.cfg")
+    cfg = job.synthesis
+    regions = (job.init_region, job.unsafe_region, job.global_region)
+    sequential = [
+        sample_states(region, cfg.samples, cfg.seed + i).states
+        for i, region in enumerate(regions)
+    ]
+    # the three threads then fill the direction-number caches at once
+    _joe_kuo.cache_clear()
+    _powers_of_two.cache_clear()
+    scenarios = sample_scenarios(*regions, cfg)
+    h = hashlib.sha256()
+    for want, got in zip(sequential, (scenarios.init, scenarios.unsafe, scenarios.global_states)):
+        assert got.shape == (cfg.samples, job.dynamics.dim)
+        assert got.tobytes() == want.tobytes()
+        h.update(got.tobytes())
+    assert h.hexdigest() == FULL_SIZE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 15, 63, 1023, MAX_SOBOL_DIMS])
