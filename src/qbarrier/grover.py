@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-# unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
-# still wraps this name and its smoke test requires every wrapped name to exist
-from scipy.optimize import linprog  # noqa: F401
-
 from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
+# unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
+# still wraps this name and its smoke test requires every wrapped name to
+# exist; taking it from lp keeps scipy.optimize unloaded until the first solve
+from .lp import linprog  # noqa: F401
 from .smt.encode import SMTQuery, StructConstraint
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly

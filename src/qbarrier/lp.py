@@ -25,7 +25,6 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .heap import trim_heap
 from .quantum import Dynamics
@@ -187,6 +186,15 @@ def _spread(n_rows: int, count: int) -> np.ndarray:
     of i.i.d. samples, so this picks from each family in proportion."""
     count = min(count, n_rows)
     return np.unique(np.linspace(0, n_rows - 1, count).round().astype(np.intp))
+
+
+def linprog(**kwargs):
+    """scipy.optimize.linprog, imported at the first solve: importing
+    scipy.optimize takes most of the package's start-up, and the paths that
+    only verify certificates never solve an LP."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(**kwargs)
 
 
 def _cut_solve(

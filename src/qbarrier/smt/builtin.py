@@ -225,20 +225,28 @@ def parse_problem(text: str) -> Problem:
             or expr[0] not in ("<=", ">=", "<", ">", "=")
         ):
             raise SmtParseError(f"unsupported assertion {expr!r}")
-        op = expr[0]
         lhs = _expr_to_poly(expr[1], names, nv)
-        diff = lhs.sub(_expr_to_poly(expr[2], names, nv))  # lhs - rhs OP 0
-        const = diff.coeffs.get((0,) * nv, Fraction(0))
-        body, rhs_c = diff.sub(RealPoly.constant(nv, const)), -const
-        if op == ">=":
-            body, rhs_c, op = body.scale(-1), -rhs_c, "<="
-        elif op == ">":
-            body, rhs_c, op = body.scale(-1), -rhs_c, "<"
-        constraints.append(Constraint(poly=body, op=op, rhs=rhs_c))
+        rhs = _expr_to_poly(expr[2], names, nv)
+        constraints.append(normal_constraint(lhs, expr[0], rhs))
 
     for a in raw_asserts:
         add(a)
     return Problem(names=declared, constraints=constraints)
+
+
+def normal_constraint(lhs: RealPoly, op: str, rhs: RealPoly) -> Constraint:
+    """`lhs op rhs` as body op' c: the constant term moved to the right-hand
+    side, and > and >= flipped to < and <=.  The body keeps the term order of
+    lhs; the deciders' float sums and the probe's draws depend on it."""
+    nv = lhs.nvars
+    diff = lhs.sub(rhs)  # lhs - rhs OP 0
+    const = diff.coeffs.get((0,) * nv, Fraction(0))
+    body, rhs_c = diff.sub(RealPoly.constant(nv, const)), -const
+    if op == ">=":
+        body, rhs_c, op = body.scale(-1), -rhs_c, "<="
+    elif op == ">":
+        body, rhs_c, op = body.scale(-1), -rhs_c, "<"
+    return Constraint(poly=body, op=op, rhs=rhs_c)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Any SMT-LIB2 solver that prints sat/unsat/unknown as its first output token
 and answers (get-model) can be plugged in through a command template with
 {file} and {timeout_s} placeholders. The sentinel command "builtin" routes
-the emitted file through the bundled decision engine in-process; the file is
-still written and parsed back, so both routes adjudicate identical bytes.
+the query through the bundled decision engine in-process. The file is still
+written, as the audit record, but the engine decides the query's structured
+mirror, rebuilt as the Problem that parsing the written bytes would give;
+a round-trip test over stored certificates holds the two equal.
 
 Refuted verdicts always carry a model that is re-checked numerically: the
 model must satisfy the asserted system and violate the negated condition by
@@ -19,9 +21,11 @@ import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
+from ..realpoly import RealPoly
 from . import builtin as _builtin
 from .encode import SMTQuery
 
@@ -96,8 +100,30 @@ def recheck_model(query: SMTQuery, model: dict[str, float]) -> bool:
     return all(c.holds(point, RECHECK_SLACK) for c in query.constraints)
 
 
-def _run_builtin(query: SMTQuery, path: Path) -> tuple[str, dict | None]:
-    return _builtin.solve_file(str(path), timeout_s=query.timeout_s)
+def builtin_problem(query: SMTQuery) -> _builtin.Problem:
+    """The Problem that `parse_problem(query.text)` returns, built without
+    the text: variables numbered in declaration order, terms in the order
+    they are emitted, each constraint normalised as the parser does."""
+    names = list(query.declarations)
+    index = {name: i for i, name in enumerate(names)}
+    where = [index.get(name) for name in query.var_names]
+    nv = len(names)
+    constraints = []
+    for c in query.constraints:
+        coeffs = {}
+        for exps, coeff in sorted(c.poly.coeffs.items()):
+            renamed = [0] * nv
+            for i, e in enumerate(exps):
+                if e:
+                    renamed[where[i]] = e
+            coeffs[tuple(renamed)] = coeff
+        rhs = RealPoly.constant(nv, c.rhs)
+        constraints.append(_builtin.normal_constraint(RealPoly(nv, coeffs), c.op, rhs))
+    return _builtin.Problem(names=names, constraints=constraints)
+
+
+def _run_builtin(query: SMTQuery) -> tuple[str, dict | None]:
+    return _builtin.solve_problem(builtin_problem(query), timeout_s=query.timeout_s)
 
 
 def _run_external(query: SMTQuery, path: Path, command: str) -> tuple[str, dict | None]:
@@ -142,7 +168,7 @@ def run_solver(
     path.write_text(query.text, encoding="utf-8")
     start = time.perf_counter()
     if command == BUILTIN_COMMAND:
-        status, model = _run_builtin(query, path)
+        status, model = _run_builtin(query)
     else:
         status, model = _run_external(query, path, command)
     wall = time.perf_counter() - start
@@ -186,15 +212,16 @@ def model_params(query: SMTQuery, model: dict[str, float]) -> tuple[float, ...]:
 
 
 def verify_queries(
-    queries: list[SMTQuery],
+    queries: Iterable[SMTQuery],
     command: str = BUILTIN_COMMAND,
     workdir: str | Path = ".",
     jobs: int = 1,
 ) -> VerificationReport:
     """Run condition queries in canonical order.
 
-    Sequential runs short-circuit on the first refutation; parallel runs
-    evaluate everything and join deterministically in list order.
+    Sequential runs short-circuit on the first refutation, and take no query
+    from `queries` past it; parallel runs evaluate everything and join
+    deterministically in iteration order.
     """
     start = time.perf_counter()
     verdicts: list[Verdict] = []
@@ -212,7 +239,7 @@ def verify_queries(
     statuses = [v.status for v in verdicts]
     if "sat" in statuses:
         overall = "refuted"
-    elif "unknown" in statuses or len(verdicts) < len(queries):
+    elif "unknown" in statuses:
         overall = "unknown"
     else:
         overall = "verified"
@@ -230,14 +257,25 @@ def verify_certificate(
     timeout_s: float = 300.0,
     jobs: int = 1,
 ) -> tuple[VerificationReport, list[SMTQuery]]:
-    """Encode every flavor condition and adjudicate; verified iff all unsat."""
+    """Encode the flavor conditions and adjudicate; verified iff all unsat.
+
+    Each condition is encoded when it is reached, so a sequential run that
+    stops at a refutation encodes nothing past it. Returns the report and
+    the queries encoded, in condition order.
+    """
     from .encode import conditions_for, encode_condition
 
-    queries = [
-        encode_condition(
-            cert, spec, init_region, unsafe_region, global_region, dynamics, timeout_s
-        )
-        for spec in conditions_for(cert)
-    ]
-    report = verify_queries(queries, command, workdir, jobs)
+    queries: list[SMTQuery] = []
+
+    def encoded():
+        for spec in conditions_for(cert):
+            queries.append(
+                encode_condition(
+                    cert, spec, init_region, unsafe_region, global_region, dynamics,
+                    timeout_s,
+                )
+            )
+            yield queries[-1]
+
+    report = verify_queries(encoded(), command, workdir, jobs)
     return report, queries

@@ -5,6 +5,7 @@ as the stream; the in-repo stream must reproduce them bit for bit. scipy's
 generator stays the reference here and is imported by no program module.
 """
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -165,12 +166,55 @@ def test_stream_refuses_points_past_its_bits():
     assert stream.draw(1).shape == (1, 3)
 
 
-def test_import_leaves_scipy_stats_out():
-    code = "import sys, qbarrier, qbarrier.cli; print('scipy.stats' in sys.modules)"
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import qbarrier, qbarrier.cli, qbarrier.smt.builtin
+from qbarrier import Certificate, full_template, load_config
+from qbarrier.cli import bundled_config_path
+from qbarrier.lp import DenseRows, LPProblem, solve_lp
+from qbarrier.smt.run import verify_certificate
+
+def loaded():
+    return ["scipy.stats" in sys.modules, "scipy.optimize" in sys.modules]
+
+seen = {"import": loaded()}
+job = load_config(bundled_config_path("zgate3_finite"))
+cert = Certificate(
+    template=full_template(8, 2).prefix(2),
+    coeff_vectors=(np.array([13.0, -10.0], dtype=complex),),
+    flavor="finite-horizon",
+    constants={"gamma": 4.001, "lam": 4.999, "delta": 0.0, "T": 5},
+    decimals=6,
+)
+report, _ = verify_certificate(
+    cert, job.init_region, job.unsafe_region, job.global_region, job.dynamics,
+    workdir=sys.argv[1],
+)
+seen["verify"] = loaded() + [report.overall]
+solve_lp(LPProblem(
+    rows=DenseRows(np.array([[1.0]]), np.array([1.0])),
+    bounds=[(None, None)],
+    objective=np.array([1.0]),
+    families=[("only", 0, 1)],
+))
+seen["solve"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_scipy_stats_out(tmp_path):
+    """Importing the package loads neither scipy.stats nor scipy.optimize;
+    verifying a certificate still leaves scipy.optimize out, and the first
+    LP solve brings it in."""
     src = str(Path(qbarrier.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "False"
+    seen = json.loads(out.stdout)
+    assert seen["import"] == [False, False]
+    assert seen["verify"] == [False, False, "verified"]
+    assert seen["solve"][1] is True

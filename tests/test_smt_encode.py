@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from qbarrier import (
     eval_real,
     full_sphere,
     full_template,
+    load_config,
     parse_region,
     standard_gate,
     tensor,
 )
+from qbarrier.cli import bundled_config_path
 from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
 from qbarrier.smt.builtin import parse_problem
 from qbarrier.smt.encode import (
@@ -22,6 +26,9 @@ from qbarrier.smt.encode import (
     conditions_for,
     encode_condition,
 )
+from qbarrier.smt.run import builtin_problem
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def z_setup(a=-10.0, b=13.0, flavor="finite-horizon"):
@@ -307,3 +314,40 @@ def test_parse_recovers_emitted_constraints_exactly(name):
             assert parsed.op == op
             assert parsed.rhs == rhs
             assert _by_name(parsed.poly, problem.names) == body
+        _assert_same_problem(problem, builtin_problem(q), q.condition_id)
+
+
+def _assert_same_problem(parsed, built, label):
+    """The in-memory problem equals the parsed one down to the order of
+    variables and terms, which the probe's draws and the float sums of
+    branch-and-prune follow."""
+    assert built.names == parsed.names, label
+    assert len(built.constraints) == len(parsed.constraints), label
+    for i, (b, p) in enumerate(zip(built.constraints, parsed.constraints)):
+        where = f"{label} constraint {i}"
+        assert (b.op, b.rhs, b.poly.nvars) == (p.op, p.rhs, p.poly.nvars), where
+        assert list(b.poly.coeffs.items()) == list(p.poly.coeffs.items()), where
+
+
+def test_builtin_problem_equals_the_parse_of_every_recheck_query():
+    """Every query of the stored recheck certificates, built in memory, is the
+    problem that parsing its emitted text gives."""
+    doc = json.loads((PERFBENCH / "data" / "recheck.json").read_text(encoding="utf-8"))
+    jobs = {}
+    count = 0
+    for i, entry in enumerate(doc["certificates"]):
+        name = entry["config"]
+        if name not in jobs:
+            local = PERFBENCH / "configs" / f"{name}.cfg"
+            jobs[name] = load_config(local if local.is_file() else bundled_config_path(name))
+        job = jobs[name]
+        cert = Certificate.from_dict(entry["certificate"])
+        for spec in conditions_for(cert):
+            q = encode_condition(
+                cert, spec, job.init_region, job.unsafe_region, job.global_region,
+                job.dynamics,
+            )
+            label = f"certificate {i} ({name}) {spec.condition_id}"
+            _assert_same_problem(parse_problem(q.text), builtin_problem(q), label)
+            count += 1
+    assert (len(doc["certificates"]), count) == (66, 358)

@@ -5,7 +5,8 @@ import pytest
 
 from qbarrier import Certificate, full_sphere, full_template, parse_region
 from qbarrier.quantum import constant_dynamics, standard_gate, tensor
-from qbarrier.smt.encode import encode_condition
+import qbarrier.smt.encode
+from qbarrier.smt.encode import conditions_for, encode_condition
 from qbarrier.smt.run import (
     SolverToolError,
     _parse_model_text,
@@ -192,3 +193,35 @@ def test_parallel_jobs_join_deterministically(tmp_path):
     )
     assert [v.condition_id for v in r1.verdicts] == [q.condition_id for q in q1]
     assert [v.status for v in r1.verdicts] == [v.status for v in r2.verdicts]
+
+
+def test_sequential_verification_encodes_no_condition_past_a_refutation(
+    tmp_path, monkeypatch
+):
+    encoded = []
+    real = qbarrier.smt.encode.encode_condition
+
+    def counting(cert, spec, *args, **kwargs):
+        encoded.append(spec.condition_id)
+        return real(cert, spec, *args, **kwargs)
+
+    monkeypatch.setattr(qbarrier.smt.encode, "encode_condition", counting)
+    init, unsafe, glob, dyn = setup_regions()
+    # B = 13 - 10*p0 exceeds gamma = 3 wherever p0 < 1 on the init region,
+    # so the first condition is refuted
+    cert = make_cert(gamma=3.0, lam=4.999)
+    seq, seq_queries = verify_certificate(
+        cert, init, unsafe, glob, dyn, workdir=tmp_path / "seq"
+    )
+    assert encoded == ["init"]
+    assert [q.condition_id for q in seq_queries] == ["init"]
+    encoded.clear()
+    par, par_queries = verify_certificate(
+        cert, init, unsafe, glob, dyn, workdir=tmp_path / "par", jobs=2
+    )
+    every = [spec.condition_id for spec in conditions_for(cert)]
+    assert encoded == every
+    assert [q.condition_id for q in par_queries] == every
+    assert seq.overall == par.overall == "refuted"
+    a, b = seq.refutation, par.refutation
+    assert (a.condition_id, a.model) == (b.condition_id, b.model)
