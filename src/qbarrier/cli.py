@@ -248,6 +248,13 @@ def cmd_verify(args) -> int:
                     file=sys.stderr,
                 )
                 return 4
+            if cert.horizon is not None and cert.horizon != job.synthesis.horizon:
+                print(
+                    f"config error: certificate horizon T = {cert.horizon} does not "
+                    f"match the job horizon {job.synthesis.horizon}",
+                    file=sys.stderr,
+                )
+                return 4
             report, _ = verify_certificate(
                 cert,
                 job.init_region,

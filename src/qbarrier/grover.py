@@ -22,10 +22,11 @@ from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
 # still wraps this name and its smoke test requires every wrapped name to
 # exist; taking it from lp keeps scipy.optimize unloaded until the first solve
 from .lp import linprog  # noqa: F401
-from .smt.encode import SMTQuery, StructConstraint
+from .smt.encode import SMTQuery, StructConstraint, side_query
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
 from .realpoly import RealPoly
 from .regions import SobolStream
+from .templates import side_conditions, side_holds, side_value
 
 
 class GroverError(ValueError):
@@ -125,10 +126,13 @@ class AngleCertificate:
     horizon: int
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise GroverError("delta must be nonnegative")
-        if not self.gamma + self.delta * self.horizon < self.lam:
-            raise GroverError("side condition gamma + delta*T < lam fails")
+        for cid, form, strict in side_conditions("finite-horizon", horizon=self.horizon):
+            if not side_holds(side_value(form, self.constants), strict):
+                raise GroverError(f"side condition {cid} fails")
+
+    @property
+    def constants(self) -> dict[str, float]:
+        return {"gamma": self.gamma, "lam": self.lam, "delta": self.delta}
 
     def value(self, phi: float) -> float:
         return self.c * phi
@@ -213,30 +217,10 @@ def angle_queries(
             ),
         ],
     )
-    drift_q = q(
-        "side-drift",
-        [
-            StructConstraint(
-                RealPoly.constant(2, _fr(cert.delta)),
-                "<",
-                Fraction(0),
-                negated_condition=True,
-            )
-        ],
-    )
-    margin = _fr(cert.lam) - _fr(cert.gamma) - _fr(cert.delta) * g.horizon_steps
-    margin_q = q(
-        "side-margin",
-        [
-            StructConstraint(
-                RealPoly.constant(2, margin),
-                "<=",
-                Fraction(0),
-                negated_condition=True,
-            )
-        ],
-    )
-    return [init_q, unsafe_q, step_q, drift_q, margin_q]
+    sides = side_conditions("finite-horizon", horizon=g.horizon_steps)
+    return [init_q, unsafe_q, step_q] + [
+        side_query(cond, side_value(cond[1], cert.constants), timeout_s) for cond in sides
+    ]
 
 
 @dataclass
@@ -273,7 +257,10 @@ def synth_angle_certificate(
     unsafe_phis = sample_interval(UNSAFE_LO, UNSAFE_HI, samples, seed + 1)
     th = theta(g)
     # variables: c, gamma, lam, delta; with c >= 0 the sampled rows
-    # c*phi <= gamma and c*phi >= lam reduce exactly to the extreme angles
+    # c*phi <= gamma and c*phi >= lam reduce exactly to the extreme angles;
+    # the objective is the separation, and the side row bounds it below
+    form = side_conditions("finite-horizon", horizon=t_steps)[-1][1]
+    separation = np.array([0.0] + [float(form[n]) for n in ("gamma", "lam", "delta")])
     problem = LPProblem(
         rows=DenseRows(
             np.array(
@@ -281,7 +268,7 @@ def synth_angle_certificate(
                     [float(np.max(init_phis)), -1.0, 0.0, 0.0],
                     [-float(np.min(unsafe_phis)), 0.0, 1.0, 0.0],
                     [th + g.eta, 0.0, 0.0, -1.0],
-                    [0.0, 1.0, -1.0, float(t_steps)],
+                    0.0 - separation,
                 ]
             ),
             np.array([0.0, 0.0, 0.0, -MARGIN]),
@@ -292,7 +279,7 @@ def synth_angle_certificate(
             (-COEFF_BOUND, COEFF_BOUND),
             (0.0, COEFF_BOUND),
         ],
-        objective=np.array([0.0, -1.0, 1.0, -float(t_steps)]),
+        objective=separation,
         families=[("init", 0, 1), ("unsafe", 1, 2), ("step", 2, 3), ("side", 3, 4)],
     )
     sol = solve_lp(problem)

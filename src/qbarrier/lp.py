@@ -44,6 +44,8 @@ from .templates import (
     CertificateError,
     full_template,
     real_combination,
+    side_conditions,
+    side_value,
 )
 
 log = logging.getLogger(__name__)
@@ -100,13 +102,7 @@ class SynthesisConfig:
         for key, value in (("epsilon", self.eps), ("gamma", self.gamma)):
             if value != "free" and not math.isfinite(value):
                 raise LPError(f"{key} must be finite or free, got {value}")
-        # the side row takes k times each fixed threshold
-        rhs = MARGIN
-        for name, value in self.fixed_constants().items():
-            rhs += self.k * value
-            if not math.isfinite(rhs):
-                key = "epsilon" if name == "eps" else name
-                raise LPError(f"{key} = {value:g} overflows the side condition at k = {self.k}")
+        self.side_bound()
 
     def fixed_constants(self) -> dict[str, float]:
         """The thresholds this job fixes: epsilon is the step threshold eps
@@ -117,6 +113,23 @@ class SynthesisConfig:
             for kind, name in (("step", "eps"), ("time-shift", "gamma"))
             if THRESHOLDS[self.flavor].get(kind) == name and values[name] != "free"
         }
+
+    def separation(self) -> dict[str, int]:
+        """The linear form of the side condition that synthesis maximizes."""
+        return side_conditions(self.flavor, self.k, self.horizon)[-1][1]
+
+    def side_bound(self) -> float:
+        """Bound of the side row -separation <= bound: -MARGIN plus the
+        separation's terms in the constants this job fixes."""
+        fixed = self.fixed_constants()
+        bound = -MARGIN
+        for name, coef in self.separation().items():
+            if name in fixed:
+                bound += coef * fixed[name]
+                if not math.isfinite(bound):
+                    key = "epsilon" if name == "eps" else name
+                    raise LPError(f"{key} = {fixed[name]:g} overflows the side condition at k = {self.k}")
+        return bound
 
 
 class DenseRows:
@@ -651,28 +664,18 @@ class ScenarioLP:
                 fam = replace(fam, rhs=fam.sign * fixed[const])
             family(name, fam)
 
-        # side-condition row and objective
+        # the objective is the separation over the LP's constants; a
+        # separation of one constant is that constant's lower bound, which
+        # the acceptance test objective >= MARGIN enforces, so only a sum
+        # gets the row separation >= MARGIN
+        form = cfg.separation()
         objective = np.zeros(width)
-        if self.flavor == "invariant":
-            objective[fv["gamma"]] = 1.0
-        elif self.flavor == "finite-horizon":
-            t_hor = int(cfg.horizon)
-            objective[fv["gamma"]] = -1.0
-            objective[fv["lam"]] = 1.0
-            objective[fv["delta"]] = -float(t_hor)
-            side = {fv["gamma"]: 1.0, fv["lam"]: -1.0, fv["delta"]: float(t_hor)}
-            family("side", _Family(flavor=side, rhs=-MARGIN))
-        else:  # d > k * (eps [+ gamma]) + margin
-            objective[fv["d"]] = 1.0
-            side = {fv["d"]: -1.0}
-            bound = -MARGIN
-            for name in ("eps", "gamma") if self.flavor == "hybrid" else ("eps",):
-                if name in fv:
-                    side[fv[name]] = float(self.k)
-                    objective[fv[name]] = -float(self.k)
-                else:
-                    bound -= self.k * fixed[name]
-            family("side", _Family(flavor=side, rhs=bound))
+        for name, coef in form.items():
+            if name in fv:
+                objective[fv[name]] = coef
+        if len(form) > 1:
+            side = {fv[name]: -float(coef) for name, coef in form.items() if name in fv}
+            family("side", _Family(flavor=side, rhs=cfg.side_bound()))
 
         bounds: list[tuple[float | None, float | None]] = []
         for v in range(self.n_vec):
@@ -935,9 +938,8 @@ class ScenarioLP:
             ext[kind] - (sign[kind] * c[name] if name else 0.0)
             for kind, name in self.thresholds.items()
         )
-        if cert.flavor == "finite-horizon":
-            worst = max(worst, c["gamma"] + c["delta"] * c["T"] + MARGIN * 0.5 - c["lam"])
-        return worst
+        separation = side_value(cert.side_conditions[-1][1], c, cert.decimals)
+        return max(worst, MARGIN * 0.5 - float(separation))
 
 
 def build_lp(

@@ -12,6 +12,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .templates import exact_value
+
 Exps = tuple[int, ...]
 
 
@@ -206,12 +208,6 @@ def z_conj_poly(dim: int, nvars: int, j: int) -> ComplexPoly:
     return ComplexPoly(var_x(dim, nvars, j), var_y(dim, nvars, j).scale(-1))
 
 
-def _coeff_fraction(value: float, decimals: int | None) -> Fraction:
-    if decimals is not None:
-        return Fraction(format(value, f".{decimals}f"))
-    return Fraction(value)
-
-
 def certificate_realpoly(cert, offset: int = 0, extra_vars: int = 0) -> RealPoly:
     """Expand the certificate's real value into a polynomial over (x, y).
 
@@ -227,8 +223,8 @@ def certificate_realpoly(cert, offset: int = 0, extra_vars: int = 0) -> RealPoly
             continue
         cp = ComplexPoly.constant(
             nvars,
-            _coeff_fraction(float(alpha.real), cert.decimals),
-            _coeff_fraction(float(alpha.imag), cert.decimals),
+            exact_value(float(alpha.real), cert.decimals),
+            exact_value(float(alpha.imag), cert.decimals),
         )
         for j in range(dim):
             for _ in range(term.exponents[j]):

@@ -26,7 +26,7 @@ from ..realpoly import (
     sphere_poly,
 )
 from ..regions import Region
-from ..templates import THRESHOLDS, Certificate
+from ..templates import THRESHOLDS, Certificate, side_value
 
 
 class EncodeError(ValueError):
@@ -307,15 +307,6 @@ class ConditionSpec:
     offset: int = 0
 
 
-# the side conditions on the constants, checked after the state conditions
-_SIDE_CONDITIONS = {
-    "invariant": ("side-positivity",),
-    "k-inductive": ("side-margin",),
-    "hybrid": ("side-margin",),
-    "finite-horizon": ("side-drift", "side-margin"),
-}
-
-
 def conditions_for(cert: Certificate) -> list[ConditionSpec]:
     """Canonical per-flavor condition list; verification order follows it.
     A hybrid certificate has unsafe, step and time-shift once per offset."""
@@ -326,19 +317,22 @@ def conditions_for(cert: Certificate) -> list[ConditionSpec]:
             out += [ConditionSpec(f"{base}-t{t}", kind, t) for t in range(cert.k)]
         else:
             out.append(ConditionSpec(base, kind))
-    out += [ConditionSpec(cid, "side") for cid in _SIDE_CONDITIONS[cert.flavor]]
+    out += [ConditionSpec(cid, "side") for cid, _, _ in cert.side_conditions]
     return out
 
 
-def _threshold(cert: Certificate, kind: str) -> Fraction:
-    """The constant a condition of this kind is compared against, exact at
-    the certificate's decimals."""
-    name = THRESHOLDS[cert.flavor][kind]
-    if name is None:
-        return Fraction(0)
-    value = cert.constants[name]
-    dec = cert.decimals
-    return Fraction(format(value, f".{dec}f")) if dec is not None else Fraction(float(value))
+def side_query(condition, value: Fraction, timeout_s: float) -> SMTQuery:
+    """The negated side condition (condition id, form, strict) of
+    `templates.side_conditions`, whose form takes `value`: value <= 0 when
+    the condition is strict, value < 0 otherwise."""
+    cid, _, strict = condition
+    con = StructConstraint(
+        poly=RealPoly.constant(0, value),
+        op="<=" if strict else "<",
+        rhs=Fraction(0),
+        negated_condition=True,
+    )
+    return SMTQuery(condition_id=cid, dim=0, var_names=(), constraints=(con,), timeout_s=timeout_s)
 
 
 def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
@@ -388,48 +382,11 @@ def encode_condition(
     flavor = cert.flavor
     kind = spec.kind
     t = spec.offset
-
     if kind == "side":
-        c = cert.constants
-        if spec.condition_id == "side-positivity":
-            con = StructConstraint(
-                poly=RealPoly.constant(0, _threshold(cert, "unsafe")),
-                op="<=",
-                rhs=Fraction(0),
-                negated_condition=True,
-            )
-        elif spec.condition_id == "side-drift":
-            con = StructConstraint(
-                poly=RealPoly.constant(0, Fraction(float(c["delta"]))),
-                op="<",
-                rhs=Fraction(0),
-                negated_condition=True,
-            )
-        else:  # side-margin
-            if flavor == "finite-horizon":
-                margin = Fraction(float(c["lam"])) - Fraction(float(c["gamma"])) - Fraction(
-                    float(c["delta"])
-                ) * int(c["T"])
-            elif flavor == "hybrid":
-                margin = Fraction(float(c["d"])) - k * (
-                    Fraction(float(c["eps"])) + Fraction(float(c["gamma"]))
-                )
-            else:
-                margin = Fraction(float(c["d"])) - k * Fraction(float(c["eps"]))
-            con = StructConstraint(
-                poly=RealPoly.constant(0, margin),
-                op="<=",
-                rhs=Fraction(0),
-                negated_condition=True,
-            )
-        return SMTQuery(
-            condition_id=spec.condition_id,
-            dim=dim,
-            var_names=(),
-            constraints=(con,),
-            timeout_s=timeout_s,
-        )
+        condition = next(c for c in cert.side_conditions if c[0] == spec.condition_id)
+        return side_query(condition, side_value(condition[1], cert.constants, cert.decimals), timeout_s)
 
+    threshold = cert.exact(THRESHOLDS[flavor][kind])
     if kind in ("init", "unsafe", "time-shift"):
         nvars = amplitude_vars(dim)
         names = _var_names(dim, 0, 0)
@@ -442,7 +399,7 @@ def encode_condition(
                 StructConstraint(
                     poly=body,
                     op=">",
-                    rhs=_threshold(cert, kind),
+                    rhs=threshold,
                     negated_condition=True,
                 )
             )
@@ -454,7 +411,7 @@ def encode_condition(
                 StructConstraint(
                     poly=body,
                     op="<",
-                    rhs=_threshold(cert, kind),
+                    rhs=threshold,
                     negated_condition=True,
                 )
             )
@@ -467,7 +424,7 @@ def encode_condition(
                 StructConstraint(
                     poly=nxt.sub(cur),
                     op=">",
-                    rhs=_threshold(cert, kind),
+                    rhs=threshold,
                     negated_condition=True,
                 )
             )
@@ -508,7 +465,7 @@ def encode_condition(
         StructConstraint(
             poly=after.sub(before),
             op=">",
-            rhs=_threshold(cert, kind),
+            rhs=threshold,
             negated_condition=True,
         )
     )

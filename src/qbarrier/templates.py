@@ -8,7 +8,9 @@ term, Re(a)*Re(c) - Im(a)*Im(c) where c is the evaluated monomial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,13 +20,46 @@ FLAVORS = ("invariant", "k-inductive", "hybrid", "finite-horizon")
 # constant each one is compared against (None: zero). init bounds B from
 # above and unsafe from below; step, time-shift and k-step bound from above
 # the growth of B over one step, from one offset to the next, and over k
-# steps. The side conditions on the constants follow these, per flavor.
+# steps. The side conditions on the constants (`side_conditions`) follow.
 THRESHOLDS = {
     "invariant": {"init": None, "unsafe": "gamma", "step": None},
     "k-inductive": {"init": None, "unsafe": "d", "step": "eps", "k-step": None},
     "hybrid": {"init": None, "unsafe": "d", "step": "eps", "time-shift": "gamma", "k-step": None},
     "finite-horizon": {"init": "gamma", "unsafe": "lam", "step": "delta"},
 }
+
+
+def side_conditions(flavor: str, k: int = 1, horizon: int | None = None):
+    """A flavor's side conditions on its constants in verification order:
+    (condition id, linear form {constant: coefficient}, strict), each asking
+    form > 0 when strict and form >= 0 otherwise. The last is the
+    separation that synthesis maximizes."""
+    if flavor == "invariant":
+        return (("side-positivity", {"gamma": 1}, True),)
+    if flavor == "finite-horizon":
+        return (
+            ("side-drift", {"delta": 1}, False),
+            ("side-margin", {"gamma": -1, "lam": 1, "delta": -horizon}, True),
+        )
+    form = {"d": 1, "eps": -k} | ({"gamma": -k} if flavor == "hybrid" else {})
+    return (("side-margin", form, True),)
+
+
+def exact_value(value: float, decimals: int | None) -> Fraction:
+    """A certificate number as its conditions read it: the decimal string at
+    `decimals` places, or the exact binary value when decimals is None."""
+    if decimals is not None:
+        return Fraction(format(value, f".{decimals}f"))
+    return Fraction(float(value))
+
+
+def side_value(form: dict[str, int], constants: dict[str, float], decimals: int | None = None) -> Fraction:
+    """A side condition's linear form at the constants, read exactly."""
+    return sum((c * exact_value(constants[name], decimals) for name, c in form.items()), Fraction(0))
+
+
+def side_holds(value: Fraction, strict: bool) -> bool:
+    return value > 0 if strict else value >= 0
 
 
 class TemplateError(ValueError):
@@ -172,38 +207,6 @@ def real_combination(coeffs: np.ndarray, term_values: np.ndarray) -> np.ndarray:
     return term_values.real @ coeffs.real - term_values.imag @ coeffs.imag
 
 
-def _check_side_condition(flavor: str, constants: dict[str, float], k: int):
-    if flavor == "invariant":
-        if constants.get("gamma", 0.0) <= 0.0:
-            raise CertificateError("invariant flavor needs gamma > 0")
-    elif flavor == "k-inductive":
-        d, eps = constants["d"], constants["eps"]
-        if not d > k * eps:
-            raise CertificateError(f"side condition d > k*eps fails: {d} <= {k * eps}")
-    elif flavor == "hybrid":
-        d, eps, gam = constants["d"], constants["eps"], constants["gamma"]
-        if not d > k * (eps + gam):
-            raise CertificateError(
-                f"side condition d > k*(eps+gamma) fails: {d} <= {k * (eps + gam)}"
-            )
-    elif flavor == "finite-horizon":
-        gam, lam, delta, t = (
-            constants["gamma"],
-            constants["lam"],
-            constants["delta"],
-            constants["T"],
-        )
-        if delta < 0:
-            raise CertificateError("finite-horizon flavor needs delta >= 0")
-        if not gam + delta * t < lam:
-            raise CertificateError(
-                f"side condition gamma + delta*T < lam fails: "
-                f"{gam + delta * t} >= {lam}"
-            )
-    else:
-        raise CertificateError(f"unknown flavor {flavor!r}")
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Template plus coefficients and the flavor constants they were found with.
@@ -236,13 +239,46 @@ class Certificate:
         if self.flavor != "hybrid" and len(vecs) != 1:
             raise CertificateError(f"{self.flavor} flavor takes one coefficient vector")
         object.__setattr__(self, "coeff_vectors", tuple(vecs))
-        _check_side_condition(self.flavor, self.constants, self.k)
+        dec = self.decimals
+        if dec is not None and (type(dec) is not int or dec < 0):
+            raise CertificateError(f"decimals must be null or an integer >= 0, got {dec!r}")
+        c = self.constants
+        if self.flavor == "finite-horizon" and "T" not in c:
+            raise CertificateError("finite-horizon flavor needs the horizon T")
+        for name, value in c.items():
+            if not math.isfinite(value):
+                raise CertificateError(f"constant {name} must be finite, got {value}")
+            if name in ("k", "T") and not (float(value).is_integer() and value >= 1):
+                raise CertificateError(f"constant {name} must be an integer >= 1, got {value}")
+        if self.flavor == "hybrid" and c.get("k", len(vecs)) != len(vecs):
+            raise CertificateError(f"hybrid k = {c['k']:g} but {len(vecs)} coefficient vectors")
+        # the constants as written; the SMT gate reads them at `decimals`.
+        # The forms name every constant that THRESHOLDS does.
+        for cid, form, strict in self.side_conditions:
+            if form.keys() - c.keys():
+                raise CertificateError(f"{self.flavor} flavor needs constants {sorted(form)}")
+            value = side_value(form, c)
+            if not side_holds(value, strict):
+                raise CertificateError(f"side condition {cid} fails: {form} = {float(value):.6g}")
 
     @property
     def k(self) -> int:
         if self.flavor == "hybrid":
             return len(self.coeff_vectors)
         return int(self.constants.get("k", 1))
+
+    @property
+    def horizon(self) -> int | None:
+        return int(self.constants["T"]) if self.flavor == "finite-horizon" else None
+
+    @property
+    def side_conditions(self):
+        return side_conditions(self.flavor, self.k, self.horizon)
+
+    def exact(self, name: str | None) -> Fraction:
+        """Constant `name` (zero for None) exact at the certificate's
+        decimals, as every SMT condition reads it."""
+        return exact_value(self.constants[name], self.decimals) if name else Fraction(0)
 
     @property
     def dim(self) -> int:

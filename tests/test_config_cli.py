@@ -224,6 +224,103 @@ def test_verify_dimension_mismatch(tiny_config, tmp_path, capsys):
     assert code > 2
 
 
+# one X flip carries init into unsafe
+X_FLIP_CFG = """
+[circuit]
+qubits = 1
+map.u0 = X 0
+schedule = constant u0
+
+[regions]
+init = prob(0) >= 0.9
+unsafe = prob(1) >= 0.9
+
+[synthesis]
+flavor = k-inductive
+k = 2
+"""
+
+# B = 0 with d = 0.4, eps = 0.1 as written, but d = eps = 0 at zero
+# decimals, which is what every state condition reads
+ZERO_CERT = {
+    "dim": 2,
+    "flavor": "k-inductive",
+    "terms": [[0, 0, 0, 0]],
+    "coefficients": [[[0, 0]]],
+    "constants": {"d": 0.4, "eps": 0.1, "k": 2},
+    "decimals": 0,
+}
+
+
+def _verify(tmp_path, cfg_text, cert_doc):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(cfg_text)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_doc))
+    return main(["verify", str(cert), "--config", str(cfg), "--out", str(tmp_path / "v")])
+
+
+def test_verify_reads_side_conditions_at_the_certificate_decimals(tmp_path, capsys):
+    assert _verify(tmp_path, X_FLIP_CFG, ZERO_CERT) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split()[:2] == ["side-margin", "sat"]
+    assert lines[-1] == "overall: refuted"
+    assert all(line.split()[1] == "unsat" for line in lines[:-2])
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"decimals": -1}, "decimals must be null or an integer >= 0"),
+        ({"constants": {"d": 0.4, "eps": 0.1, "k": 0}}, "k must be an integer >= 1"),
+    ],
+)
+def test_verify_rejects_malformed_certificates(tmp_path, capsys, change, message):
+    assert _verify(tmp_path, X_FLIP_CFG, ZERO_CERT | change) == 4
+    assert message in capsys.readouterr().err
+
+
+# the 3-cycle |01> -> |10> -> |11>: init reaches unsafe at step 2
+CYCLE_CFG = """
+[circuit]
+qubits = 2
+map.u0 = CX 0 1; SWAP 0 1
+schedule = constant u0
+
+[regions]
+init = prob(1) >= 0.9
+unsafe = prob(3) >= 0.9
+
+[synthesis]
+flavor = finite-horizon
+horizon = 2
+"""
+
+# B = |z2|^2 + 2|z3|^2 proves one step safe
+ONE_STEP_CERT = {
+    "dim": 4,
+    "flavor": "finite-horizon",
+    "terms": [[0] * 8, [0, 0, 1, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0, 0, 1]],
+    "coefficients": [[[0, 0], [1, 0], [2, 0]]],
+    "constants": {"gamma": 0.2, "lam": 1.7, "delta": 1, "T": 1},
+}
+
+
+def test_verify_checks_the_certificate_horizon_against_the_job(tmp_path, capsys):
+    from qbarrier.oracle import trajectory_safe
+
+    job = tmp_path / "cycle.cfg"
+    job.write_text(CYCLE_CFG)
+    job = load_config(job)
+    assert not trajectory_safe(job.dynamics, job.init_region, job.unsafe_region, 2, grid=50)
+    assert _verify(tmp_path, CYCLE_CFG, ONE_STEP_CERT) == 4
+    assert "horizon T = 1 does not match the job horizon 2" in capsys.readouterr().err
+    no_horizon = CYCLE_CFG.replace("flavor = finite-horizon\nhorizon = 2", "flavor = invariant")
+    assert _verify(tmp_path, no_horizon, ONE_STEP_CERT) == 4
+    assert "job horizon None" in capsys.readouterr().err
+    assert _verify(tmp_path, CYCLE_CFG.replace("horizon = 2", "horizon = 1"), ONE_STEP_CERT) == 0
+
+
 def test_sample_command_rows_and_determinism(tiny_config, tmp_path):
     f1, f2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(["sample", "--config", str(tiny_config), "--count", "10",

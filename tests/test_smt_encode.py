@@ -251,7 +251,7 @@ PINNED_SHA256 = {
         "unsafe": "7ad5584cf83744d7b51af48ea1bc1d366b870038be04c8528111f92209ff5078",
         "step": "6fcd3e4179cc61b1a30149eabea954bb820d69c15a1d4d2fc4dfdca3d90cd367",
         "k-step": "edc04ef1d5bec152a5f4b691bdb4f39a9c57089cb505ae314fe1dbad35dabd53",
-        "side-margin": "7c7a2524be62da2086b4049efe7db2e97e138f3961478762d7165c8c2ca859db",
+        "side-margin": "7c7f583c3f13389111bb02184628ac1511dad6c236d29cd8bbe03e81506697e9",
     },
     "z-invariant": {
         "init": "ef59f9c8341e8d922f53cf33aa8cacbbc874ced6e91f63c7c60a97662c622ed1",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbarrier import (
     BarrierTemplate,
@@ -12,7 +14,17 @@ from qbarrier import (
     eval_real,
     full_template,
 )
-from qbarrier.templates import CertificateError, Monomial, TemplateError
+from qbarrier.smt.builtin import solve_problem
+from qbarrier.smt.encode import conditions_for, encode_condition, side_query
+from qbarrier.smt.run import builtin_problem
+from qbarrier.templates import (
+    FLAVORS,
+    CertificateError,
+    Monomial,
+    TemplateError,
+    side_conditions,
+    side_value,
+)
 
 
 def brute_force_count(dim, deg):
@@ -175,6 +187,91 @@ def test_side_condition_validation():
             flavor="k-inductive",
             constants={"d": 0.01, "eps": 0.01, "k": 2},
         )
+
+
+def _constant_certificate(flavor, constants, decimals=None, vectors=1):
+    return Certificate(
+        template=full_template(2, 2).prefix(1),
+        coeff_vectors=(np.zeros(1, dtype=complex),) * vectors,
+        flavor=flavor,
+        constants=constants,
+        decimals=decimals,
+    )
+
+
+@pytest.mark.parametrize("decimals", [-1, 1.5, "6", True])
+def test_decimals_must_be_null_or_a_nonnegative_integer(decimals):
+    constants = {"d": 0.4, "eps": 0.1, "k": 2}
+    for ok in (None, 0, 6):
+        _constant_certificate("k-inductive", constants, ok)
+    with pytest.raises(CertificateError, match="decimals"):
+        _constant_certificate("k-inductive", constants, decimals)
+
+
+@pytest.mark.parametrize(
+    "flavor,constants,vectors,match",
+    [
+        ("k-inductive", {"d": 0.4, "eps": 0.1, "k": 0}, 1, "k must be an integer >= 1"),
+        ("k-inductive", {"d": 0.4, "eps": 0.1, "k": 1.5}, 1, "k must be an integer >= 1"),
+        ("hybrid", {"d": 0.4, "eps": 0.1, "gamma": 0.0, "k": -2}, 2, "k must be an integer >= 1"),
+        ("hybrid", {"d": 0.9, "eps": 0.1, "gamma": 0.0, "k": 3}, 2, "hybrid k = 3 but 2"),
+        ("finite-horizon", {"gamma": 0.0, "lam": 1.0, "delta": 0.1, "T": 0}, 1, "T must be"),
+        ("finite-horizon", {"gamma": 0.0, "lam": 1.0, "delta": 0.1, "T": 2.5}, 1, "T must be"),
+        ("finite-horizon", {"gamma": 0.0, "lam": 1.0, "delta": 0.1}, 1, "needs the horizon T"),
+        ("finite-horizon", {"gamma": 0.0, "lam": math.inf, "delta": 0.1, "T": 2}, 1, "finite"),
+        ("k-inductive", {"d": 0.4, "k": 2}, 1, "needs constants"),
+        ("invariant", {}, 1, "needs constants"),
+    ],
+)
+def test_malformed_constants_are_rejected(flavor, constants, vectors, match):
+    with pytest.raises(CertificateError, match=match):
+        _constant_certificate(flavor, constants, vectors=vectors)
+
+
+@pytest.mark.parametrize("k", [{}, {"k": 3}, {"k": 3.0}])
+def test_hybrid_k_when_given_is_the_vector_count(k):
+    constants = {"d": 0.9, "eps": 0.1, "gamma": 0.1} | k
+    assert _constant_certificate("hybrid", constants, vectors=3).k == 3
+
+
+# multiples of 1/8 have three decimals and are exact in binary, so the
+# constants as written and read at three decimals are the same rationals
+GRID = 8
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_certificate_accepts_exactly_the_constants_its_side_queries_prove(flavor, data):
+    k = data.draw(st.integers(1, 4)) if flavor in ("k-inductive", "hybrid") else 1
+    horizon = data.draw(st.integers(1, 5))
+    sides = side_conditions(flavor, k, horizon)
+    names = sorted({n for _, form, _ in sides for n in form})
+    constants = {n: data.draw(st.integers(-24, 24)) / GRID for n in names}
+    if "delta" in constants:
+        constants["delta"] = data.draw(st.sampled_from([0, -1, 1, 5])) / GRID
+    # the separation lands on -3/8..3/8, zero (an exact tie) included
+    form = sides[-1][1]
+    lead = next(n for n, c in form.items() if c == 1)
+    rest = sum(c * constants[n] for n, c in form.items() if n != lead)
+    constants[lead] = data.draw(st.integers(-3, 3)) / GRID - rest
+    decimals = data.draw(st.sampled_from([None, 3]))
+    queries = [side_query(cond, side_value(cond[1], constants, decimals), 60.0) for cond in sides]
+    proved = all(solve_problem(builtin_problem(q))[0] == "unsat" for q in queries)
+    counts = {"T": horizon} if flavor == "finite-horizon" else {"k": k}
+    try:
+        cert = _constant_certificate(flavor, constants | counts, decimals, k if flavor == "hybrid" else 1)
+    except CertificateError:
+        assert not proved
+        return
+    assert proved
+    # the encoder emits the same side queries for the certificate
+    emitted = [
+        encode_condition(cert, spec, None, None, None, None, 60.0)
+        for spec in conditions_for(cert)
+        if spec.kind == "side"
+    ]
+    assert [q.text for q in emitted] == [q.text for q in queries]
 
 
 def test_duplicate_terms_rejected():
