@@ -207,14 +207,8 @@ def cmd_synth(args) -> int:
 
 def _load_certificate(path: str):
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") == "angle-linear":
-        return AngleCertificate(
-            c=doc["c"],
-            gamma=doc["gamma"],
-            lam=doc["lam"],
-            delta=doc["delta"],
-            horizon=doc["T"],
-        )
+    if isinstance(doc, dict) and doc.get("kind") == "angle-linear":
+        return AngleCertificate.from_dict(doc)
     return Certificate.from_dict(doc)
 
 

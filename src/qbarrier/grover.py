@@ -137,6 +137,16 @@ class AngleCertificate:
     def value(self, phi: float) -> float:
         return self.c * phi
 
+    @staticmethod
+    def from_dict(doc: dict) -> "AngleCertificate":
+        """The certificate `to_dict` writes; a field that is not a finite
+        number raises GroverError naming it."""
+        for name in ("c", "gamma", "lam", "delta", "T"):
+            value = doc[name]
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise GroverError(f"angle certificate field {name!r} must be a finite number, got {value!r}")
+        return AngleCertificate(doc["c"], doc["gamma"], doc["lam"], doc["delta"], horizon=doc["T"])
+
     def to_dict(self) -> dict:
         return {
             "kind": "angle-linear",

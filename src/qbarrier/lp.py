@@ -1,8 +1,11 @@
 """Scenario linear programs for certificate synthesis, and the search loop.
 
 For a chosen flavor the sampled conditions become linear rows over the real
-and imaginary parts of the template coefficients plus the flavor constants;
-the objective maximizes the flavor's separation slack. Extraction polishes
+and imaginary parts of the template coefficients plus the flavor constants:
+one row family per entry of `templates.state_conditions`, named by its
+condition id, over the entry's region or the images of the global states
+under its step window. The objective maximizes the flavor's separation
+slack. Extraction polishes
 the raw optimum (canonical level, small L1, trailing terms zeroed), rounds
 coefficients to a decimal grid, recomputes constants directly from the
 scenario extrema with directional rounding, and keeps part of the separation
@@ -12,7 +15,8 @@ immediately refute the candidate.
 The loop follows the incremental recipe: grow the term list one monomial at
 a time, solve the scenario LP, and hand positive candidates to the SMT gate;
 refutation models are fed back into the scenario rows (counterexample-guided
-rounds) before the template grows.
+rounds) before the template grows; a counterexample joins the rows of the
+condition it refutes.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from .templates import (
     real_combination,
     side_conditions,
     side_value,
+    state_conditions,
 )
 
 log = logging.getLogger(__name__)
@@ -375,8 +380,10 @@ class ScenarioRows:
 
     The sampled states are fixed for a job and the template only grows, so
     each term is evaluated once per row: a longer template adds columns and a
-    counterexample adds a block of one row. A step family is the global blocks
-    and their images under each parameter draw, then its own counterexamples.
+    counterexample adds a block of one row. A condition over a step window
+    has the global blocks and their images under each of the window's
+    parameter draws, then its own counterexamples; any other condition has
+    its region's blocks.
     """
 
     def __init__(self, scenarios: Scenarios, dynamics: Dynamics, cfg: SynthesisConfig):
@@ -387,25 +394,23 @@ class ScenarioRows:
             raise LPError("hybrid flavor needs the schedule period to divide k")
         self.dyn = dynamics
         self.cfg = cfg
+        self.conditions = {c.condition_id: c for c in state_conditions(cfg.flavor, self.k)}
         self.template: BarrierTemplate | None = None  # the terms evaluated so far
         self.blocks: list[_Block] = []
         gl = scenarios.global_states
-        self.init, self.unsafe = [self._new(scenarios.init)], [self._new(scenarios.unsafe)]
-        self.glob = [self._new(gl)]
-        self.draws = []  # (matrix, image blocks of the global blocks)
-
-        def images(t0, count):
-            mats = _step_matrices(dynamics, cfg, t0, count)
-            out = [(m, [self._new(_image(gl, m))]) for m in mats]
-            self.draws += out
-            return out
-
-        offsets = range(self.k) if cfg.flavor == "hybrid" else [0]
-        self.steps = [(images(t, 1), []) for t in offsets]  # (draws, own (before, after))
-        self.kstep = None
-        if cfg.flavor in ("k-inductive", "hybrid"):
-            # a one-step window draws what step 0 draws: share its images
-            self.kstep = (self.steps[0][0] if self.k == 1 else images(0, self.k), [])
+        self.regions = {
+            "init": [self._new(scenarios.init)],
+            "unsafe": [self._new(scenarios.unsafe)],
+            "global": [self._new(gl)],
+        }
+        self.images = {}  # window -> (matrix, image blocks of the global blocks) per draw
+        self.own = {}  # condition id -> its counterexamples' (before, after) blocks
+        for c in self.conditions.values():
+            if c.window is not None:
+                self.own[c.condition_id] = []
+                if c.window not in self.images:
+                    mats = _step_matrices(dynamics, cfg, *c.window)
+                    self.images[c.window] = [(m, [self._new(_image(gl, m))]) for m in mats]
 
     def _new(self, states: np.ndarray) -> _Block:
         self.blocks.append(_Block(states))
@@ -417,8 +422,9 @@ class ScenarioRows:
         return sum(b.values.size for b in self.blocks)
 
     def families(self, template: BarrierTemplate):
-        """(init_T, unsafe_T, global_T, step_data, kstep_data) on a prefix of
-        the table's terms, or on a template extending them, evaluated first."""
+        """({region: term values}, {condition id: (after, before)}) on a
+        prefix of the table's terms, or on a template extending them,
+        evaluated first; `before` is None where the condition subtracts none."""
         have = self.template.n_terms if self.template else 0
         nt = template.n_terms
         if self.template and template.terms[:have] != self.template.terms[:nt]:
@@ -436,39 +442,40 @@ class ScenarioRows:
             parts = [b.values[:, :nt] for b in blocks]
             return parts[0] if len(parts) == 1 else np.vstack(parts)
 
-        def family(draws, own):
-            after = [b for _, blocks in draws for b in blocks] + [a for _, a in own]
-            return rows(self.glob * len(draws) + [b for b, _ in own]), rows(after)
-
-        return (
-            rows(self.init),
-            rows(self.unsafe),
-            rows(self.glob),
-            [family(*step) for step in self.steps],
-            family(*self.kstep) if self.kstep else None,
-        )
+        regions = {name: rows(blocks) for name, blocks in self.regions.items()}
+        out = {}
+        for cid, c in self.conditions.items():
+            if c.window is None:
+                after = before = regions[c.region]
+            else:
+                draws, own = self.images[c.window], self.own[cid]
+                after = rows([b for _, blocks in draws for b in blocks] + [a for _, a in own])
+                before = rows(self.regions[c.region] * len(draws) + [b for b, _ in own])
+            out[cid] = (after, before if c.before is not None else None)
+        return regions, out
 
     def absorb(self, condition_id: str, state, params) -> None:
         """Add a refuted condition's counterexample to the rows of that
-        condition; its term values are evaluated with the next families."""
+        condition; its term values are evaluated with the next families. Over
+        a step window the state and its image under the model's parameters
+        are the condition's own; otherwise the state joins its region, and a
+        global state adds a row to every image."""
+        c = self.conditions.get(condition_id)
+        if c is None:
+            raise LPError(f"condition {condition_id!r} has no scenario rows")
         state = np.asarray(state, dtype=complex).reshape(1, -1)
-        if condition_id == "init":
-            self.init.append(self._new(state))
-        elif condition_id.startswith("unsafe"):
-            self.unsafe.append(self._new(state))
-        elif condition_id.startswith("step"):
-            t = int(condition_id.rsplit("-t", 1)[1]) if "-t" in condition_id else 0
-            mat = self.dyn.map_at(t).matrix(params or None)
-            self.steps[t][1].append((self._new(state), self._new((mat @ state[0])[None])))
-        elif condition_id == "k-step":
+        if c.window is not None:
+            t0, count = c.window
             flat = iter(params)  # the parameters of each step in turn
-            seq = [tuple(islice(flat, self.dyn.map_at(i).n_params)) or None for i in range(self.k)]
-            mat = self.dyn.composed_matrix(0, self.k, seq)
-            self.kstep[1].append((self._new(state), self._new((mat @ state[0])[None])))
-        else:  # time-shift (or side): a global state, so a row of every image
-            self.glob.append(self._new(state))
-            for mat, blocks in self.draws:
-                blocks.append(self._new(_image(state, mat)))
+            seq = [tuple(islice(flat, self.dyn.map_at(t0 + i).n_params)) or None for i in range(count)]
+            mat = self.dyn.composed_matrix(t0, count, seq)
+            self.own[condition_id].append((self._new(state), self._new((mat @ state[0])[None])))
+            return
+        self.regions[c.region].append(self._new(state))
+        if c.region == "global":
+            for draws in self.images.values():
+                for mat, blocks in draws:
+                    blocks.append(self._new(_image(state, mat)))
 
 
 @dataclass
@@ -582,43 +589,19 @@ class ScenarioLP:
         self.nt = template.n_terms
         self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
         self.polish_rows_kept = 0
-        families = rows.families(template)
-        self.init_T, self.unsafe_T, self.global_T, self.step_data, self.kstep_data = families
+        regions, values = rows.families(template)
+        self.init_T, self.unsafe_T, self.global_T = (regions[r] for r in ("init", "unsafe", "global"))
         self.thresholds = THRESHOLDS[self.flavor]
-        self.term_families = self._term_families()
-
-    def _term_families(self) -> list[tuple[str, str, _Family]]:
-        """(family name, condition kind, rows without their threshold) in
-        condition order: sign * B at `after`, less B at `before` for the
-        conditions on a difference."""
-
-        def name(base, t):
-            return f"{base}@{t}" if self.n_vec > 1 else base
-
-        out = []
-        for kind in self.thresholds:
-            if kind == "init":
-                out.append(("init", kind, _Family(after=self.init_T)))
-            elif kind == "unsafe":
-                out += [
-                    (name("unsafe", v), kind, _Family(after=self.unsafe_T, vec=v, sign=-1.0))
-                    for v in range(self.n_vec)
-                ]
-            elif kind == "step":
-                out += [
-                    (name("step", t), kind, _Family(after=after, vec=t, before=before, before_vec=t))
-                    for t, (before, after) in enumerate(self.step_data)
-                ]
-            elif kind == "time-shift":  # B_{t+1} - B_t on the global states
-                gl = self.global_T
-                out += [
-                    (f"shift@{t}", kind, _Family(after=gl, vec=(t + 1) % self.k, before=gl, before_vec=t))
-                    for t in range(self.k)
-                ]
-            else:  # k-step
-                before, after = self.kstep_data
-                out.append(("k-step", kind, _Family(after=after, before=before)))
-        return out
+        # (condition id, kind, rows without their threshold) in condition
+        # order: sign * B_vec at `after`, less B_before at `before`
+        self.term_families = [
+            (cid, c.kind, _Family(after=values[cid][0], vec=c.vec, sign=float(c.sign),
+                                  before=values[cid][1], before_vec=c.before or 0))
+            for cid, c in rows.conditions.items()
+        ]
+        pairs = [(kind, (f.before, f.after)) for _, kind, f in self.term_families]
+        self.step_data = [p for kind, p in pairs if kind == "step"]
+        self.kstep_data = next((p for kind, p in pairs if kind == "k-step"), None)
 
     # ----- variable layout ----------------------------------------------
 

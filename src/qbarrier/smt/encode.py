@@ -1,10 +1,13 @@
 """Emission of certificate conditions as SMT-LIB2 problems over QF_NRA.
 
-Each universally quantified condition is negated into an existential search
-for a violating state: the query asserts region membership, the unit-sphere
-equation, parameter bounds, and the negated condition, all with exact
-rational literals. Files are byte-stable given the same certificate and
-configuration: declarations are sorted and monomials follow a fixed order.
+A certificate's conditions are its flavor's `templates.state_conditions`,
+then its side conditions. Each universally quantified state condition is
+negated into an existential search for a violating state, built on one path
+from its table entry: the query asserts membership of the entry's region,
+the unit-sphere equation, the parameter bounds of any uncertain step in its
+window, and the negated condition, all with exact rational literals. Files
+are byte-stable given the same certificate and configuration: declarations
+are sorted and monomials follow a fixed order.
 """
 from __future__ import annotations
 
@@ -26,7 +29,14 @@ from ..realpoly import (
     sphere_poly,
 )
 from ..regions import Region
-from ..templates import THRESHOLDS, Certificate, side_value
+from ..templates import (
+    THRESHOLDS,
+    Certificate,
+    SideCondition,
+    StateCondition,
+    side_value,
+    state_conditions,
+)
 
 
 class EncodeError(ValueError):
@@ -298,27 +308,10 @@ def matrix_row_im(mat, k, dim, nvars) -> RealPoly:
     return acc
 
 
-@dataclass(frozen=True)
-class ConditionSpec:
-    """Descriptor for one flavor condition checked one query at a time."""
-
-    condition_id: str
-    kind: str  # init | unsafe | step | time-shift | k-step | side
-    offset: int = 0
-
-
-def conditions_for(cert: Certificate) -> list[ConditionSpec]:
-    """Canonical per-flavor condition list; verification order follows it.
-    A hybrid certificate has unsafe, step and time-shift once per offset."""
-    out = []
-    for kind in THRESHOLDS[cert.flavor]:
-        base = "shift" if kind == "time-shift" else kind
-        if cert.flavor == "hybrid" and kind in ("unsafe", "step", "time-shift"):
-            out += [ConditionSpec(f"{base}-t{t}", kind, t) for t in range(cert.k)]
-        else:
-            out.append(ConditionSpec(base, kind))
-    out += [ConditionSpec(cid, "side") for cid, _, _ in cert.side_conditions]
-    return out
+def conditions_for(cert: Certificate) -> list[StateCondition | SideCondition]:
+    """A certificate's conditions in verification order: its flavor's
+    `state_conditions`, then its side conditions."""
+    return [*state_conditions(cert.flavor, cert.k), *cert.side_conditions]
 
 
 def side_query(condition, value: Fraction, timeout_s: float) -> SMTQuery:
@@ -335,11 +328,12 @@ def side_query(condition, value: Fraction, timeout_s: float) -> SMTQuery:
     return SMTQuery(condition_id=cid, dim=0, var_names=(), constraints=(con,), timeout_s=timeout_s)
 
 
-def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
+def _uncertain_step_poly(cert, offset, dyn, t0, count, dim):
     """B after `count` scheduled steps from t0, allowing uncertain factors.
 
     Allocates u/v variables lazily: two passes, first to count them, then to
-    build with the final variable width.
+    build with the final variable width. Returns (B, extra constraints,
+    variable count, variable names).
     """
     steps = [dyn.map_at(t0 + i) for i in range(count)]
     n_params = sum(s.n_params for s in steps)
@@ -357,115 +351,56 @@ def _uncertain_step_poly(cert, offset, dyn, t0, count, dim, base_nvars):
         a_base += a_used
         mat = m if mat is None else _matmul_symbolic(m, mat, nvars)
     poly = _substitute_cert(cert, offset, _row_forms(mat, dim, nvars), dim, nvars)
-    return poly, extra, nvars, n_params, n_aux
+    return poly, extra, nvars, _var_names(dim, n_params, n_aux)
 
 
 def encode_condition(
     cert: Certificate,
-    spec: ConditionSpec | str,
+    spec: StateCondition | SideCondition | str,
     init_region: Region,
     unsafe_region: Region,
     global_region: Region,
     dynamics: Dynamics | None,
     timeout_s: float = 300.0,
 ) -> SMTQuery:
-    """Build the negated-condition query for one condition id."""
+    """Build the negated-condition query for one condition (or its id): a
+    violating state in the condition's region, on the unit sphere, with
+    B_vec after the window's steps, less B_before at the state, above the
+    threshold (below it for sign -1)."""
     if isinstance(spec, str):
-        matches = [s for s in conditions_for(cert) if s.condition_id == spec]
-        if not matches:
-            raise EncodeError(
-                f"condition {spec!r} not applicable to flavor {cert.flavor!r}"
-            )
-        spec = matches[0]
+        table = {c.condition_id: c for c in conditions_for(cert)}
+        if spec not in table:
+            raise EncodeError(f"condition {spec!r} not applicable to flavor {cert.flavor!r}")
+        spec = table[spec]
+    if isinstance(spec, SideCondition):
+        return side_query(spec, side_value(spec.form, cert.constants, cert.decimals), timeout_s)
     dim = cert.dim
-    k = cert.k
-    flavor = cert.flavor
-    kind = spec.kind
-    t = spec.offset
-    if kind == "side":
-        condition = next(c for c in cert.side_conditions if c[0] == spec.condition_id)
-        return side_query(condition, side_value(condition[1], cert.constants, cert.decimals), timeout_s)
-
-    threshold = cert.exact(THRESHOLDS[flavor][kind])
-    if kind in ("init", "unsafe", "time-shift"):
-        nvars = amplitude_vars(dim)
-        names = _var_names(dim, 0, 0)
-        cons: list[StructConstraint] = []
-        if kind == "init":
-            cons += _region_constraints(init_region, dim, nvars)
-            cons.append(_sphere_constraint(dim, nvars))
-            body = certificate_realpoly(cert, 0)
-            cons.append(
-                StructConstraint(
-                    poly=body,
-                    op=">",
-                    rhs=threshold,
-                    negated_condition=True,
-                )
-            )
-        elif kind == "unsafe":
-            cons += _region_constraints(unsafe_region, dim, nvars)
-            cons.append(_sphere_constraint(dim, nvars))
-            body = certificate_realpoly(cert, t if flavor == "hybrid" else 0)
-            cons.append(
-                StructConstraint(
-                    poly=body,
-                    op="<",
-                    rhs=threshold,
-                    negated_condition=True,
-                )
-            )
-        else:  # time-shift: B_{t+1} - B_t <= gamma over the global region
-            cons += _region_constraints(global_region, dim, nvars)
-            cons.append(_sphere_constraint(dim, nvars))
-            nxt = certificate_realpoly(cert, (t + 1) % k)
-            cur = certificate_realpoly(cert, t)
-            cons.append(
-                StructConstraint(
-                    poly=nxt.sub(cur),
-                    op=">",
-                    rhs=threshold,
-                    negated_condition=True,
-                )
-            )
-        return SMTQuery(
-            condition_id=spec.condition_id,
-            dim=dim,
-            var_names=names,
-            constraints=tuple(cons),
-            timeout_s=timeout_s,
-        )
-
-    # step and k-step need the dynamics
-    if dynamics is None:
+    nvars = amplitude_vars(dim)
+    names = _var_names(dim, 0, 0)
+    extra: list[StructConstraint] = []
+    if spec.window is None:
+        after = certificate_realpoly(cert, spec.vec)
+    elif dynamics is None:
         raise EncodeError(f"condition {spec.condition_id!r} needs the dynamics")
-    offset = t if flavor == "hybrid" else 0
-    count = k if kind == "k-step" else 1
-    t0 = 0 if kind == "k-step" else t
-    target_offset = 0 if kind == "k-step" and flavor == "hybrid" else offset
-    if any(dynamics.map_at(t0 + i).n_params for i in range(count)):
-        after, extra, nvars, n_params, n_aux = _uncertain_step_poly(
-            cert, target_offset, dynamics, t0, count, dim, amplitude_vars(dim)
-        )
-        names = _var_names(dim, n_params, n_aux)
     else:
-        nvars = amplitude_vars(dim)
-        names = _var_names(dim, 0, 0)
-        mat = np.ascontiguousarray(dynamics.composed_matrix(t0, count), dtype=complex)
-        forms = _fixed_row_forms(mat.tobytes(), dim, nvars)
-        after = _substitute_cert(cert, target_offset, forms, dim, nvars)
-        extra = []
-    before = certificate_realpoly(
-        cert, offset, extra_vars=nvars - 2 * dim
-    )
-    cons = _region_constraints(global_region, dim, nvars)
+        t0, count = spec.window
+        if any(dynamics.map_at(t0 + i).n_params for i in range(count)):
+            after, extra, nvars, names = _uncertain_step_poly(cert, spec.vec, dynamics, t0, count, dim)
+        else:
+            mat = np.ascontiguousarray(dynamics.composed_matrix(t0, count), dtype=complex)
+            forms = _fixed_row_forms(mat.tobytes(), dim, nvars)
+            after = _substitute_cert(cert, spec.vec, forms, dim, nvars)
+    if spec.before is not None:
+        after = after.sub(certificate_realpoly(cert, spec.before, extra_vars=nvars - 2 * dim))
+    region = {"init": init_region, "unsafe": unsafe_region, "global": global_region}[spec.region]
+    cons = _region_constraints(region, dim, nvars)
     cons.append(_sphere_constraint(dim, nvars))
     cons.extend(extra)
     cons.append(
         StructConstraint(
-            poly=after.sub(before),
-            op=">",
-            rhs=threshold,
+            poly=after,
+            op=">" if spec.sign > 0 else "<",
+            rhs=cert.exact(THRESHOLDS[cert.flavor][spec.kind]),
             negated_condition=True,
         )
     )

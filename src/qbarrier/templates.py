@@ -11,16 +11,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 FLAVORS = ("invariant", "k-inductive", "hybrid", "finite-horizon")
 
-# Each flavor's conditions in verification order, with the certificate
+# Each flavor's condition kinds in verification order, with the certificate
 # constant each one is compared against (None: zero). init bounds B from
 # above and unsafe from below; step, time-shift and k-step bound from above
 # the growth of B over one step, from one offset to the next, and over k
-# steps. The side conditions on the constants (`side_conditions`) follow.
+# steps. `state_conditions` expands them into conditions; the side
+# conditions on the constants (`side_conditions`) follow.
 THRESHOLDS = {
     "invariant": {"init": None, "unsafe": "gamma", "step": None},
     "k-inductive": {"init": None, "unsafe": "d", "step": "eps", "k-step": None},
@@ -29,20 +31,73 @@ THRESHOLDS = {
 }
 
 
-def side_conditions(flavor: str, k: int = 1, horizon: int | None = None):
-    """A flavor's side conditions on its constants in verification order:
-    (condition id, linear form {constant: coefficient}, strict), each asking
-    form > 0 when strict and form >= 0 otherwise. The last is the
+@dataclass(frozen=True)
+class StateCondition:
+    """One condition over the states z of a region:
+
+        sign * (B_vec(U z) - B_before(z)) <= sign * threshold
+
+    U is the product of the `count` scheduled steps from t0 when `window` is
+    (t0, count), else the identity; the B_before term is absent when
+    `before` is None; the threshold is the flavor's constant for `kind`
+    (THRESHOLDS)."""
+
+    condition_id: str
+    kind: str
+    region: str  # init | unsafe | global
+    vec: int  # the coefficient vector compared
+    sign: int
+    window: tuple[int, int] | None = None
+    before: int | None = None
+
+
+def state_conditions(flavor: str, k: int = 1) -> tuple[StateCondition, ...]:
+    """A flavor's conditions over states, in verification order. A hybrid
+    certificate has one coefficient vector per offset 0..k-1, and unsafe,
+    step and time-shift once per offset; k is the k-step window's length."""
+    hybrid = flavor == "hybrid"
+    offsets = range(k if hybrid else 1)
+
+    def cid(base, t):
+        return f"{base}-t{t}" if hybrid else base
+
+    out = []
+    for kind in THRESHOLDS[flavor]:
+        if kind == "init":
+            out.append(StateCondition("init", kind, "init", 0, 1))
+        elif kind == "unsafe":
+            out += [StateCondition(cid("unsafe", t), kind, "unsafe", t, -1) for t in offsets]
+        elif kind == "step":
+            out += [StateCondition(cid("step", t), kind, "global", t, 1, (t, 1), t) for t in offsets]
+        elif kind == "time-shift":  # B_{t+1} - B_t on the same state
+            out += [StateCondition(cid("shift", t), kind, "global", (t + 1) % k, 1, None, t) for t in offsets]
+        else:  # k-step
+            out.append(StateCondition("k-step", kind, "global", 0, 1, (0, k), 0))
+    return tuple(out)
+
+
+class SideCondition(NamedTuple):
+    """A condition on the constants alone: form > 0 when strict, form >= 0
+    otherwise, with form a linear form {constant: coefficient}."""
+
+    condition_id: str
+    form: dict[str, int]
+    strict: bool
+    kind = "side"
+
+
+def side_conditions(flavor: str, k: int = 1, horizon: int | None = None) -> tuple[SideCondition, ...]:
+    """A flavor's side conditions in verification order. The last is the
     separation that synthesis maximizes."""
     if flavor == "invariant":
-        return (("side-positivity", {"gamma": 1}, True),)
+        return (SideCondition("side-positivity", {"gamma": 1}, True),)
     if flavor == "finite-horizon":
         return (
-            ("side-drift", {"delta": 1}, False),
-            ("side-margin", {"gamma": -1, "lam": 1, "delta": -horizon}, True),
+            SideCondition("side-drift", {"delta": 1}, False),
+            SideCondition("side-margin", {"gamma": -1, "lam": 1, "delta": -horizon}, True),
         )
     form = {"d": 1, "eps": -k} | ({"gamma": -k} if flavor == "hybrid" else {})
-    return (("side-margin", form, True),)
+    return (SideCondition("side-margin", form, True),)
 
 
 def exact_value(value: float, decimals: int | None) -> Fraction:
@@ -329,17 +384,32 @@ class Certificate:
 
     @staticmethod
     def from_dict(doc: dict) -> "Certificate":
-        template = BarrierTemplate(
-            int(doc["dim"]), tuple(Monomial(tuple(e)) for e in doc["terms"])
-        )
-        vecs = tuple(
-            np.array([complex(re, im) for re, im in vec]) for vec in doc["coefficients"]
-        )
+        """The certificate `to_dict` writes. A value of the wrong type raises
+        CertificateError naming its field; a missing field raises KeyError."""
+        if not isinstance(doc, dict):
+            raise CertificateError(f"a certificate is a JSON object, got {type(doc).__name__}")
+
+        def read(field, convert):
+            try:
+                return convert(doc[field])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CertificateError(f"certificate field {field!r}: {exc}") from None
+
+        def constants(value):
+            if not isinstance(value, dict):
+                raise TypeError(f"expected an object, got {type(value).__name__}")
+            return {k: float(v) for k, v in value.items()}
+
         return Certificate(
-            template=template,
-            coeff_vectors=vecs,
+            template=BarrierTemplate(
+                read("dim", int), read("terms", lambda ts: tuple(Monomial(tuple(e)) for e in ts))
+            ),
+            coeff_vectors=read(
+                "coefficients",
+                lambda vs: tuple(np.array([complex(re, im) for re, im in v]) for v in vs),
+            ),
             flavor=doc["flavor"],
-            constants={k: float(v) for k, v in doc["constants"].items()},
+            constants=read("constants", constants),
             decimals=doc.get("decimals"),
         )
 

@@ -280,6 +280,28 @@ def test_verify_rejects_malformed_certificates(tmp_path, capsys, change, message
     assert message in capsys.readouterr().err
 
 
+ANGLE_CERT = {"kind": "angle-linear", "c": 1.0, "gamma": 0.0, "lam": 1.0, "delta": 0.0, "T": 2}
+
+
+# a value of the wrong type is a certificate error that names its field,
+# not a crash whose exit code reads as refuted
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ([ZERO_CERT], "JSON object"),
+        (ZERO_CERT | {"constants": {"d": None, "eps": 0.1, "k": 2}}, "'constants'"),
+        (ZERO_CERT | {"coefficients": [[["a", 0]]]}, "'coefficients'"),
+        (ZERO_CERT | {"terms": 5}, "'terms'"),
+        (ANGLE_CERT | {"T": "2"}, "'T'"),
+    ],
+    ids=["list", "null-constant", "string-coefficient", "int-terms", "string-T"],
+)
+def test_verify_rejects_wrongly_typed_certificate_values(tmp_path, capsys, doc, field):
+    assert _verify(tmp_path, X_FLIP_CFG, doc) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 # the 3-cycle |01> -> |10> -> |11>: init reaches unsafe at step 2
 CYCLE_CFG = """
 [circuit]

@@ -43,7 +43,8 @@ from qbarrier.lp import (
     extract_certificate,
 )
 from qbarrier.quantum import StepMap, fixed_step, hadamard_uncertain
-from qbarrier.templates import BarrierTemplate, CertificateError
+from qbarrier.smt.encode import EncodeError, conditions_for, encode_condition
+from qbarrier.templates import BarrierTemplate, Certificate, CertificateError, state_conditions
 
 
 def z3_dynamics():
@@ -473,7 +474,7 @@ def _reference_families(template, dyn, cfg, scen, cexes):
         elif cid.startswith("unsafe"):
             unsafe.append(s)
         elif cid.startswith("step"):
-            t = int(cid.rsplit("-t", 1)[1])
+            t = int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0
             steps[t].append((s, dyn.map_at(t).matrix(params or None) @ s[0]))
         elif cid == "k-step":
             mat, used = np.eye(dyn.dim, dtype=complex), 0
@@ -513,12 +514,38 @@ def _unit(rng, dim):
     return z / np.linalg.norm(z)
 
 
-@pytest.mark.parametrize("make_dynamics", [_cx_cz_dynamics, _he_dynamics])
-def test_row_table_matches_stacked_evaluation(make_dynamics):
+# counterexample condition ids, each with the step window (t0, count) whose
+# parameters its model carries
+HYBRID_CEXES = (
+    ("init", None), ("unsafe-t1", None), ("step-t1", (1, 1)), ("shift-t0", None),
+    ("k-step", (0, 2)), ("step-t1", (1, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "make_dynamics,flavor,k,cex_ids",
+    [
+        pytest.param(_cx_cz_dynamics, "hybrid", 2, HYBRID_CEXES, id="_cx_cz_dynamics"),
+        pytest.param(_he_dynamics, "hybrid", 2, HYBRID_CEXES, id="_he_dynamics"),
+        # step and k-step take their images from the one window's draws
+        pytest.param(
+            _he_dynamics, "k-inductive", 1,
+            (("init", None), ("step", (0, 1)), ("unsafe", None), ("k-step", (0, 1)), ("step", (0, 1))),
+            id="k-inductive-k1",
+        ),
+        pytest.param(
+            _he_dynamics, "hybrid", 3,
+            (("unsafe-t2", None), ("step-t2", (2, 1)), ("shift-t1", None), ("k-step", (0, 3)),
+             ("step-t0", (0, 1)), ("init", None)),
+            id="hybrid-k3",
+        ),
+    ],
+)
+def test_row_table_matches_stacked_evaluation(make_dynamics, flavor, k, cex_ids):
     dyn = make_dynamics()
     init = parse_region(["prob(0) >= 0.9"], 4, "init")
     unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
-    cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=30, seed=5, k=2)
+    cfg = SynthesisConfig(flavor=flavor, degree=2, samples=30, seed=5, k=k)
     scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
     template = full_template(4, 2, 6)
     rng = np.random.default_rng(3)
@@ -528,14 +555,7 @@ def test_row_table_matches_stacked_evaluation(make_dynamics):
             rng.uniform(lo, hi) for i in range(count) for lo, hi in dyn.map_at(t0 + i).param_domain
         )
 
-    cexes = [
-        ("init", _unit(rng, 4), ()),
-        ("unsafe-t1", _unit(rng, 4), ()),
-        ("step-t1", _unit(rng, 4), params(1, 1)),
-        ("shift-t0", _unit(rng, 4), ()),
-        ("k-step", _unit(rng, 4), params(0, 2)),
-        ("step-t1", _unit(rng, 4), params(1, 1)),
-    ]
+    cexes = [(cid, _unit(rng, 4), params(*window) if window else ()) for cid, window in cex_ids]
     rows = ScenarioRows(scen, dyn, cfg)
     ScenarioLP(template.prefix(2), rows)
     for cid, state, p in cexes:
@@ -552,6 +572,48 @@ def test_row_table_matches_stacked_evaluation(make_dynamics):
     other = BarrierTemplate(4, (template.terms[0], template.terms[3]))
     with pytest.raises(LPError):
         ScenarioLP(other, rows)
+
+
+# constants that meet each flavor's side conditions
+TABLE_CONSTANTS = {
+    "invariant": {"gamma": 1.0},
+    "finite-horizon": {"gamma": 0.0, "lam": 1.0, "delta": 0.0, "T": 2},
+    "k-inductive": {"d": 1.0, "eps": 0.0},
+    "hybrid": {"d": 1.0, "eps": 0.0, "gamma": 0.0},
+}
+
+
+@pytest.mark.parametrize(
+    "flavor,k",
+    [("invariant", 1), ("finite-horizon", 1)]
+    + [(flavor, k) for flavor in ("k-inductive", "hybrid") for k in (1, 2, 3)],
+)
+def test_state_conditions_name_the_queries_and_the_lp_families(flavor, k):
+    ids = [c.condition_id for c in state_conditions(flavor, k)]
+    template = full_template(2, 2).prefix(2)
+    constants = TABLE_CONSTANTS[flavor] | ({"k": k} if flavor == "k-inductive" else {})
+    vectors = (np.zeros(2, dtype=complex),) * (k if flavor == "hybrid" else 1)
+    cert = Certificate(template, vectors, flavor, constants)
+    assert [c.condition_id for c in conditions_for(cert) if c.kind != "side"] == ids
+    cfg = SynthesisConfig(
+        flavor=flavor, degree=2, samples=10, seed=1, k=k,
+        horizon=2 if flavor == "finite-horizon" else None,
+    )
+    init = parse_region(["prob(0) >= 0.9"], 2, "init")
+    unsafe = parse_region(["prob(1) >= 0.9"], 2, "unsafe")
+    scen = sample_scenarios(init, unsafe, full_sphere(2), cfg)
+    rows = ScenarioRows(scen, constant_dynamics(standard_gate("X")), cfg)
+    problem = ScenarioLP(template, rows).build()
+    assert [name for name, _, _ in problem.families if name != "side"] == ids
+    # an offset past the last vector, an old family label, a kind
+    for outside in (f"step-t{k}", "unsafe@0", "time-shift"):
+        with pytest.raises(EncodeError, match="not applicable"):
+            encode_condition(cert, outside, None, None, None, None)
+        with pytest.raises(LPError, match="no scenario rows"):
+            rows.absorb(outside, np.eye(2)[0], ())
+    # a side condition is a query but holds no state to absorb
+    with pytest.raises(LPError, match="no scenario rows"):
+        rows.absorb(cert.side_conditions[-1].condition_id, np.zeros(0), ())
 
 
 def test_synthesis_evaluates_each_term_once_per_row(monkeypatch, tmp_path):
@@ -618,7 +680,7 @@ def _reference_build(slp: ScenarioLP):
             blk[:, fv["lam"]] = 1.0
         else:
             blk[:, fv["d"]] = 1.0
-        family(f"unsafe@{v}" if slp.n_vec > 1 else "unsafe", blk, np.zeros(blk.shape[0]))
+        family(f"unsafe-t{v}" if slp.n_vec > 1 else "unsafe", blk, np.zeros(blk.shape[0]))
     for t, (before_T, after_T) in enumerate(slp.step_data):
         v = t if slp.flavor == "hybrid" else 0
         blk = coef_block(after_T, v) - coef_block(before_T, v)
@@ -630,7 +692,7 @@ def _reference_build(slp: ScenarioLP):
                 blk[:, fv["eps"]] = -1.0
             else:
                 b += eps_fixed
-        family(f"step@{t}" if slp.n_vec > 1 else "step", blk, b)
+        family(f"step-t{t}" if slp.n_vec > 1 else "step", blk, b)
     if slp.flavor == "hybrid":
         for t in range(slp.k):
             nxt = (t + 1) % slp.k
@@ -640,7 +702,7 @@ def _reference_build(slp: ScenarioLP):
                 blk[:, fv["gamma"]] = -1.0
             else:
                 b += gam_fixed
-            family(f"shift@{t}", blk, b)
+            family(f"shift-t{t}", blk, b)
     if slp.kstep_data is not None:
         before_T, after_T = slp.kstep_data
         blk = coef_block(after_T, 0) - coef_block(before_T, 0)
@@ -741,7 +803,7 @@ def test_scenario_rows_match_the_dense_assembly(name):
     assert problem.families == families
     assert (problem.n_rows, problem.n_vars) == a_ref.shape
     assert problem.bounds == bounds and np.array_equal(problem.objective, objective)
-    kinds = {f.split("@")[0] for f, start, stop in families if stop > start}
+    kinds = {f.split("-t")[0] for f, start, stop in families if stop > start}
     assert kinds == {"init", "unsafe", "step"} | {
         "invariant": set(),
         "finite-horizon": {"side"},
