@@ -189,6 +189,127 @@ class LPSolution:
     objective: float | None = None
     rows_kept: int = 0  # rows in the final working set
     highs_calls: int = 0  # cut rounds
+    simplex_iterations: int = 0  # summed over the cut rounds
+
+
+# ----- the live HiGHS model -------------------------------------------------
+# Every call into HiGHS is in this section. The bindings are scipy's private
+# `scipy.optimize._highspy._core._Highs`, imported when the first model is
+# made: importing scipy.optimize takes most of the package's start-up, and the
+# paths that only verify certificates never solve an LP.
+
+# HiGHS model status -> the status code scipy's linprog gives it: 0 optimal,
+# 1 limit reached, 2 infeasible, 3 unbounded, 4 unbounded or infeasible, or a
+# failure; any other status raises
+_STATUS_CODES = {
+    "kNotset": 4,
+    "kLoadError": 4,
+    "kModelError": 2,
+    "kPresolveError": 4,
+    "kSolveError": 4,
+    "kPostsolveError": 4,
+    "kModelEmpty": 4,
+    "kObjectiveBound": 4,
+    "kObjectiveTarget": 4,
+    "kOptimal": 0,
+    "kTimeLimit": 1,
+    "kIterationLimit": 1,
+    "kInfeasible": 2,
+    "kUnbounded": 3,
+    "kUnboundedOrInfeasible": 4,
+}
+_NO_INDEX = np.zeros(0, dtype=np.int32)
+
+
+@dataclass
+class HighsResult:
+    status: int  # a code of _STATUS_CODES
+    message: str
+    x: np.ndarray | None = None  # the optimal point, only for status 0
+    fun: float | None = None  # the optimal objective, only for status 0
+
+
+def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds, None read as an infinite bound."""
+    lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds], dtype=float)
+    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds], dtype=float)
+    return lo, hi
+
+
+class HighsModel:
+    """One HiGHS model: minimize cost @ x over box bounds and rows a @ x <= b.
+
+    Rows are appended and column bounds changed in place, so each run
+    restarts from the basis of the last. `held` is the working set of
+    scenario rows that `_cut_solve` has appended; `calls` and `iterations`
+    count the runs and their simplex iterations."""
+
+    def __init__(self, cost: np.ndarray, bounds, a_fixed=None, b_fixed=None):
+        from scipy.optimize._highspy._core import _Highs
+
+        self._highs = _Highs()
+        self._check(self._highs.setOptionValue("output_flag", False), "set its options")
+        lo, hi = _bound_arrays(bounds)
+        cost = np.asarray(cost, dtype=float)
+        self._check(
+            self._highs.addCols(len(cost), cost, lo, hi, 0, _NO_INDEX, _NO_INDEX, np.zeros(0)),
+            "add the columns",
+        )
+        self.held = np.zeros(0, dtype=np.intp)
+        self.calls = 0
+        self.iterations = 0
+        if a_fixed is not None:
+            self.add_rows(a_fixed, b_fixed)
+
+    @staticmethod
+    def _check(status, what: str) -> None:
+        if status.name == "kError":
+            raise LPSolverError(f"HiGHS could not {what}")
+
+    def add_rows(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Append the rows a @ x <= b; `a` may have fewer columns than the
+        model, the rest being zero. Only the nonzero entries are passed."""
+        if len(a) == 0:
+            return
+        r, c = np.nonzero(a)
+        starts = np.searchsorted(r, np.arange(len(a))).astype(np.int32)
+        self._check(
+            self._highs.addRows(
+                len(a), np.full(len(a), -np.inf), np.asarray(b, dtype=float),
+                len(r), starts, c.astype(np.int32), a[r, c],
+            ),
+            "add rows",
+        )
+
+    def set_bounds(self, cols, bounds) -> None:
+        """Replace the bounds of columns `cols`."""
+        lo, hi = _bound_arrays(bounds)
+        self._check(
+            self._highs.changeColsBounds(len(cols), np.asarray(cols, dtype=np.int32), lo, hi),
+            "change column bounds",
+        )
+
+    def run(self) -> HighsResult:
+        self._highs.run()  # a failed run shows in the model status
+        status = self._highs.getModelStatus()
+        code = _STATUS_CODES.get(status.name)
+        if code is None:
+            raise LPSolverError(f"HiGHS ended with an unknown model status: {status.name}")
+        info = self._highs.getInfo()
+        self.calls += 1
+        self.iterations += info.simplex_iteration_count
+        message = self._highs.modelStatusToString(status)
+        if code != 0:
+            return HighsResult(code, message)
+        x = np.array(self._highs.getSolution().col_value)
+        return HighsResult(code, message, x=x, fun=info.objective_function_value)
+
+
+def linprog(model: HighsModel, *, A_ub: np.ndarray, b_ub: np.ndarray) -> HighsResult:
+    """Append the rows A_ub @ x <= b_ub to `model` and run HiGHS from its
+    last basis: every HiGHS run goes through here."""
+    model.add_rows(A_ub, b_ub)
+    return model.run()
 
 
 # Constraint generation: only a few hundred of the sampled rows are active at
@@ -206,63 +327,36 @@ def _spread(n_rows: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_rows - 1, count).round().astype(np.intp))
 
 
-def linprog(**kwargs):
-    """scipy.optimize.linprog, imported at the first solve: importing
-    scipy.optimize takes most of the package's start-up, and the paths that
-    only verify certificates never solve an LP."""
-    from scipy.optimize import linprog as scipy_linprog
+def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioMatrix, keep: np.ndarray):
+    """Minimize the model's cost subject to its rows and the rows
+    A @ x[:rows.n_cols] <= b, by constraint generation over the A rows.
 
-    return scipy_linprog(**kwargs)
+    Each round appends to the model the rows of `keep` it does not hold yet
+    and re-solves from the last basis, then adds the most violated remaining
+    rows to `keep`; it stops when no row outside the working set is
+    violated, so the point satisfies every row. An infeasible relaxation
+    proves the full problem infeasible; an unbounded one doubles the working
+    set until it is bounded or holds every row.
 
-
-def _cut_solve(
-    cost: np.ndarray,
-    rows: DenseRows | ScenarioMatrix,
-    bounds: list,
-    keep: np.ndarray,
-    a_fixed: np.ndarray | None = None,
-    b_fixed: np.ndarray | None = None,
-):
-    """Minimize cost @ x subject to rows A @ x[:rows.n_cols] <= b and
-    a_fixed @ x <= b_fixed, by constraint generation over the A rows.
-
-    Each round solves on the rows `keep` plus every fixed row, then adds the
-    most violated remaining rows; it stops when no row outside the working
-    set is violated, so the point satisfies every row. An infeasible
-    relaxation proves the full problem infeasible; an unbounded one doubles
-    the working set until it is bounded or holds every row.
-
-    Returns (the last scipy result, the final working set, HiGHS calls).
+    Returns (the last HiGHS result, the final working set).
     """
     n_rows, n_cols = rows.n_rows, rows.n_cols
-    width = len(cost)
-    if a_fixed is None:
-        a_fixed = np.zeros((0, width))
-        b_fixed = np.zeros(0)
-    calls = 0
     while True:
-        sub, b_sub = rows.take(keep)
-        if n_cols < width:
-            sub = np.hstack([sub, np.zeros((len(keep), width - n_cols))])
-        res = linprog(
-            c=cost,
-            A_ub=np.vstack([sub, a_fixed]),
-            b_ub=np.concatenate([b_sub, b_fixed]),
-            bounds=bounds,
-            method="highs",
-        )
-        calls += 1
+        new = np.setdiff1d(keep, model.held, assume_unique=True)
+        model.held = keep
+        a_new, b_new = rows.take(new)
+        res = linprog(model, A_ub=a_new, b_ub=b_new)
         # HiGHS status 4 includes "unbounded or infeasible" from presolve
         if res.status in (3, 4) and len(keep) < n_rows:
             keep = np.union1d(keep, _spread(n_rows, 2 * max(len(keep), 1)))
             continue
         if res.status != 0:
-            return res, keep, calls
+            return res, keep
         viol = rows.residual(res.x[:n_cols])
         viol[keep] = -np.inf
         out = np.flatnonzero(viol > CUT_TOL)
         if out.size == 0:
-            return res, keep, calls
+            return res, keep
         if out.size > CUT_BATCH_ROWS:
             out = out[np.argpartition(viol[out], -CUT_BATCH_ROWS)[-CUT_BATCH_ROWS:]]
         keep = np.union1d(keep, out)
@@ -275,12 +369,11 @@ def _seed_rows(problem: LPProblem) -> np.ndarray:
 
 
 def solve_lp(problem: LPProblem) -> LPSolution:
-    """Solve with scipy's HiGHS backend by constraint generation over the
-    rows; the returned point satisfies every row.  Numerical failures raise."""
-    res, keep, calls = _cut_solve(
-        -problem.objective, problem.rows, problem.bounds, _seed_rows(problem)
-    )
-    stats = {"rows_kept": len(keep), "highs_calls": calls}
+    """Solve on one live HiGHS model by constraint generation over the rows;
+    the returned point satisfies every row.  Numerical failures raise."""
+    model = HighsModel(-problem.objective, problem.bounds)
+    res, keep = _cut_solve(model, problem.rows, _seed_rows(problem))
+    stats = {"rows_kept": len(keep), "highs_calls": model.calls, "simplex_iterations": model.iterations}
     if res.status == 0:
         return LPSolution(status="optimal", x=res.x, objective=float(-res.fun), **stats)
     if res.status == 2:
@@ -589,6 +682,7 @@ class ScenarioLP:
         self.nt = template.n_terms
         self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
         self.polish_rows_kept = 0
+        self.polish_iterations = 0  # simplex iterations of those calls
         regions, values = rows.families(template)
         self.init_T, self.unsafe_T, self.global_T = (regions[r] for r in ("init", "unsafe", "global"))
         self.thresholds = THRESHOLDS[self.flavor]
@@ -742,11 +836,13 @@ class ScenarioLP:
         objective[width : width + n_coef] = -1.0  # maximize -sum|coef|
         objective[width + n_coef :] = -10.0  # and strongly prefer uniform families
 
+        # one model for every solve: a trailing-term re-solve changes column
+        # bounds in place and restarts from the last basis
+        model = HighsModel(-objective, bounds, a_fixed, b_fixed)
+
         def solve(keep):
-            res, keep, calls = _cut_solve(
-                -objective, problem.rows, bounds, keep, a_fixed, b_fixed
-            )
-            self.polish_calls += calls
+            res, keep = _cut_solve(model, problem.rows, keep)
+            self.polish_calls, self.polish_iterations = model.calls, model.iterations
             self.polish_rows_kept = len(keep)
             return res, keep
 
@@ -759,25 +855,15 @@ class ScenarioLP:
         # same sizes are polished and the same candidates come out
         if self.nt <= 24 and problem.n_rows <= 40000:
             for i in range(self.nt - 1, 0, -1):
-                saved = [bounds[v * 2 * self.nt + 2 * i] for v in range(self.n_vec)]
-                if all(
-                    abs(x[v * 2 * self.nt + 2 * i]) < 1e-12
-                    and abs(x[v * 2 * self.nt + 2 * i + 1]) < 1e-12
-                    for v in range(self.n_vec)
-                ):
+                cols = [v * 2 * self.nt + 2 * i + j for v in range(self.n_vec) for j in (0, 1)]
+                if all(abs(x[c]) < 1e-12 for c in cols):
                     continue
-                for v in range(self.n_vec):
-                    base = v * 2 * self.nt + 2 * i
-                    bounds[base] = (0.0, 0.0)
-                    bounds[base + 1] = (0.0, 0.0)
+                model.set_bounds(cols, [(0.0, 0.0)] * len(cols))
                 res2, keep = solve(keep)
                 if res2.status == 0:
                     x = res2.x[:width]
                 else:
-                    for v, sv in zip(range(self.n_vec), saved):
-                        base = v * 2 * self.nt + 2 * i
-                        bounds[base] = sv
-                        bounds[base + 1] = sv
+                    model.set_bounds(cols, [bounds[c] for c in cols])
         return x
 
     def finalize(self, x: np.ndarray) -> Certificate | None:
@@ -1015,15 +1101,18 @@ def synthesis_loop(
             t_lp += time.perf_counter() - t0
             log.info(
                 "terms %d round %d: %d term values evaluated; %d LP rows; solve kept %d rows"
-                " over %d HiGHS calls; polish kept %d rows over %d HiGHS calls",
+                " over %d HiGHS calls and %d simplex iterations; polish kept %d rows over"
+                " %d HiGHS calls and %d simplex iterations",
                 size,
                 round_idx,
                 rows.cells - cells,
                 problem.n_rows,
                 solution.rows_kept,
                 solution.highs_calls,
+                solution.simplex_iterations,
                 slp.polish_rows_kept,
                 slp.polish_calls,
+                slp.polish_iterations,
             )
             if cert is None:
                 break  # grow the template

@@ -289,6 +289,8 @@ class Certificate:
                     f"coefficient count {arr.shape[0]} != term count "
                     f"{self.template.n_terms}"
                 )
+            if not np.isfinite(arr).all():
+                raise CertificateError(f"coefficients must be finite, got {arr[~np.isfinite(arr)][0]}")
             arr.setflags(write=False)
             vecs.append(arr)
         if self.flavor != "hybrid" and len(vecs) != 1:

@@ -273,6 +273,8 @@ def test_verify_reads_side_conditions_at_the_certificate_decimals(tmp_path, caps
     [
         ({"decimals": -1}, "decimals must be null or an integer >= 0"),
         ({"constants": {"d": 0.4, "eps": 0.1, "k": 0}}, "k must be an integer >= 1"),
+        # written as Infinity, which json reads back as a float
+        ({"coefficients": [[[float("inf"), 0]]]}, "coefficients must be finite"),
     ],
 )
 def test_verify_rejects_malformed_certificates(tmp_path, capsys, change, message):

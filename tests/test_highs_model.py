@@ -1,0 +1,226 @@
+"""The live HiGHS model behind every LP solve: the bindings it needs, the
+status codes it gives, rows appended once, and re-solves after in-place
+bound changes that agree with fresh solves."""
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import qbarrier.lp
+from qbarrier.cli import bundled_config_path
+from qbarrier.config import load_config
+from qbarrier.lp import (
+    DenseRows,
+    HighsModel,
+    LPProblem,
+    LPSolverError,
+    ScenarioLP,
+    ScenarioRows,
+    _cut_solve,
+    _spread,
+    linprog,
+    recheck_solution,
+    sample_scenarios,
+    solve_lp,
+)
+from qbarrier.templates import full_template
+
+
+def test_bindings_have_every_method_the_module_calls():
+    import scipy
+
+    called = set(re.findall(r"self\._highs\.(\w+)\(", Path(qbarrier.lp.__file__).read_text()))
+    assert {"addRows", "changeColsBounds", "run"} <= called
+    try:
+        from scipy.optimize._highspy import _core as core
+    except ImportError as exc:
+        pytest.fail(f"scipy {scipy.__version__} ships no HiGHS bindings ({exc}); qbarrier needs scipy>=1.17")
+    missing = sorted(name for name in called if not hasattr(core._Highs, name))
+    assert missing == [], f"scipy {scipy.__version__}'s HiGHS bindings lack {missing}; qbarrier needs scipy>=1.17"
+    unknown = sorted(set(qbarrier.lp._STATUS_CODES) - set(core.HighsModelStatus.__members__))
+    assert unknown == [], f"scipy {scipy.__version__}'s HiGHS has no model status {unknown}"
+
+
+def _run(cost, bounds, a, b, **options):
+    model = HighsModel(np.array(cost, dtype=float), bounds)
+    for key, value in options.items():
+        model._highs.setOptionValue(key, value)
+    return linprog(model, A_ub=np.array(a, dtype=float), b_ub=np.array(b, dtype=float))
+
+
+def test_optimal_status_carries_the_point_and_objective():
+    # min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6, x >= 0
+    res = _run([-1, -1], [(0, None)] * 2, [[1, 2], [3, 1]], [4, 6])
+    assert res.status == 0
+    assert np.allclose(res.x, [1.6, 1.2]) and res.fun == pytest.approx(-2.8)
+
+
+def test_infeasible_status():
+    res = _run([1], [(None, None)], [[1], [-1]], [-1, -1])  # x <= -1 and x >= 1
+    assert (res.status, res.x, res.fun) == (2, None, None)
+
+
+def test_unbounded_status():
+    res = _run([-1, -1], [(0, None)] * 2, [[1, -1]], [1])  # the ray x0 = x1 + 1
+    assert (res.status, res.x) == (3, None)
+
+
+def test_unbounded_or_infeasible_status():
+    # presolve sees a column that its cost drives to infinity and stops there
+    res = _run([-1, 0], [(0, None), (None, None)], [[-1, 1]], [1], allow_unbounded_or_infeasible=True)
+    assert (res.status, res.x) == (4, None)
+
+
+def test_unbounded_or_infeasible_working_set_takes_the_doubling_path(monkeypatch):
+    # maximize x0 over x0 free, x1 in [0, 1]; only row `cap` bounds x0, and
+    # the first working set leaves it out
+    n_rows = 300
+    a = np.tile([0.0, 1.0], (n_rows, 1))
+    b = np.ones(n_rows)
+    seed = _spread(n_rows, 200)
+    cap = int(np.setdiff1d(np.arange(n_rows), seed)[0])
+    a[cap], b[cap] = [1.0, 0.0], 3.0
+    model = HighsModel(np.array([-1.0, 0.0]), [(None, None), (0.0, 1.0)])
+    model._highs.setOptionValue("allow_unbounded_or_infeasible", True)
+    statuses = []
+
+    def recording(model, *, A_ub, b_ub):
+        res = linprog(model, A_ub=A_ub, b_ub=b_ub)
+        statuses.append((len(A_ub), res.status))
+        return res
+
+    monkeypatch.setattr(qbarrier.lp, "linprog", recording)
+    res, keep = _cut_solve(model, DenseRows(a, b), seed)
+    assert statuses == [(len(seed), 4), (n_rows - len(seed), 0)]
+    assert len(keep) == n_rows and res.x[0] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("name", ["kMemoryLimit", "kStatusFromANewerHighs"])
+def test_an_unknown_model_status_raises(name):
+    model = HighsModel(np.array([1.0]), [(0.0, 1.0)])
+    real = model._highs
+
+    class Bindings:
+        def __getattr__(self, attr):
+            return getattr(real, attr)
+
+        def getModelStatus(self):
+            return SimpleNamespace(name=name)
+
+    model._highs = Bindings()
+    with pytest.raises(LPSolverError, match=name):
+        linprog(model, A_ub=np.ones((1, 1)), b_ub=np.ones(1))
+
+
+def test_rows_are_appended_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3000, 5))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    problem = LPProblem(
+        rows=DenseRows(a, np.ones(3000)),
+        bounds=[(None, None)] * 5,
+        objective=np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
+        families=[("rows", 0, 3000)],
+    )
+    sent = []
+    real = qbarrier.lp.linprog
+
+    def counting(model, *, A_ub, b_ub):
+        sent.append(len(A_ub))
+        return real(model, A_ub=A_ub, b_ub=b_ub)
+
+    monkeypatch.setattr(qbarrier.lp, "linprog", counting)
+    sol = solve_lp(problem)
+    assert sol.status == "optimal" and sol.highs_calls == len(sent) >= 2
+    assert sum(sent) == sol.rows_kept < 3000
+    assert sol.simplex_iterations > 0
+
+
+def _sphere_rows(n_rows: int, n_vars: int, seed: int) -> DenseRows:
+    a = np.random.default_rng(seed).normal(size=(n_rows, n_vars))
+    return DenseRows(a / np.linalg.norm(a, axis=1, keepdims=True), np.ones(n_rows))
+
+
+def _fresh(cost, bounds, rows):
+    res, _ = _cut_solve(HighsModel(cost, bounds), rows, _spread(rows.n_rows, 200))
+    return res
+
+
+def test_bounds_changed_in_place_match_fresh_solves():
+    rows = _sphere_rows(2000, 6, seed=11)
+    cost = -np.array([1.0, 0.7, 0.4, 0.2, 0.1, 0.05])
+    bounds = [(-10.0, 10.0)] * 6
+    model = HighsModel(cost, bounds)
+    first, keep = _cut_solve(model, rows, _spread(rows.n_rows, 200))
+    assert first.status == 0
+    for cols in ([5], [4, 5], [3, 4, 5]):
+        model.set_bounds(cols, [(0.0, 0.0)] * len(cols))
+        res, keep = _cut_solve(model, rows, keep)
+        fixed = [(0.0, 0.0) if i in cols else b for i, b in enumerate(bounds)]
+        ref = _fresh(cost, fixed, rows)
+        assert res.status == ref.status == 0
+        assert res.fun == pytest.approx(ref.fun, rel=1e-7)
+        assert recheck_solution(LPProblem(rows, fixed, -cost, []), res.x) <= 1e-7
+    # an infeasible try, then its bounds restored in place
+    model.set_bounds([0], [(5.0, 5.0)])
+    res, keep = _cut_solve(model, rows, keep)
+    assert res.status == 2
+    model.set_bounds([0], [bounds[0]])
+    res, keep = _cut_solve(model, rows, keep)
+    ref = _fresh(cost, [b if i < 3 else (0.0, 0.0) for i, b in enumerate(bounds)], rows)
+    assert res.status == 0 and res.fun == pytest.approx(ref.fun, rel=1e-7)
+
+
+def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
+    # at this size some trailing terms cannot be zeroed, and later ones are
+    # tried after their bounds are restored
+    job = load_config(bundled_config_path("cnot2_infinite"))
+    cfg = job.synthesis
+    scen = sample_scenarios(job.init_region, job.unsafe_region, job.global_region, cfg)
+    slp = ScenarioLP(full_template(job.dynamics.dim, cfg.degree, 7).prefix(7), ScenarioRows(scen, job.dynamics, cfg))
+    problem = slp.build()
+    sol = solve_lp(problem)
+
+    class Recording(HighsModel):
+        def __init__(self, cost, bounds, a_fixed=None, b_fixed=None):
+            super().__init__(cost, bounds, a_fixed, b_fixed)
+            self.spec = [cost, list(bounds), a_fixed, b_fixed]
+            self.initial = list(bounds)
+            models.append(self)
+
+        def set_bounds(self, cols, bounds):
+            super().set_bounds(cols, bounds)
+            for c, b in zip(cols, bounds):
+                self.spec[1][c] = b
+
+        def zeroed(self):
+            return {c for c, (b, b0) in enumerate(zip(self.spec[1], self.initial)) if b != b0}
+
+    models = []
+    statuses = []
+    kept = set()  # columns zeroed at the last optimal solve
+
+    def comparing(model, rows, keep):
+        nonlocal kept
+        zeroed = model.zeroed()
+        # a solve zeroes what the last optimal one did plus one term's columns
+        assert kept <= zeroed and len(zeroed - kept) in (0, 2 * slp.n_vec)
+        res, keep = real_cut_solve(model, rows, keep)
+        ref, _ = real_cut_solve(HighsModel(*model.spec), rows, _spread(rows.n_rows, 200))
+        assert res.status == ref.status
+        if res.status == 0:
+            assert res.fun == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+            kept = zeroed
+        statuses.append(res.status)
+        return res, keep
+
+    real_cut_solve = qbarrier.lp._cut_solve
+    monkeypatch.setattr(qbarrier.lp, "HighsModel", Recording)
+    monkeypatch.setattr(qbarrier.lp, "_cut_solve", comparing)
+    x = slp.polish(problem, sol.objective)
+    assert x is not None and statuses[0] == 0
+    assert 0 in statuses[1:] and 2 in statuses[1:-1]
+    assert models[0].zeroed() == kept  # the last infeasible try was undone
+    assert slp.polish_calls >= len(statuses) and slp.polish_iterations > 0

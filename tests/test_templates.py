@@ -228,6 +228,17 @@ def test_malformed_constants_are_rejected(flavor, constants, vectors, match):
         _constant_certificate(flavor, constants, vectors=vectors)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(CertificateError, match="coefficients must be finite"):
+        Certificate(
+            template=full_template(2, 1).prefix(2),
+            coeff_vectors=(np.array([1.0, bad]),),
+            flavor="invariant",
+            constants={"gamma": 0.5},
+        )
+
+
 @pytest.mark.parametrize("k", [{}, {"k": 3}, {"k": 3.0}])
 def test_hybrid_k_when_given_is_the_vector_count(k):
     constants = {"d": 0.9, "eps": 0.1, "gamma": 0.1} | k
