@@ -97,7 +97,10 @@ def bundled_config_path(name: str) -> Path:
 
 def _apply_overrides(job: JobConfig, args) -> JobConfig:
     if getattr(args, "seed", None) is not None:
-        job.synthesis.seed = args.seed
+        try:
+            job.synthesis = dataclasses.replace(job.synthesis, seed=args.seed)
+        except LPError as exc:
+            raise ConfigError(f"command line: {exc}") from None
     if getattr(args, "solver_cmd", None):
         job.smt.solver = args.solver_cmd
     elif os.environ.get("QBARRIER_SOLVER"):
@@ -333,6 +336,9 @@ def _bench_row_meta(job: JobConfig) -> dict:
 def cmd_bench(args) -> int:
     if args.suite not in SUITES:
         print(f"config error: unknown suite {args.suite!r}", file=sys.stderr)
+        return 4
+    if args.repetitions < 1:
+        print("config error: --repetitions must be >= 1", file=sys.stderr)
         return 4
     out_dir = Path(args.out) if args.out else Path("runs") / f"bench-{args.suite}"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -98,6 +98,8 @@ class SynthesisConfig:
         for name in ("degree", "samples", "k"):
             if getattr(self, name) < 1:
                 raise LPError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise LPError(f"seed must be >= 0, got {self.seed}")
         if self.max_terms is not None and self.max_terms < 1:
             raise LPError("max-terms must be >= 1")
         if self.resample_rounds < 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,6 +127,27 @@ def tensor(gates: Sequence[Gate]) -> Gate:
     return Gate(mat)
 
 
+def target_groups(targets: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The qubit index map of a gate on `targets` in an n-qubit space: for
+    each setting of the other qubits, in increasing order, the 2^m basis
+    indices whose target bits spell the gate's indices 0 .. 2^m - 1 (targets
+    most significant first)."""
+    m = len(targets)
+    shifts = [n - 1 - q for q in targets]  # qubit 0 is the MSB of the index
+    mask = sum(1 << sh for sh in shifts)
+    for base in range(2 ** n):
+        if base & mask:
+            continue
+        group = []
+        for sub in range(2 ** m):
+            index = base
+            for pos, sh in enumerate(shifts):
+                if (sub >> (m - 1 - pos)) & 1:
+                    index |= 1 << sh
+            group.append(index)
+        yield tuple(group)
+
+
 def lift(gate: Gate, targets: Sequence[int], n: int) -> Gate:
     """Embed `gate` acting on the given qubits into the full 2^n space.
 
@@ -142,25 +163,9 @@ def lift(gate: Gate, targets: Sequence[int], n: int) -> Gate:
             raise QuantumError(f"target qubit {q} out of range for {n} qubits")
     if m == n and list(targets) == list(range(n)):
         return gate
-    dim = 2 ** n
-    shifts = [n - 1 - q for q in targets]  # qubit 0 is the MSB of the index
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub = 0
-        for pos, sh in enumerate(shifts):
-            sub = (sub << 1) | ((col >> sh) & 1)
-        base = col
-        for sh in shifts:
-            base &= ~(1 << sh)
-        for sub_out in range(2 ** m):
-            amp = gate.matrix[sub_out, sub]
-            if amp == 0:
-                continue
-            row = base
-            for pos, sh in enumerate(shifts):
-                if (sub_out >> (m - 1 - pos)) & 1:
-                    row |= 1 << sh
-            full[row, col] += amp
+    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for group in target_groups(targets, n):
+        full[np.ix_(group, group)] += gate.matrix
     return Gate(full)
 
 

@@ -8,6 +8,15 @@ the unit-sphere equation, the parameter bounds of any uncertain step in its
 window, and the negated condition, all with exact rational literals. Files
 are byte-stable given the same certificate and configuration: declarations
 are sorted and monomials follow a fixed order.
+
+A condition over a step window reads the certificate at the image U z of
+the symbolic state z, one ComplexPoly per amplitude, by substituting the
+image's Re and Im parts for the x and y variables. The image is pushed
+through the window gate by gate: a fixed window is its composed float matrix
+acting on every qubit (its forms are cached by the matrix bytes), and an
+uncertain window applies each factor of each step in order, the HE mixing
+gate as a 2x2 over fresh u and v variables on its target qubit. No symbolic
+matrix is formed.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..quantum import Dynamics, Gate, StepMap, UncertainGate
+from ..quantum import Dynamics, Gate, UncertainGate, target_groups
 from ..realpoly import (
     ComplexPoly,
     RealPoly,
@@ -27,6 +36,7 @@ from ..realpoly import (
     constraint_poly,
     rational_sexpr,
     sphere_poly,
+    z_poly,
 )
 from ..regions import Region
 from ..templates import (
@@ -166,73 +176,33 @@ def _lift_matrix(matrix: np.ndarray, nvars: int) -> list[list[ComplexPoly]]:
     ]
 
 
-def _symbolic_step_matrix(step: StepMap, nvars: int, param_base: int, aux_base: int):
-    """Matrix of ComplexPoly entries for a step map, threading uncertainty
-    parameters (u vars) and any auxiliary normalization variables (v vars).
-
-    Returns (matrix, extra_constraints, params_used, aux_used).
-    """
-    mat = [
-        [ComplexPoly.constant(nvars, Fraction(int(i == j)), 0) for j in range(2 ** step.n)]
-        for i in range(2 ** step.n)
-    ]
-    extra: list[StructConstraint] = []
-    p_used = 0
-    a_used = 0
-    for f in step.factors:
-        if isinstance(f, Gate):
-            fmat = _lift_matrix(f.matrix, nvars)
-        else:
-            ug, targets = f
-            if ug.name != "HE":
-                raise EncodeError(
-                    f"uncertain gate {ug.name!r} has no polynomial form for "
-                    "SMT encoding"
-                )
-            small, constraints = _he_symbolic(
-                ug, nvars, param_base + p_used, aux_base + a_used
-            )
-            p_used += 1
-            a_used += 1
-            extra.extend(constraints)
-            fmat = _lift_symbolic(small, targets, step.n, nvars)
-        mat = _matmul_symbolic(fmat, mat, nvars)
-    return mat, extra, p_used, a_used
-
-
-def _lift_symbolic(small, targets, n, nvars):
-    m = len(targets)
-    size = 2 ** n
-    zero = ComplexPoly.constant(nvars, 0, 0)
-    full = [[zero for _ in range(size)] for _ in range(size)]
-    shifts = [n - 1 - q for q in targets]
-    for col in range(size):
-        sub = 0
-        for sh in shifts:
-            sub = (sub << 1) | ((col >> sh) & 1)
-        base = col
-        for sh in shifts:
-            base &= ~(1 << sh)
-        for sub_out in range(2 ** m):
-            row = base
-            for pos, sh in enumerate(shifts):
-                if (sub_out >> (m - 1 - pos)) & 1:
-                    row |= 1 << sh
-            full[row][col] = small[sub_out][sub]
-    return full
-
-
-def _matmul_symbolic(a, b, nvars):
-    size = len(a)
-    zero = ComplexPoly.constant(nvars, 0, 0)
-    out = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
+def _apply_gate(
+    entries, targets: Sequence[int], n: int, state: list[ComplexPoly]
+) -> list[ComplexPoly]:
+    """Image of the symbolic state, one ComplexPoly per amplitude, under a
+    gate given by its ComplexPoly entries on the target qubits; zero entries
+    are skipped, which keeps sparse (permutation) gates cheap."""
+    nvars = state[0].re.nvars
+    out = list(state)
+    for group in target_groups(targets, n):
+        for a, row in zip(group, entries):
             acc = ComplexPoly.constant(nvars, 0, 0)
-            for j in range(size):
-                acc = acc.add(a[i][j].mul(b[j][k]))
-            out[i][k] = acc
+            for b, entry in zip(group, row):
+                if entry.re or entry.im:
+                    acc = acc.add(entry.mul(state[b]))
+            out[a] = acc
     return out
+
+
+def _state_forms(state: list[ComplexPoly], nvars: int) -> tuple[RealPoly | None, ...]:
+    """Substitution forms of an image of z: Re, then Im, of each amplitude,
+    and None for the variables past the amplitudes."""
+    extra = nvars - 2 * len(state)
+    return tuple([a.re for a in state] + [a.im for a in state] + [None] * extra)
+
+
+def _symbolic_state(dim: int, nvars: int) -> list[ComplexPoly]:
+    return [z_poly(dim, nvars, j) for j in range(dim)]
 
 
 def _he_symbolic(ug: UncertainGate, nvars, param_index, aux_index):
@@ -258,22 +228,15 @@ def _he_symbolic(ug: UncertainGate, nvars, param_index, aux_index):
     return entries, constraints
 
 
-def _row_forms(matrix_polys, dim: int, nvars: int) -> tuple[RealPoly | None, ...]:
-    """Substitution forms of U z: Re and Im of each row, None for the
-    variables past the amplitudes."""
-    forms: list[RealPoly | None] = [None] * nvars
-    for k in range(dim):
-        forms[k] = matrix_row_re(matrix_polys, k, dim, nvars)
-        forms[dim + k] = matrix_row_im(matrix_polys, k, dim, nvars)
-    return tuple(forms)
-
-
 @lru_cache(maxsize=32)
 def _fixed_row_forms(matrix_bytes: bytes, dim: int, nvars: int) -> tuple[RealPoly | None, ...]:
-    """_row_forms of a fixed step matrix, given by its complex128 bytes; the
+    """Substitution forms of U z for a fixed window's composed matrix U,
+    given by its complex128 bytes and applied as a gate on every qubit; the
     forms depend only on the dynamics, so each is built once."""
     matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
-    return _row_forms(_lift_matrix(matrix, nvars), dim, nvars)
+    n = dim.bit_length() - 1
+    image = _apply_gate(_lift_matrix(matrix, nvars), range(n), n, _symbolic_state(dim, nvars))
+    return _state_forms(image, nvars)
 
 
 def _substitute_cert(
@@ -281,31 +244,6 @@ def _substitute_cert(
 ) -> RealPoly:
     base = certificate_realpoly(cert, offset, extra_vars=nvars - 2 * dim)
     return base.substitute(forms).snap()
-
-
-def matrix_row_re(mat, k, dim, nvars) -> RealPoly:
-    """Re of row k of U z; empty entry parts are skipped, which keeps sparse
-    (permutation) matrices cheap."""
-    acc = RealPoly(nvars)
-    for j in range(dim):
-        entry = mat[k][j]
-        if entry.re:
-            acc = acc.add(entry.re.mul(RealPoly.variable(nvars, j)))
-        if entry.im:
-            acc = acc.sub(entry.im.mul(RealPoly.variable(nvars, dim + j)))
-    return acc
-
-
-def matrix_row_im(mat, k, dim, nvars) -> RealPoly:
-    """Im of row k of U z; see matrix_row_re."""
-    acc = RealPoly(nvars)
-    for j in range(dim):
-        entry = mat[k][j]
-        if entry.im:
-            acc = acc.add(entry.im.mul(RealPoly.variable(nvars, j)))
-        if entry.re:
-            acc = acc.add(entry.re.mul(RealPoly.variable(nvars, dim + j)))
-    return acc
 
 
 def conditions_for(cert: Certificate) -> list[StateCondition | SideCondition]:
@@ -331,26 +269,35 @@ def side_query(condition, value: Fraction, timeout_s: float) -> SMTQuery:
 def _uncertain_step_poly(cert, offset, dyn, t0, count, dim):
     """B after `count` scheduled steps from t0, allowing uncertain factors.
 
-    Allocates u/v variables lazily: two passes, first to count them, then to
-    build with the final variable width. Returns (B, extra constraints,
-    variable count, variable names).
+    Every factor of every step acts on the symbolic state in order: a fixed
+    factor as a gate on every qubit, an HE factor as its symbolic 2x2 on its
+    target with the next u and v variables. The variables are counted first,
+    so that each polynomial has the final width. Returns (B, extra
+    constraints, variable count, variable names).
     """
     steps = [dyn.map_at(t0 + i) for i in range(count)]
     n_params = sum(s.n_params for s in steps)
-    n_aux = sum(
-        sum(1 for f in s.factors if not isinstance(f, Gate)) for s in steps
-    )
+    n_aux = sum(len(s.uncertain_parts) for s in steps)
     nvars = amplitude_vars(dim, n_params + n_aux)
-    mat = None
+    n = dyn.n
+    state = _symbolic_state(dim, nvars)
     extra: list[StructConstraint] = []
-    p_base, a_base = 2 * dim, 2 * dim + n_params
-    for s in steps:
-        m, cons, p_used, a_used = _symbolic_step_matrix(s, nvars, p_base, a_base)
-        extra.extend(cons)
-        p_base += p_used
-        a_base += a_used
-        mat = m if mat is None else _matmul_symbolic(m, mat, nvars)
-    poly = _substitute_cert(cert, offset, _row_forms(mat, dim, nvars), dim, nvars)
+    param, aux = 2 * dim, 2 * dim + n_params
+    for factor in (f for s in steps for f in s.factors):
+        if isinstance(factor, Gate):
+            state = _apply_gate(_lift_matrix(factor.matrix, nvars), range(n), n, state)
+            continue
+        ug, targets = factor
+        if ug.name != "HE":
+            raise EncodeError(
+                f"uncertain gate {ug.name!r} has no polynomial form for SMT encoding"
+            )
+        entries, constraints = _he_symbolic(ug, nvars, param, aux)
+        param += 1
+        aux += 1
+        extra.extend(constraints)
+        state = _apply_gate(entries, targets, n, state)
+    poly = _substitute_cert(cert, offset, _state_forms(state, nvars), dim, nvars)
     return poly, extra, nvars, _var_names(dim, n_params, n_aux)
 
 

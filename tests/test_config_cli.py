@@ -100,6 +100,7 @@ def test_config_error_reports_field(tmp_path):
         ("[smt]", "[extras]\nx = 1\n\n[smt]", "extras"),
         ("timeout = 60", "timeout = soon", "timeout"),
         ("degree = 2", "degree = 0", "degree"),
+        ("seed = 3", "seed = -3", "seed"),
         ("seed = 3", "seed = 3\nmax-terms = -1", "max-terms"),
         ("seed = 3", "seed = 3\nresample-rounds = -1", "resample-rounds"),
         ("timeout = 60", "timeout = -5", "timeout"),
@@ -119,6 +120,7 @@ def test_config_error_reports_field(tmp_path):
         "section",
         "smt-value",
         "degree-range",
+        "seed-range",
         "max-terms-range",
         "rounds-range",
         "timeout-negative",
@@ -141,7 +143,8 @@ def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--timeout", "-5"), ("--timeout", "inf"), ("--jobs", "0")]
+    "flag,value",
+    [("--timeout", "-5"), ("--timeout", "inf"), ("--jobs", "0"), ("--seed", "-1")],
 )
 def test_budget_overrides_exit_four_naming_the_key(tiny_config, tmp_path, capsys, flag, value):
     code = main(["synth", "--config", str(tiny_config), "--out", str(tmp_path / "o"), flag, value])
@@ -400,6 +403,17 @@ def test_sample_count_zero_rejected(tiny_config, tmp_path):
     code = main(["sample", "--config", str(tiny_config), "--count", "0",
                  "--out", str(tmp_path / "s.csv")])
     assert code > 2
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_repetition(tmp_path, capsys, repetitions):
+    out = tmp_path / "bench"
+    code = main(
+        ["bench", "--suite", "grover", "--repetitions", repetitions, "--out", str(out)]
+    )
+    assert code == 4
+    assert "--repetitions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_grover_suite_single_repetition(tmp_path, capsys):

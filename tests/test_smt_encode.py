@@ -180,6 +180,14 @@ def cx_setup():
     return cert, init, unsafe, full_sphere(4, "global"), dyn
 
 
+def cx_he_setup():
+    """cx_setup's certificate over steps of CX then the uncertain mixing gate
+    on qubit 1, so the k-step query composes two HE factors."""
+    cert, init, unsafe, glob, _ = cx_setup()
+    step = StepMap(n=2, factors=(standard_gate("CX"), (hadamard_uncertain(0.9, 1.1), (1,))))
+    return cert, init, unsafe, glob, Dynamics(maps=(step,), schedule=Schedule((0,)))
+
+
 def hybrid_setup():
     """Hybrid certificate with k = 2 over the alternating CX/CZ circuit: two
     coefficient vectors, so unsafe, step and time-shift are emitted once per
@@ -253,6 +261,13 @@ PINNED_SHA256 = {
         "k-step": "edc04ef1d5bec152a5f4b691bdb4f39a9c57089cb505ae314fe1dbad35dabd53",
         "side-margin": "7c7f583c3f13389111bb02184628ac1511dad6c236d29cd8bbe03e81506697e9",
     },
+    "cx-he": {
+        "init": "d432eee1e5687bf7c1d40e6515afb7f30dcec34ada5bed68212151e3bc1f21bc",
+        "unsafe": "7ad5584cf83744d7b51af48ea1bc1d366b870038be04c8528111f92209ff5078",
+        "step": "196f1e629c919f598aa867eff719653e91a9594fe4c957234410577e137e8d60",
+        "k-step": "3ad0c18039b11a5114dec944bf46f5168825b5f8b175ce06a94863fae6123fec",
+        "side-margin": "7c7f583c3f13389111bb02184628ac1511dad6c236d29cd8bbe03e81506697e9",
+    },
     "z-invariant": {
         "init": "ef59f9c8341e8d922f53cf33aa8cacbbc874ced6e91f63c7c60a97662c622ed1",
         "unsafe": "eb391c3a19bb513d5f271633cc6c7b073c81e35e0a635b7a867f32d604f6d646",
@@ -275,6 +290,7 @@ SETUPS = {
     "z": z_setup,
     "he": he_setup,
     "cx": cx_setup,
+    "cx-he": cx_he_setup,
     "z-invariant": lambda: z_setup(flavor="invariant"),
     "hybrid": hybrid_setup,
 }
@@ -287,6 +303,39 @@ def test_emitted_bytes_are_pinned(name):
         for q in _all_queries(SETUPS[name])
     }
     assert digests == PINNED_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "name,condition_id",
+    [
+        ("z", "step"),
+        ("cx", "k-step"),
+        ("hybrid", "step-t1"),
+        ("hybrid", "k-step"),
+        ("he", "step"),
+        ("cx-he", "k-step"),
+    ],
+)
+def test_window_queries_match_the_composed_matrix(name, condition_id):
+    """The negated condition of a step window is B_vec(U z) - B_before(z),
+    with U the float product of the window's step matrices; each u is drawn
+    from its gate's domain and its normalization v is 1/sqrt(1+u^2)."""
+    cert, init, unsafe, glob, dyn = SETUPS[name]()
+    spec = {c.condition_id: c for c in conditions_for(cert)}[condition_id]
+    poly = encode_condition(cert, spec, init, unsafe, glob, dyn).constraints[-1].poly
+    t0, count = spec.window
+    domains = [dyn.map_at(t0 + i).param_domain for i in range(count)]
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        raw = rng.normal(size=cert.dim) + 1j * rng.normal(size=cert.dim)
+        z = raw / np.linalg.norm(raw)
+        params = [tuple(rng.uniform(lo, hi) for lo, hi in d) or None for d in domains]
+        u = np.array([p for step in params if step for p in step])
+        point = np.concatenate([z.real, z.imag, u, 1.0 / np.sqrt(1.0 + u * u)])
+        assert len(point) == poly.nvars
+        after = eval_real(cert, dyn.composed_matrix(t0, count, params) @ z, spec.vec)
+        before = 0.0 if spec.before is None else eval_real(cert, z, spec.before)
+        assert abs(float(poly.eval_floats(point)[0]) - (after - before)) < 1e-9
 
 
 def _by_name(poly, names):
@@ -331,10 +380,12 @@ def _assert_same_problem(parsed, built, label):
 
 def test_builtin_problem_equals_the_parse_of_every_recheck_query():
     """Every query of the stored recheck certificates, built in memory, is the
-    problem that parsing its emitted text gives."""
+    problem that parsing its emitted text gives, and the texts of all of
+    them, in order, are pinned."""
     doc = json.loads((PERFBENCH / "data" / "recheck.json").read_text(encoding="utf-8"))
     jobs = {}
     count = 0
+    digest = hashlib.sha256()
     for i, entry in enumerate(doc["certificates"]):
         name = entry["config"]
         if name not in jobs:
@@ -349,5 +400,9 @@ def test_builtin_problem_equals_the_parse_of_every_recheck_query():
             )
             label = f"certificate {i} ({name}) {spec.condition_id}"
             _assert_same_problem(parse_problem(q.text), builtin_problem(q), label)
+            digest.update(q.text.encode())
             count += 1
     assert (len(doc["certificates"]), count) == (66, 358)
+    assert digest.hexdigest() == (
+        "a23e9a356f22f0a6dde31baed1a509a4820117a25e6e5b31d350fa4a8a743e77"
+    )
