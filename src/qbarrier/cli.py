@@ -161,6 +161,7 @@ def run_job(job: JobConfig, out_dir: Path) -> RunReport:
         terms_used=result.terms_used,
         rejections=result.rejections,
         config_echo=job.raw,
+        lp=result.lp,
     )
 
 

@@ -16,7 +16,9 @@ The loop follows the incremental recipe: grow the term list one monomial at
 a time, solve the scenario LP, and hand positive candidates to the SMT gate;
 refutation models are fed back into the scenario rows (counterexample-guided
 rounds) before the template grows; a counterexample joins the rows of the
-condition it refutes.
+condition it refutes. One live HiGHS model carries a job's scenario LP
+across every size and round: a new term adds its columns, and the rows it
+holds and its basis are kept.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ from .templates import (
     Certificate,
     CertificateError,
     full_template,
-    real_combination,
     side_conditions,
     side_value,
     state_conditions,
@@ -220,7 +221,6 @@ _STATUS_CODES = {
     "kUnbounded": 3,
     "kUnboundedOrInfeasible": 4,
 }
-_NO_INDEX = np.zeros(0, dtype=np.int32)
 
 
 @dataclass
@@ -241,25 +241,26 @@ def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
 class HighsModel:
     """One HiGHS model: minimize cost @ x over box bounds and rows a @ x <= b.
 
-    Rows are appended and column bounds changed in place, so each run
-    restarts from the basis of the last. `held` is the working set of
-    scenario rows that `_cut_solve` has appended; `calls` and `iterations`
-    count the runs and their simplex iterations."""
+    Rows and columns are appended and column bounds changed in place, so
+    each run restarts from the basis of the last. `held` is the working set
+    of scenario rows that `_cut_solve` has appended, in the model's row
+    order, as indices into `rows`; `cols` is the model column of each LP
+    column and `names` the variable of each model column, which a job's
+    model reads to follow its LP as the template grows (`_carry`). `calls`
+    and `iterations` count the runs and their simplex iterations."""
 
-    def __init__(self, cost: np.ndarray, bounds, a_fixed=None, b_fixed=None):
+    def __init__(self, cost=(), bounds=(), a_fixed=None, b_fixed=None):
         from scipy.optimize._highspy._core import _Highs
 
         self._highs = _Highs()
         self._check(self._highs.setOptionValue("output_flag", False), "set its options")
-        lo, hi = _bound_arrays(bounds)
-        cost = np.asarray(cost, dtype=float)
-        self._check(
-            self._highs.addCols(len(cost), cost, lo, hi, 0, _NO_INDEX, _NO_INDEX, np.zeros(0)),
-            "add the columns",
-        )
+        self.cols = np.zeros(0, dtype=np.intp)
+        self.names: list[str] = []
+        self.rows = None
         self.held = np.zeros(0, dtype=np.intp)
         self.calls = 0
         self.iterations = 0
+        self.add_cols(cost, bounds, np.zeros((0, len(cost))))
         if a_fixed is not None:
             self.add_rows(a_fixed, b_fixed)
 
@@ -268,9 +269,26 @@ class HighsModel:
         if status.name == "kError":
             raise LPSolverError(f"HiGHS could not {what}")
 
+    def add_cols(self, cost, bounds, a: np.ndarray) -> None:
+        """Append columns with these costs and bounds; column j has the
+        entries a[:, j] on the model's rows. The LP's columns are then the
+        model's, in order."""
+        lo, hi = _bound_arrays(bounds)
+        c, r = np.nonzero(a.T)
+        starts = np.searchsorted(c, np.arange(a.shape[1])).astype(np.int32)
+        self._check(
+            self._highs.addCols(
+                a.shape[1], np.asarray(cost, dtype=float), lo, hi,
+                len(r), starts, r.astype(np.int32), a[r, c],
+            ),
+            "add the columns",
+        )
+        self.cols = np.arange(len(self.cols) + a.shape[1])
+
     def add_rows(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Append the rows a @ x <= b; `a` may have fewer columns than the
-        model, the rest being zero. Only the nonzero entries are passed."""
+        """Append the rows a @ x <= b over the LP's columns; `a` may have
+        fewer columns than the LP, the rest being zero. Only the nonzero
+        entries are passed."""
         if len(a) == 0:
             return
         r, c = np.nonzero(a)
@@ -278,16 +296,16 @@ class HighsModel:
         self._check(
             self._highs.addRows(
                 len(a), np.full(len(a), -np.inf), np.asarray(b, dtype=float),
-                len(r), starts, c.astype(np.int32), a[r, c],
+                len(r), starts, self.cols[c].astype(np.int32), a[r, c],
             ),
             "add rows",
         )
 
     def set_bounds(self, cols, bounds) -> None:
-        """Replace the bounds of columns `cols`."""
+        """Replace the bounds of LP columns `cols`."""
         lo, hi = _bound_arrays(bounds)
         self._check(
-            self._highs.changeColsBounds(len(cols), np.asarray(cols, dtype=np.int32), lo, hi),
+            self._highs.changeColsBounds(len(cols), self.cols[cols].astype(np.int32), lo, hi),
             "change column bounds",
         )
 
@@ -303,7 +321,7 @@ class HighsModel:
         message = self._highs.modelStatusToString(status)
         if code != 0:
             return HighsResult(code, message)
-        x = np.array(self._highs.getSolution().col_value)
+        x = np.array(self._highs.getSolution().col_value)[self.cols]
         return HighsResult(code, message, x=x, fun=info.objective_function_value)
 
 
@@ -345,7 +363,7 @@ def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioMatrix, keep: np.nda
     n_rows, n_cols = rows.n_rows, rows.n_cols
     while True:
         new = np.setdiff1d(keep, model.held, assume_unique=True)
-        model.held = keep
+        model.held = np.concatenate([model.held, new])
         a_new, b_new = rows.take(new)
         res = linprog(model, A_ub=a_new, b_ub=b_new)
         # HiGHS status 4 includes "unbounded or infeasible" from presolve
@@ -370,12 +388,54 @@ def _seed_rows(problem: LPProblem) -> np.ndarray:
     return np.union1d(_spread(problem.n_rows, CUT_SEED_ROWS), np.array(side, dtype=np.intp))
 
 
-def solve_lp(problem: LPProblem) -> LPSolution:
-    """Solve on one live HiGHS model by constraint generation over the rows;
-    the returned point satisfies every row.  Numerical failures raise."""
-    model = HighsModel(-problem.objective, problem.bounds)
-    res, keep = _cut_solve(model, problem.rows, _seed_rows(problem))
-    stats = {"rows_kept": len(keep), "highs_calls": model.calls, "simplex_iterations": model.iterations}
+def _carry(model: HighsModel, problem: LPProblem) -> np.ndarray:
+    """Move a job's model onto the scenario LP of the next template size or
+    round, and return the working set to start from: the rows it holds.
+
+    Held rows are found again by their row ids, which an absorbed state
+    does not shift. The new terms' columns are appended, with their entries
+    on the held rows, and the model's columns are matched to the LP's by
+    name. On the job's first LP the model is empty and starts from
+    `_seed_rows`."""
+    rows = problem.rows
+    if model.rows is None:
+        held, keep = model.held, _seed_rows(problem)
+    else:
+        held = rows.locate(model.rows.row_ids(model.held))
+        keep = held
+    have = set(model.names)
+    new = [i for i, name in enumerate(rows.names) if name not in have]
+    if len(have) + len(new) != rows.n_cols:
+        raise LPError("a job's scenario LP only gains terms and rows")
+    if new:
+        a, _ = rows.take(held)
+        model.add_cols(-problem.objective[new], [problem.bounds[i] for i in new], a[:, new])
+        model.names += [rows.names[i] for i in new]
+    place = {name: j for j, name in enumerate(model.names)}
+    model.cols = np.array([place[name] for name in rows.names], dtype=np.intp)
+    model.rows, model.held = rows, held
+    return keep
+
+
+def solve_lp(problem: LPProblem, model: HighsModel | None = None) -> LPSolution:
+    """Solve by constraint generation over the rows; the returned point
+    satisfies every row.  Numerical failures raise.
+
+    Without a model, the solve starts a fresh one from `_seed_rows`. A job's
+    model (`synthesis_loop`) is carried from its last LP with its rows and
+    basis (`_carry`). The counts are this solve's own."""
+    if model is None:
+        model = HighsModel(-problem.objective, problem.bounds)
+        keep = _seed_rows(problem)
+    else:
+        keep = _carry(model, problem)
+    calls, iterations = model.calls, model.iterations
+    res, keep = _cut_solve(model, problem.rows, keep)
+    stats = {
+        "rows_kept": len(keep),
+        "highs_calls": model.calls - calls,
+        "simplex_iterations": model.iterations - iterations,
+    }
     if res.status == 0:
         return LPSolution(status="optimal", x=res.x, objective=float(-res.fun), **stats)
     if res.status == 2:
@@ -445,28 +505,41 @@ def _image(states: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return states @ mat.T
 
 
+def term_budget(dim: int, cfg: SynthesisConfig) -> int:
+    """Most template terms a job tries: its max-terms, else
+    DEFAULT_TERM_BUDGET, and never more than the full count of terms."""
+    return min(cfg.max_terms or DEFAULT_TERM_BUDGET, math.comb(2 * dim + cfg.degree, cfg.degree))
+
+
 class _Block:
-    """States and their term values: one column per term evaluated so far.
+    """States and their term values, stored term-major: row t of the buffer
+    holds term t at every state, so a new term writes one contiguous row.
 
-    The columns live in a buffer with spare capacity that doubles when it
-    fills, so a longer template writes its new columns in place."""
+    The buffer has a row for every term the job may try, and no value is
+    ever copied. Rows not written yet are never touched: a large buffer has
+    a mapping of its own, whose untouched pages take no memory. `first` is
+    the job-wide id of the block's first state."""
 
-    def __init__(self, states: np.ndarray):
+    def __init__(self, states: np.ndarray, capacity: int, first: int):
         self.states = states
+        self.first = first
         self.n_terms = 0
-        self._buf = np.empty((len(states), 0), dtype=complex)
+        self._buf = np.empty((capacity, len(states)), dtype=complex)
+
+    @property
+    def terms(self) -> np.ndarray:
+        """(n_terms, N): each term's values at the states."""
+        return self._buf[: self.n_terms]
 
     @property
     def values(self) -> np.ndarray:
-        return self._buf[:, : self.n_terms]
+        """(N, n_terms): the same values, one row per state."""
+        return self.terms.T
 
     def extend(self, new: np.ndarray) -> None:
+        """Store the values (N, m) of the next m terms."""
         stop = self.n_terms + new.shape[1]
-        if stop > self._buf.shape[1]:
-            buf = np.empty((len(self.states), max(stop, 2 * self._buf.shape[1])), dtype=complex)
-            buf[:, : self.n_terms] = self.values
-            self._buf = buf
-        self._buf[:, self.n_terms : stop] = new
+        self._buf[self.n_terms : stop] = new.T
         self.n_terms = stop
 
 
@@ -474,11 +547,12 @@ class ScenarioRows:
     """Term values of every scenario row of one job.
 
     The sampled states are fixed for a job and the template only grows, so
-    each term is evaluated once per row: a longer template adds columns and a
-    counterexample adds a block of one row. A condition over a step window
-    has the global blocks and their images under each of the window's
-    parameter draws, then its own counterexamples; any other condition has
-    its region's blocks.
+    each term is evaluated once per row: a longer template adds a row of
+    values to each block and a counterexample adds a block of one state. A
+    condition over a step window has the global blocks and their images
+    under each of the window's parameter draws, then its own
+    counterexamples; any other condition has its region's blocks. Each state
+    has a job-wide id, in the order the blocks were made.
     """
 
     def __init__(self, scenarios: Scenarios, dynamics: Dynamics, cfg: SynthesisConfig):
@@ -489,9 +563,11 @@ class ScenarioRows:
             raise LPError("hybrid flavor needs the schedule period to divide k")
         self.dyn = dynamics
         self.cfg = cfg
+        self.capacity = term_budget(dynamics.dim, cfg)
         self.conditions = {c.condition_id: c for c in state_conditions(cfg.flavor, self.k)}
         self.template: BarrierTemplate | None = None  # the terms evaluated so far
         self.blocks: list[_Block] = []
+        self.n_states = 0  # states over every block: the id of the next one
         gl = scenarios.global_states
         self.regions = {
             "init": [self._new(scenarios.init)],
@@ -508,7 +584,8 @@ class ScenarioRows:
                     self.images[c.window] = [(m, [self._new(_image(gl, m))]) for m in mats]
 
     def _new(self, states: np.ndarray) -> _Block:
-        self.blocks.append(_Block(states))
+        self.blocks.append(_Block(states, self.capacity, self.n_states))
+        self.n_states += len(states)
         return self.blocks[-1]
 
     @property
@@ -517,13 +594,17 @@ class ScenarioRows:
         return sum(b.values.size for b in self.blocks)
 
     def families(self, template: BarrierTemplate):
-        """({region: term values}, {condition id: (after, before)}) on a
-        prefix of the table's terms, or on a template extending them,
-        evaluated first; `before` is None where the condition subtracts none."""
+        """({region: blocks}, {condition id: (after blocks, before blocks)})
+        in row order, every block evaluated on a prefix of the table's terms,
+        or on a template extending them, evaluated first; the before blocks
+        pair with the after blocks one to one, and are None where the
+        condition subtracts none."""
         have = self.template.n_terms if self.template else 0
         nt = template.n_terms
         if self.template and template.terms[:have] != self.template.terms[:nt]:
             raise LPError("the template does not extend the evaluated terms")
+        if nt > self.capacity:
+            raise LPError(f"the template has {nt} terms, more than the job's {self.capacity}")
         if nt > have:
             self.template = template
         for b in self.blocks:
@@ -532,22 +613,16 @@ class ScenarioRows:
                 if not np.isfinite(new).all():
                     raise LPError("non-finite coefficients in the scenario rows")
                 b.extend(new)
-
-        def rows(blocks):
-            parts = [b.values[:, :nt] for b in blocks]
-            return parts[0] if len(parts) == 1 else np.vstack(parts)
-
-        regions = {name: rows(blocks) for name, blocks in self.regions.items()}
         out = {}
         for cid, c in self.conditions.items():
             if c.window is None:
-                after = before = regions[c.region]
+                after = before = self.regions[c.region]
             else:
                 draws, own = self.images[c.window], self.own[cid]
-                after = rows([b for _, blocks in draws for b in blocks] + [a for _, a in own])
-                before = rows(self.regions[c.region] * len(draws) + [b for b, _ in own])
+                after = [b for _, blocks in draws for b in blocks] + [a for _, a in own]
+                before = self.regions[c.region] * len(draws) + [b for b, _ in own]
             out[cid] = (after, before if c.before is not None else None)
-        return regions, out
+        return self.regions, out
 
     def absorb(self, condition_id: str, state, params) -> None:
         """Add a refuted condition's counterexample to the rows of that
@@ -576,39 +651,85 @@ class ScenarioRows:
 @dataclass
 class _Family:
     """Rows sign * B_vec(after) - B_before_vec(before) + flavor @ x <= rhs,
-    one per row of term values (`before` only for difference rows); without
-    term values, one row over the flavor variables alone."""
+    one per state of the `after` blocks (term-major values, `before` paired
+    block by block and only for difference rows); without blocks, one row
+    over the flavor variables alone. `ids` holds the job-wide id of each
+    after block's first state."""
 
-    after: np.ndarray | None = None
+    after: list[np.ndarray] = field(default_factory=list)
+    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     vec: int = 0
     sign: float = 1.0
-    before: np.ndarray | None = None
+    before: list[np.ndarray] | None = None
     before_vec: int = 0
     flavor: dict[int, float] = field(default_factory=dict)  # column -> coefficient
     rhs: float = 0.0
 
     @property
+    def starts(self) -> np.ndarray:
+        """Row of each block's first state, then the row count."""
+        return np.cumsum([0] + [a.shape[1] for a in self.after])
+
+    @property
     def n(self) -> int:
-        return 1 if self.after is None else len(self.after)
+        return int(self.starts[-1]) if self.after else 1
+
+    def blocks(self):
+        """(first row, after values, before values or None) per block."""
+        before = self.before or [None] * len(self.after)
+        return zip(self.starts[:-1], self.after, before)
 
 
-def _real_view(term_vals: np.ndarray) -> np.ndarray:
-    """(N, 2T) float view of complex term values: Re, Im of each term."""
-    return term_vals.view(np.float64)
+def _gather(terms: list[np.ndarray], starts: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """(len(sel), nt) term values at rows `sel` of term-major blocks that
+    start at rows `starts`."""
+    if len(terms) == 1:
+        return terms[0][:, sel].T
+    seg = np.searchsorted(starts, sel, side="right") - 1
+    out = np.empty((len(sel), terms[0].shape[0]), dtype=complex)
+    for j in np.unique(seg):
+        hit = seg == j
+        out[hit] = terms[j][:, sel[hit] - starts[j]].T
+    return out
+
+
+def _combination(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """`real_combination` at term-major values (nt, N). Both real sums run
+    term by term from zero, as numpy's matmul does on the strided real
+    view, so a state's value has the same bits in a block of one state as
+    among the sampled ones (numpy takes a BLAS dot for a single row)."""
+    re = np.zeros(terms.shape[1])
+    im = np.zeros(terms.shape[1])
+    for t, c in enumerate(coeffs):
+        re += terms[t].real * c.real
+        im += terms[t].imag * c.imag
+    return re - im
+
+
+def _stacked(terms: list[np.ndarray]) -> np.ndarray:
+    """(N, nt) term values of term-major blocks, one row per state."""
+    return terms[0].T if len(terms) == 1 else np.hstack(terms).T
+
+
+# a row's job-wide id: its family's position above this many bits, and the
+# id of its state below them
+_ID_BITS = 40
 
 
 class ScenarioMatrix:
     """The scenario rows of one LP, kept as term values per family.
 
-    Over variables (re, im of each coefficient vector, then the flavor
-    variables), B_v at term values T is the row T.real at re_v and -T.imag
-    at im_v. No matrix of every row is formed: `take` builds the rows of a
-    working set, and `residual` multiplies the term values.
+    Over the variables `names` (re, im of each coefficient vector, then the
+    flavor variables), B_v at term values T is the row T.real at re_v and
+    -T.imag at im_v. No matrix of every row is formed: `take` builds the
+    rows of a working set, and `residual` multiplies the term values. A
+    row's id (`row_ids`) names the same row in every LP of the job.
     """
 
-    def __init__(self, nt: int, width: int):
+    def __init__(self, nt: int, names: list[str]):
         self.nt = nt
-        self.n_cols = width
+        self.names = names
+        self.n_cols = len(names)
         self.n_rows = 0
         self.parts: list[tuple[int, _Family]] = []  # (first row, family)
 
@@ -624,6 +745,14 @@ class ScenarioMatrix:
         block[:, base + 1 : base + 2 * self.nt : 2] = -sign * term_vals.imag
         return block
 
+    def _hits(self, idx: np.ndarray):
+        """(family position, first row, family, mask of idx, rows of idx in
+        the family) for each family that idx reaches."""
+        for pos, (first, fam) in enumerate(self.parts):
+            hit = (idx >= first) & (idx < first + fam.n)
+            if hit.any():
+                yield pos, first, fam, hit, idx[hit] - first
+
     def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A[idx], b[idx])."""
         idx = np.asarray(idx, dtype=np.intp)
@@ -631,30 +760,25 @@ class ScenarioMatrix:
             raise IndexError("row index out of range")
         a = np.empty((len(idx), self.n_cols))
         b = np.empty(len(idx))
-        for first, fam in self.parts:
-            hit = (idx >= first) & (idx < first + fam.n)
-            if not hit.any():
-                continue
-            sel = idx[hit] - first
-            if fam.after is None:
+        for _, _, fam, hit, sel in self._hits(idx):
+            if not fam.after:
                 blk = np.zeros((len(sel), self.n_cols))
             else:
-                blk = self._coef_block(fam.after[sel], fam.vec, fam.sign)
+                starts = fam.starts
+                blk = self._coef_block(_gather(fam.after, starts, sel), fam.vec, fam.sign)
                 if fam.before is not None:
-                    blk = blk - self._coef_block(fam.before[sel], fam.before_vec)
+                    blk = blk - self._coef_block(_gather(fam.before, starts, sel), fam.before_vec)
             for col, value in fam.flavor.items():
                 blk[:, col] = value
             a[hit] = blk
             b[hit] = fam.rhs
         return a, b
 
-    def _part(self, x: np.ndarray, vec: int) -> np.ndarray:
-        """Vector `vec` of x with its imaginary entries negated, so that
-        _real_view(T) @ part is B_vec at T."""
+    def _vector(self, x: np.ndarray, vec: int) -> np.ndarray:
+        """Coefficient vector `vec` of x, re + 1j * im, so that
+        Re(vector @ T) is B_vec at term-major values T."""
         base = vec * 2 * self.nt
-        part = x[base : base + 2 * self.nt].copy()
-        part[1::2] *= -1.0
-        return part
+        return x[base : base + 2 * self.nt : 2] + 1j * x[base + 1 : base + 2 * self.nt : 2]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A @ x - b over every row."""
@@ -662,14 +786,51 @@ class ScenarioMatrix:
         for first, fam in self.parts:
             r = out[first : first + fam.n]
             shift = sum(value * x[col] for col, value in fam.flavor.items()) - fam.rhs
-            if fam.after is None:
+            if not fam.after:
                 r.fill(shift)
                 continue
-            np.matmul(_real_view(fam.after), fam.sign * self._part(x, fam.vec), out=r)
-            if fam.before is not None:
-                r -= _real_view(fam.before) @ self._part(x, fam.before_vec)
-            r += shift
+            coef, before_coef = self._vector(x, fam.vec), self._vector(x, fam.before_vec)
+            for start, after, before in fam.blocks():
+                seg = r[start : start + after.shape[1]]
+                seg[:] = fam.sign * (coef @ after).real
+                if before is not None:
+                    seg -= (before_coef @ before).real
+                seg += shift
         return out
+
+    def row_ids(self, idx: np.ndarray) -> np.ndarray:
+        """Job-wide ids of rows `idx`: the family's position, then the id of
+        the row's state. An absorbed state shifts the rows of later states,
+        not their ids."""
+        idx = np.asarray(idx, dtype=np.intp)
+        ids = np.empty(len(idx), dtype=np.int64)
+        for pos, _, fam, hit, sel in self._hits(idx):
+            ids[hit] = pos << _ID_BITS
+            if fam.after:
+                starts = fam.starts
+                seg = np.searchsorted(starts, sel, side="right") - 1
+                ids[hit] += fam.ids[seg] + sel - starts[seg]
+        return ids
+
+    def locate(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of these ids, in their order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        idx = np.full(len(ids), -1, dtype=np.intp)
+        pos, state = ids >> _ID_BITS, ids & ((1 << _ID_BITS) - 1)
+        for p, (first, fam) in enumerate(self.parts):
+            hit = pos == p
+            if not fam.after:
+                idx[hit] = first
+                continue
+            starts = fam.starts
+            order = np.argsort(fam.ids)
+            seg = order[np.searchsorted(fam.ids[order], state[hit], side="right") - 1]
+            off = state[hit] - fam.ids[seg]
+            inside = (off >= 0) & (off < starts[seg + 1] - starts[seg])
+            idx[hit] = np.where(inside, first + starts[seg] + off, -1)
+        if (idx < 0).any():
+            raise LPError("a held row is not among this LP's rows")
+        return idx
 
 
 class ScenarioLP:
@@ -686,18 +847,53 @@ class ScenarioLP:
         self.polish_rows_kept = 0
         self.polish_iterations = 0  # simplex iterations of those calls
         regions, values = rows.families(template)
-        self.init_T, self.unsafe_T, self.global_T = (regions[r] for r in ("init", "unsafe", "global"))
+
+        def terms(blocks):
+            return [b.terms[: self.nt] for b in blocks]
+
+        # term-major values of each region's blocks and of each family's
+        self.regions = {name: terms(blocks) for name, blocks in regions.items()}
         self.thresholds = THRESHOLDS[self.flavor]
         # (condition id, kind, rows without their threshold) in condition
         # order: sign * B_vec at `after`, less B_before at `before`
-        self.term_families = [
-            (cid, c.kind, _Family(after=values[cid][0], vec=c.vec, sign=float(c.sign),
-                                  before=values[cid][1], before_vec=c.before or 0))
-            for cid, c in rows.conditions.items()
+        self.term_families = []
+        for cid, c in rows.conditions.items():
+            after, before = values[cid]
+            fam = _Family(
+                after=terms(after), ids=np.array([b.first for b in after], dtype=np.int64),
+                vec=c.vec, sign=float(c.sign),
+                before=None if before is None else terms(before), before_vec=c.before or 0,
+            )
+            self.term_families.append((cid, c.kind, fam))
+
+    # ----- stacked term values, one row per state, for inspection -----------
+
+    @property
+    def init_T(self) -> np.ndarray:
+        return _stacked(self.regions["init"])
+
+    @property
+    def unsafe_T(self) -> np.ndarray:
+        return _stacked(self.regions["unsafe"])
+
+    @property
+    def global_T(self) -> np.ndarray:
+        return _stacked(self.regions["global"])
+
+    def _pairs(self, kind: str) -> list:
+        return [
+            (_stacked(f.before), _stacked(f.after)) for _, k, f in self.term_families if k == kind
         ]
-        pairs = [(kind, (f.before, f.after)) for _, kind, f in self.term_families]
-        self.step_data = [p for kind, p in pairs if kind == "step"]
-        self.kstep_data = next((p for kind, p in pairs if kind == "k-step"), None)
+
+    @property
+    def step_data(self) -> list:
+        """(before, after) per step family."""
+        return self._pairs("step")
+
+    @property
+    def kstep_data(self):
+        """(before, after) of the k-step family, if there is one."""
+        return next(iter(self._pairs("k-step")), None)
 
     # ----- variable layout ----------------------------------------------
 
@@ -725,7 +921,7 @@ class ScenarioLP:
         names = self.var_layout()
         width = len(names)
         fv = self.flavor_vars
-        rows = ScenarioMatrix(self.nt, width)
+        rows = ScenarioMatrix(self.nt, names)
         families: list[tuple[str, int, int]] = []
 
         def family(name, fam):
@@ -784,11 +980,16 @@ class ScenarioLP:
         """Per condition kind, the scenario maximum of sign * B over its rows."""
         ext: dict[str, float] = {}
         for _, kind, fam in self.term_families:
-            vals = fam.sign * real_combination(vectors[fam.vec], fam.after)
-            if fam.before is not None:
-                vals = vals - real_combination(vectors[fam.before_vec], fam.before)
-            ext[kind] = max(ext.get(kind, -math.inf), float(np.max(vals)))
+            for _, after, before in fam.blocks():
+                vals = fam.sign * _combination(vectors[fam.vec], after)
+                if before is not None:
+                    vals = vals - _combination(vectors[fam.before_vec], before)
+                ext[kind] = max(ext.get(kind, -math.inf), float(np.max(vals)))
         return ext
+
+    def _unsafe_min(self, vector: np.ndarray) -> float:
+        """The scenario minimum of B at the unsafe states."""
+        return min(float(np.min(_combination(vector, t))) for t in self.regions["unsafe"])
 
     def polish(self, problem: LPProblem, opt_value: float) -> np.ndarray:
         """Re-solve with the separation pinned at half the optimum and an L1
@@ -920,9 +1121,7 @@ class ScenarioLP:
             if ext["step"] > dust:
                 return None
             vectors = self._shifted(vectors, up(shift))
-            gamma_raw = float(
-                np.min(real_combination(vectors[0], self.unsafe_T))
-            )
+            gamma_raw = self._unsafe_min(vectors[0])
             gamma = down(max(rho, gamma_raw / 2.0))
             if gamma < rho or gamma_raw < rho:
                 return None
@@ -953,10 +1152,7 @@ class ScenarioLP:
                 return None
             shift = max(0.0, ext["init"])
             vectors = self._shifted(vectors, up(shift))
-            d_raw = min(
-                float(np.min(real_combination(vectors[v], self.unsafe_T)))
-                for v in range(self.n_vec)
-            )
+            d_raw = min(self._unsafe_min(vectors[v]) for v in range(self.n_vec))
             need = k * eps + (k * gam if flavor == "hybrid" else 0.0)
             s = d_raw - need - rho
             if s < 0:
@@ -1051,6 +1247,10 @@ class SynthesisResult:
     lp_time: float
     smt_time: float
     rejections: list
+    # per (terms, round): the LP's rows, and the rows kept, HiGHS calls and
+    # simplex iterations of its solve; then the outcome: no-candidate, or
+    # the gate's verdict (refuted, verified or unknown)
+    lp: list
 
 
 def synthesis_loop(
@@ -1068,11 +1268,13 @@ def synthesis_loop(
     """Grow the template term by term; candidates must pass the SMT gate.
 
     A refuted candidate feeds its counterexample back into the scenario rows
-    for up to `resample_rounds` re-solves before the template grows. The
-    verdict taxonomy: solved means found and SMT-verified; unknown means a
-    candidate could not be adjudicated (timeout or out-of-scope query), and
-    the loop stops at the first one; unsolved means every size was exhausted
-    without an accepted candidate.
+    for up to `resample_rounds` re-solves before the template grows. Every
+    size and round is solved on one live HiGHS model, which gains the new
+    terms' columns and keeps its rows and basis. The verdict taxonomy:
+    solved means found and SMT-verified; unknown means a candidate could
+    not be adjudicated (timeout or out-of-scope query), and the loop stops
+    at the first one; unsolved means every size was exhausted without an
+    accepted candidate.
     """
     workdir = Path(workdir)
     t_lp = 0.0
@@ -1081,13 +1283,16 @@ def synthesis_loop(
     if scenarios is None:
         scenarios = sample_scenarios(init_region, unsafe_region, global_region, cfg)
     rows = ScenarioRows(scenarios, dynamics, cfg)
+    model = HighsModel()
     t_lp += time.perf_counter() - start
-    full_count = math.comb(2 * dynamics.dim + cfg.degree, cfg.degree)
-    budget = cfg.max_terms if cfg.max_terms else DEFAULT_TERM_BUDGET
-    budget = min(budget, full_count)
-    template_all = full_template(dynamics.dim, cfg.degree, budget)
+    template_all = full_template(dynamics.dim, cfg.degree, rows.capacity)
     max_terms = template_all.n_terms
     rejections: list = []
+    solves: list = []
+
+    def result(status, cert=None, report=None, terms=max_terms):
+        return SynthesisResult(status, cert, report, terms, t_lp, t_smt, rejections, solves)
+
     for size in range(1, max_terms + 1):
         template = template_all.prefix(size)
         for round_idx in range(cfg.resample_rounds + 1):
@@ -1095,7 +1300,7 @@ def synthesis_loop(
             cells = rows.cells
             slp = ScenarioLP(template, rows)
             problem = slp.build()
-            solution = solve_lp(problem)
+            solution = solve_lp(problem, model)
             try:
                 cert = extract_certificate(slp, problem, solution)
             except NoCandidateError:
@@ -1116,6 +1321,17 @@ def synthesis_loop(
                 slp.polish_calls,
                 slp.polish_iterations,
             )
+            solves.append(
+                {
+                    "terms": size,
+                    "round": round_idx,
+                    "rows": problem.n_rows,
+                    "rows_kept": solution.rows_kept,
+                    "highs_calls": solution.highs_calls,
+                    "simplex_iterations": solution.simplex_iterations,
+                    "outcome": "no-candidate",
+                }
+            )
             if cert is None:
                 break  # grow the template
             t1 = time.perf_counter()
@@ -1131,16 +1347,10 @@ def synthesis_loop(
                 jobs=jobs,
             )
             t_smt += time.perf_counter() - t1
+            solves[-1]["outcome"] = report.overall
             if report.overall != "refuted":
-                return SynthesisResult(
-                    status="solved" if report.overall == "verified" else "unknown",
-                    certificate=cert,
-                    verification=report,
-                    terms_used=size,
-                    lp_time=t_lp,
-                    smt_time=t_smt,
-                    rejections=rejections,
-                )
+                status = "solved" if report.overall == "verified" else "unknown"
+                return result(status, cert, report, size)
             ref = report.refutation
             query = next(q for q in queries if q.condition_id == ref.condition_id)
             state = model_to_state(query, ref.model)
@@ -1161,13 +1371,4 @@ def synthesis_loop(
                 ref.condition_id,
             )
             rows.absorb(ref.condition_id, state, params)
-    return SynthesisResult(
-        status="unsolved",
-        certificate=None,
-        verification=None,
-        terms_used=max_terms,
-        lp_time=t_lp,
-        smt_time=t_smt,
-        rejections=rejections,
-    )
-
+    return result("unsolved")

@@ -32,6 +32,9 @@ class RunReport:
     terms_used: int | None = None
     rejections: list = field(default_factory=list)
     config_echo: dict = field(default_factory=dict)
+    # per (terms, round) of the template search: LP rows, rows kept, HiGHS
+    # calls, simplex iterations and outcome; counts, so they repeat at a seed
+    lp: list = field(default_factory=list)
 
     def to_dict(self, with_times: bool = True) -> dict:
         doc = {
@@ -46,6 +49,7 @@ class RunReport:
             "timeout_s": self.timeout_s,
             "terms_used": self.terms_used,
             "rejections": self.rejections,
+            "lp": self.lp,
             "config": self.config_echo,
         }
         if with_times:

@@ -21,7 +21,7 @@ matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -111,18 +111,15 @@ class SMTQuery:
     timeout_s: float
     logic: str = "QF_NRA"
 
-    @property
+    @cached_property
     def declarations(self) -> tuple[str, ...]:
-        return tuple(sorted(self._used_names()))
-
-    def _used_names(self) -> set[str]:
-        used: set[str] = set()
+        """The variables that some monomial uses, sorted by name; computed
+        once per query, for its text and its in-memory problem."""
+        used: set[int] = set()
         for c in self.constraints:
             for exps in c.poly.coeffs:
-                for i, e in enumerate(exps):
-                    if e:
-                        used.add(self.var_names[i])
-        return used
+                used.update(i for i, e in enumerate(exps) if e)
+        return tuple(sorted(self.var_names[i] for i in used))
 
     @property
     def text(self) -> str:

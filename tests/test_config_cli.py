@@ -181,6 +181,21 @@ def test_synth_reports_reproducible_modulo_times(tiny_config, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_report_lp_counts_repeat_at_a_seed(tiny_config, tmp_path):
+    docs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["synth", "--config", str(tiny_config), "--out", str(out)]) == 0
+        docs.append(json.loads((out / "report.json").read_text()))
+    lp = docs[0]["lp"]
+    assert lp and lp == docs[1]["lp"]
+    keys = {"terms", "round", "rows", "rows_kept", "highs_calls", "simplex_iterations", "outcome"}
+    assert all(set(entry) == keys for entry in lp)
+    assert lp[-1]["outcome"] == "verified" and lp[-1]["terms"] == docs[0]["terms_used"]
+    assert {e["outcome"] for e in lp[:-1]} <= {"no-candidate", "refuted"}
+    assert all(0 < e["rows_kept"] <= e["rows"] and e["highs_calls"] >= 1 for e in lp)
+
+
 def test_malformed_config_exits_above_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CFG.replace("prob(0) >= 0.9", "prob(0) == 0.9"))

@@ -1,17 +1,22 @@
 """The live HiGHS model behind every LP solve: the bindings it needs, the
-status codes it gives, rows appended once, and re-solves after in-place
-bound changes that agree with fresh solves."""
+status codes it gives, rows appended once, re-solves after in-place bound
+changes that agree with fresh solves, and the one model a synthesis job
+carries across template sizes and rounds."""
 import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
 
 import qbarrier.lp
 from qbarrier.cli import bundled_config_path
 from qbarrier.config import load_config
 from qbarrier.lp import (
+    CUT_TOL,
     DenseRows,
     HighsModel,
     LPProblem,
@@ -24,7 +29,9 @@ from qbarrier.lp import (
     recheck_solution,
     sample_scenarios,
     solve_lp,
+    synthesis_loop,
 )
+from qbarrier.regions import full_sphere, parse_region
 from qbarrier.templates import full_template
 
 
@@ -224,3 +231,167 @@ def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
     assert 0 in statuses[1:] and 2 in statuses[1:-1]
     assert models[0].zeroed() == kept  # the last infeasible try was undone
     assert slp.polish_calls >= len(statuses) and slp.polish_iterations > 0
+
+
+# ----- one model per job ------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 40),
+    n_cols=st.integers(1, 8),
+)
+def test_columns_appended_one_at_a_time_match_fresh_solves(seed, n_rows, n_cols):
+    # the LP's columns are the model's in another order, the newest one at a
+    # random place, as a new term's columns sit before the flavor variables;
+    # half of the rows arrive only after some columns were appended
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_rows, n_cols))
+    b = rng.uniform(0.1, 2.0, n_rows)
+    cost = rng.normal(size=n_cols)
+    bounds = [(-1.0, 1.0)] * n_cols
+    first, late = np.arange(n_rows // 2), np.arange(n_rows // 2, n_rows)
+    model = HighsModel()
+    held = np.zeros(0, dtype=int)
+    layout: list[int] = []  # model column of each LP column
+    for j in range(n_cols):
+        if j == 0:
+            model.add_cols(cost[:1], bounds[:1], np.zeros((0, 1)))
+            held = first
+            model.cols = np.array([0])
+            res = linprog(model, A_ub=a[first, :1], b_ub=b[first])
+            layout = [0]
+        else:
+            model.add_cols(cost[j : j + 1], bounds[:1], a[held][:, [j]])
+            layout.insert(int(rng.integers(0, j + 1)), j)
+            model.cols = np.array(layout)
+            new = late if j == n_cols // 2 else np.zeros(0, dtype=int)
+            res = linprog(model, A_ub=a[new][:, layout], b_ub=b[new])
+            held = np.concatenate([held, new])
+        ref = scipy_linprog(
+            cost[: j + 1], A_ub=a[held, : j + 1], b_ub=b[held], bounds=bounds[: j + 1], method="highs"
+        )
+        assert res.status == ref.status == 0
+        assert res.fun == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        x = np.empty(j + 1)
+        x[layout] = res.x  # back to the model's order
+        assert cost[: j + 1] @ x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        assert np.all(a[held, : j + 1] @ x <= b[held] + 1e-7)
+
+
+def _z_job(samples=400, seed=2):
+    """A three-qubit Z invariant job's scenario rows."""
+    from qbarrier import SynthesisConfig, constant_dynamics, standard_gate, tensor
+
+    dyn = constant_dynamics(tensor([standard_gate("Z")] * 3))
+    cfg = SynthesisConfig(flavor="invariant", degree=2, samples=samples, seed=seed)
+    init = parse_region(["prob(0) >= 0.9"], 8, "init")
+    unsafe = parse_region(["prob(1) >= 0.2"], 8, "unsafe")
+    scen = sample_scenarios(init, unsafe, full_sphere(8), cfg)
+    return ScenarioRows(scen, dyn, cfg)
+
+
+def test_one_model_counts_each_solve_on_its_own(monkeypatch):
+    rows = _z_job()
+    template = full_template(8, 2, 6)
+    model = HighsModel()
+    calls = []  # rows appended by each HiGHS call on the job's model
+    real = qbarrier.lp.linprog
+
+    def counting(target, *, A_ub, b_ub):
+        if target is model:
+            calls.append(len(A_ub))
+        return real(target, A_ub=A_ub, b_ub=b_ub)
+
+    monkeypatch.setattr(qbarrier.lp, "linprog", counting)
+    for nt in (3, 6):
+        problem = ScenarioLP(template.prefix(nt), rows).build()
+        before = len(calls), model.iterations
+        sol = solve_lp(problem, model)
+        assert sol.status == "optimal"
+        assert sol.highs_calls == len(calls) - before[0] >= 1
+        assert sol.simplex_iterations == model.iterations - before[1]
+        assert sol.rows_kept == len(model.held) == sum(calls)
+        fresh = solve_lp(problem)
+        assert sol.objective == pytest.approx(fresh.objective, rel=1e-9)
+    # the second size started from the first one's rows and basis
+    assert model.calls == len(calls) and 0 < sol.highs_calls < model.calls
+
+
+def test_row_ids_follow_rows_across_absorbed_states():
+    # an uncertain step draws five images of the global states; a global
+    # counterexample joins each of them, inside the step families
+    from qbarrier import Dynamics, Schedule, SynthesisConfig, standard_gate
+    from qbarrier.quantum import StepMap, hadamard_uncertain
+
+    step = StepMap(n=2, factors=(standard_gate("CX"), (hadamard_uncertain(0.9, 1.1), (1,))))
+    dyn = Dynamics(maps=(step,), schedule=Schedule((0,)))
+    cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=20, seed=5, k=2)
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
+    rows = ScenarioRows(sample_scenarios(init, unsafe, full_sphere(4), cfg), dyn, cfg)
+    template = full_template(4, 2, 5)
+    first = ScenarioLP(template.prefix(3), rows).build().rows
+    ids = first.row_ids(np.arange(first.n_rows))
+    rng = np.random.default_rng(1)
+    for cid, params in (("shift-t0", ()), ("step-t1", (1.0,)), ("init", ())):
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rows.absorb(cid, z / np.linalg.norm(z), params)
+    later = ScenarioLP(template.prefix(5), rows).build().rows
+    idx = later.locate(ids)
+    assert len(set(idx.tolist())) == first.n_rows and later.n_rows > first.n_rows
+    assert not np.array_equal(idx, np.arange(first.n_rows))  # the rows moved
+    a0, b0 = first.take(np.arange(first.n_rows))
+    a1, b1 = later.take(idx)
+    cols = [later.names.index(name) for name in first.names]
+    assert np.array_equal(a1[:, cols], a0) and np.array_equal(b1, b0)
+    assert np.array_equal(later.row_ids(idx), ids)
+
+
+def test_the_job_model_matches_cold_solves_at_every_size(monkeypatch, tmp_path):
+    job = load_config(bundled_config_path("xgate3_finite_t1"))
+    cfg = job.synthesis
+    cfg.samples = 1000
+    real = qbarrier.lp.solve_lp
+    checked = []
+
+    def comparing(problem, model=None):
+        sol = real(problem, model)
+        cold = real(problem)
+        assert sol.status == cold.status
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert recheck_solution(problem, sol.x) <= CUT_TOL
+        checked.append(problem.n_vars)
+        return sol
+
+    monkeypatch.setattr(qbarrier.lp, "solve_lp", comparing)
+    res = synthesis_loop(
+        job.dynamics, job.init_region, job.unsafe_region, job.global_region, cfg, workdir=tmp_path
+    )
+    assert res.status == "unsolved" and res.rejections
+    assert len(set(checked)) == res.terms_used and len(checked) == len(res.lp)
+
+
+def test_each_scenario_row_reaches_the_job_model_once(monkeypatch, tmp_path):
+    job = load_config(bundled_config_path("xgate3_finite_t1"))
+    cfg = job.synthesis
+    cfg.samples = 1000
+    real = qbarrier.lp.linprog
+    sent = {}  # job model -> ids of the rows appended to it
+
+    def counting(model, *, A_ub, b_ub):
+        if model.rows is not None:  # the job's model, not a polish model
+            new = model.held[len(model.held) - len(A_ub) :]
+            sent.setdefault(id(model), []).extend(model.rows.row_ids(new).tolist())
+        return real(model, A_ub=A_ub, b_ub=b_ub)
+
+    monkeypatch.setattr(qbarrier.lp, "linprog", counting)
+    res = synthesis_loop(
+        job.dynamics, job.init_region, job.unsafe_region, job.global_region, cfg, workdir=tmp_path
+    )
+    assert res.status == "unsolved" and len(res.lp) > res.terms_used
+    (ids,) = sent.values()
+    assert len(ids) == len(set(ids)) == res.lp[-1]["rows_kept"]
+    assert sum(entry["rows"] for entry in res.lp) > 100 * len(ids)

@@ -914,3 +914,16 @@ def test_term_columns_grow_in_place():
         assert np.array_equal(slp.init_T, template.prefix(nt).evaluate_terms(scen.init))
         assert rows.cells == sum(len(b.states) for b in rows.blocks) * nt
         assert all(b.values.shape == (len(b.states), nt) for b in rows.blocks)
+
+
+def test_the_term_table_holds_the_job_budget():
+    # the table is sized for the job's term budget up front, so a longer
+    # template is refused instead of copying every held value
+    init, unsafe, glob = z3_regions()
+    cfg = SynthesisConfig(flavor="invariant", degree=2, samples=25, seed=3, max_terms=4)
+    rows = ScenarioRows(sample_scenarios(init, unsafe, glob, cfg), z3_dynamics(), cfg)
+    template = full_template(8, 2, 5)
+    ScenarioLP(template.prefix(4), rows)
+    assert rows.capacity == 4 and rows.cells == 4 * sum(len(b.states) for b in rows.blocks)
+    with pytest.raises(LPError, match="more than the job's 4"):
+        ScenarioLP(template, rows)
