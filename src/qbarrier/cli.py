@@ -230,6 +230,13 @@ def cmd_verify(args) -> int:
                 print("config error: angle certificate needs a [grover] job",
                       file=sys.stderr)
                 return 4
+            if cert.horizon != job.grover.horizon_steps:
+                print(
+                    f"config error: certificate horizon T = {cert.horizon} does not "
+                    f"match the job horizon {job.grover.horizon_steps}",
+                    file=sys.stderr,
+                )
+                return 4
             queries = angle_queries(cert, job.grover, job.smt.timeout)
             report = verify_queries(
                 queries, job.smt.solver, out_dir / "smt2", jobs=job.smt.jobs

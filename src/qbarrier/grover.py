@@ -140,11 +140,14 @@ class AngleCertificate:
     @staticmethod
     def from_dict(doc: dict) -> "AngleCertificate":
         """The certificate `to_dict` writes; a field that is not a finite
-        number raises GroverError naming it."""
+        number, or a horizon T that is not an integer >= 1, raises
+        GroverError naming it. A boolean is not a number here."""
         for name in ("c", "gamma", "lam", "delta", "T"):
             value = doc[name]
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise GroverError(f"angle certificate field {name!r} must be a finite number, got {value!r}")
+        if not isinstance(doc["T"], int) or doc["T"] < 1:
+            raise GroverError(f"angle certificate field 'T' must be an integer >= 1, got {doc['T']!r}")
         return AngleCertificate(doc["c"], doc["gamma"], doc["lam"], doc["delta"], horizon=doc["T"])
 
     def to_dict(self) -> dict:

@@ -1,11 +1,11 @@
 """Scenario linear programs for certificate synthesis, and the search loop.
 
-For a chosen flavor the sampled conditions become linear rows over the real
-and imaginary parts of the template coefficients plus the flavor constants:
-one row family per entry of `templates.state_conditions`, named by its
-condition id, over the entry's region or the images of the global states
-under its step window. The objective maximizes the flavor's separation
-slack. Extraction polishes
+For a chosen flavor the sampled conditions become linear rows over the flavor
+constants plus the real and imaginary parts of the template coefficients:
+one row part per entry of `templates.state_conditions` and block of states,
+named by its condition id, over the entry's region or the images of the
+global states under its step window. The objective maximizes the flavor's
+separation slack. Extraction polishes
 the raw optimum (canonical level, small L1, trailing terms zeroed), rounds
 coefficients to a decimal grid, recomputes constants directly from the
 scenario extrema with directional rounding, and keeps part of the separation
@@ -15,10 +15,11 @@ immediately refute the candidate.
 The loop follows the incremental recipe: grow the term list one monomial at
 a time, solve the scenario LP, and hand positive candidates to the SMT gate;
 refutation models are fed back into the scenario rows (counterexample-guided
-rounds) before the template grows; a counterexample joins the rows of the
-condition it refutes. One live HiGHS model carries a job's scenario LP
-across every size and round: a new term adds its columns, and the rows it
-holds and its basis are kept.
+rounds) before the template grows. A job's scenario LP only appends: a new
+term's columns follow the earlier columns, and a counterexample's rows
+follow the sampled rows. One live HiGHS model carries the LP across every
+size and round, holding a prefix of it: a new term adds its columns, and the
+rows it holds and its basis are kept.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -244,19 +245,16 @@ class HighsModel:
     Rows and columns are appended and column bounds changed in place, so
     each run restarts from the basis of the last. `held` is the working set
     of scenario rows that `_cut_solve` has appended, in the model's row
-    order, as indices into `rows`; `cols` is the model column of each LP
-    column and `names` the variable of each model column, which a job's
-    model reads to follow its LP as the template grows (`_carry`). `calls`
-    and `iterations` count the runs and their simplex iterations."""
+    order; a job's model holds a prefix of its scenario LP, whose rows and
+    columns keep their positions as it grows. `calls` and `iterations`
+    count the runs and their simplex iterations."""
 
     def __init__(self, cost=(), bounds=(), a_fixed=None, b_fixed=None):
         from scipy.optimize._highspy._core import _Highs
 
         self._highs = _Highs()
         self._check(self._highs.setOptionValue("output_flag", False), "set its options")
-        self.cols = np.zeros(0, dtype=np.intp)
-        self.names: list[str] = []
-        self.rows = None
+        self.n_cols = 0
         self.held = np.zeros(0, dtype=np.intp)
         self.calls = 0
         self.iterations = 0
@@ -271,8 +269,7 @@ class HighsModel:
 
     def add_cols(self, cost, bounds, a: np.ndarray) -> None:
         """Append columns with these costs and bounds; column j has the
-        entries a[:, j] on the model's rows. The LP's columns are then the
-        model's, in order."""
+        entries a[:, j] on the model's rows."""
         lo, hi = _bound_arrays(bounds)
         c, r = np.nonzero(a.T)
         starts = np.searchsorted(c, np.arange(a.shape[1])).astype(np.int32)
@@ -283,12 +280,11 @@ class HighsModel:
             ),
             "add the columns",
         )
-        self.cols = np.arange(len(self.cols) + a.shape[1])
+        self.n_cols += a.shape[1]
 
     def add_rows(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Append the rows a @ x <= b over the LP's columns; `a` may have
-        fewer columns than the LP, the rest being zero. Only the nonzero
-        entries are passed."""
+        """Append the rows a @ x <= b; `a` may have fewer columns than the
+        model, the rest being zero. Only the nonzero entries are passed."""
         if len(a) == 0:
             return
         r, c = np.nonzero(a)
@@ -296,16 +292,16 @@ class HighsModel:
         self._check(
             self._highs.addRows(
                 len(a), np.full(len(a), -np.inf), np.asarray(b, dtype=float),
-                len(r), starts, self.cols[c].astype(np.int32), a[r, c],
+                len(r), starts, c.astype(np.int32), a[r, c],
             ),
             "add rows",
         )
 
     def set_bounds(self, cols, bounds) -> None:
-        """Replace the bounds of LP columns `cols`."""
+        """Replace the bounds of columns `cols`."""
         lo, hi = _bound_arrays(bounds)
         self._check(
-            self._highs.changeColsBounds(len(cols), self.cols[cols].astype(np.int32), lo, hi),
+            self._highs.changeColsBounds(len(cols), np.asarray(cols, dtype=np.int32), lo, hi),
             "change column bounds",
         )
 
@@ -321,7 +317,7 @@ class HighsModel:
         message = self._highs.modelStatusToString(status)
         if code != 0:
             return HighsResult(code, message)
-        x = np.array(self._highs.getSolution().col_value)[self.cols]
+        x = np.array(self._highs.getSolution().col_value)
         return HighsResult(code, message, x=x, fun=info.objective_function_value)
 
 
@@ -388,47 +384,25 @@ def _seed_rows(problem: LPProblem) -> np.ndarray:
     return np.union1d(_spread(problem.n_rows, CUT_SEED_ROWS), np.array(side, dtype=np.intp))
 
 
-def _carry(model: HighsModel, problem: LPProblem) -> np.ndarray:
-    """Move a job's model onto the scenario LP of the next template size or
-    round, and return the working set to start from: the rows it holds.
-
-    Held rows are found again by their row ids, which an absorbed state
-    does not shift. The new terms' columns are appended, with their entries
-    on the held rows, and the model's columns are matched to the LP's by
-    name. On the job's first LP the model is empty and starts from
-    `_seed_rows`."""
-    rows = problem.rows
-    if model.rows is None:
-        held, keep = model.held, _seed_rows(problem)
-    else:
-        held = rows.locate(model.rows.row_ids(model.held))
-        keep = held
-    have = set(model.names)
-    new = [i for i, name in enumerate(rows.names) if name not in have]
-    if len(have) + len(new) != rows.n_cols:
-        raise LPError("a job's scenario LP only gains terms and rows")
-    if new:
-        a, _ = rows.take(held)
-        model.add_cols(-problem.objective[new], [problem.bounds[i] for i in new], a[:, new])
-        model.names += [rows.names[i] for i in new]
-    place = {name: j for j, name in enumerate(model.names)}
-    model.cols = np.array([place[name] for name in rows.names], dtype=np.intp)
-    model.rows, model.held = rows, held
-    return keep
-
-
 def solve_lp(problem: LPProblem, model: HighsModel | None = None) -> LPSolution:
     """Solve by constraint generation over the rows; the returned point
     satisfies every row.  Numerical failures raise.
 
-    Without a model, the solve starts a fresh one from `_seed_rows`. A job's
-    model (`synthesis_loop`) is carried from its last LP with its rows and
-    basis (`_carry`). The counts are this solve's own."""
+    The model holds a prefix of the problem's rows and columns: a job's
+    model (`synthesis_loop`) holds its last LP, which this one extends, and
+    without a model the solve starts from an empty one. The model gains the
+    columns it lacks, with their entries on the rows it holds, and starts
+    from those rows, or from `_seed_rows` when it holds none. The counts are
+    this solve's own."""
     if model is None:
-        model = HighsModel(-problem.objective, problem.bounds)
-        keep = _seed_rows(problem)
-    else:
-        keep = _carry(model, problem)
+        model = HighsModel()
+    if model.n_cols > problem.n_vars:
+        raise LPError("a job's scenario LP only gains terms and rows")
+    new = np.arange(model.n_cols, problem.n_vars)
+    if new.size:
+        a, _ = problem.rows.take(model.held)
+        model.add_cols(-problem.objective[new], [problem.bounds[i] for i in new], a[:, new])
+    keep = model.held if len(model.held) else _seed_rows(problem)
     calls, iterations = model.calls, model.iterations
     res, keep = _cut_solve(model, problem.rows, keep)
     stats = {
@@ -517,12 +491,10 @@ class _Block:
 
     The buffer has a row for every term the job may try, and no value is
     ever copied. Rows not written yet are never touched: a large buffer has
-    a mapping of its own, whose untouched pages take no memory. `first` is
-    the job-wide id of the block's first state."""
+    a mapping of its own, whose untouched pages take no memory."""
 
-    def __init__(self, states: np.ndarray, capacity: int, first: int):
+    def __init__(self, states: np.ndarray, capacity: int):
         self.states = states
-        self.first = first
         self.n_terms = 0
         self._buf = np.empty((capacity, len(states)), dtype=complex)
 
@@ -543,16 +515,40 @@ class _Block:
         self.n_terms = stop
 
 
+@dataclass
+class _Part:
+    """Rows sign * B_vec(after) - B_before_vec(before) + flavor @ x <= rhs of
+    one condition, one per state of the `after` block (the `before` block
+    pairs with it state by state, and only difference rows have one);
+    without blocks, the one side row over the flavor variables."""
+
+    name: str  # the condition id, or "side"
+    kind: str
+    after: _Block | None = None
+    before: _Block | None = None
+    vec: int = 0
+    sign: float = 1.0
+    before_vec: int = 0
+    flavor: dict[int, float] = field(default_factory=dict)  # column -> coefficient
+    rhs: float = 0.0
+
+    @property
+    def n(self) -> int:
+        return 1 if self.after is None else len(self.after.states)
+
+
 class ScenarioRows:
-    """Term values of every scenario row of one job.
+    """The scenario rows of one job, as parts that are only ever appended.
 
     The sampled states are fixed for a job and the template only grows, so
     each term is evaluated once per row: a longer template adds a row of
-    values to each block and a counterexample adds a block of one state. A
-    condition over a step window has the global blocks and their images
-    under each of the window's parameter draws, then its own
-    counterexamples; any other condition has its region's blocks. Each state
-    has a job-wide id, in the order the blocks were made.
+    values to each block. A part holds the rows of one condition at one
+    block of states: a block of its region or, over a step window, that
+    block's image under one of the window's parameter draws. The sampled
+    parts come in condition order, then the side row; a counterexample
+    appends its parts after them. The flavor variables are the first
+    columns, so a part's threshold column or right-hand side is fixed for
+    the job.
     """
 
     def __init__(self, scenarios: Scenarios, dynamics: Dynamics, cfg: SynthesisConfig):
@@ -565,40 +561,74 @@ class ScenarioRows:
         self.cfg = cfg
         self.capacity = term_budget(dynamics.dim, cfg)
         self.conditions = {c.condition_id: c for c in state_conditions(cfg.flavor, self.k)}
+        # the thresholds the job does not fix, in condition order: column j
+        fixed = cfg.fixed_constants()
+        names = [c for c in THRESHOLDS[cfg.flavor].values() if c is not None and c not in fixed]
+        self.flavor_vars = {name: j for j, name in enumerate(names)}
         self.template: BarrierTemplate | None = None  # the terms evaluated so far
         self.blocks: list[_Block] = []
-        self.n_states = 0  # states over every block: the id of the next one
-        gl = scenarios.global_states
+        self.parts: list[_Part] = []
         self.regions = {
             "init": [self._new(scenarios.init)],
             "unsafe": [self._new(scenarios.unsafe)],
-            "global": [self._new(gl)],
+            "global": [self._new(scenarios.global_states)],
         }
-        self.images = {}  # window -> (matrix, image blocks of the global blocks) per draw
-        self.own = {}  # condition id -> its counterexamples' (before, after) blocks
+        self.draws = {}  # window -> its step matrix at each parameter draw
         for c in self.conditions.values():
-            if c.window is not None:
-                self.own[c.condition_id] = []
-                if c.window not in self.images:
-                    mats = _step_matrices(dynamics, cfg, *c.window)
-                    self.images[c.window] = [(m, [self._new(_image(gl, m))]) for m in mats]
+            if c.window is not None and c.window not in self.draws:
+                self.draws[c.window] = _step_matrices(dynamics, cfg, *c.window)
+        self._append({name: blocks[0] for name, blocks in self.regions.items()})
+        form = cfg.separation()
+        if len(form) > 1:
+            # a separation of one constant is that constant's lower bound,
+            # which the acceptance test objective >= MARGIN enforces, so only
+            # a sum gets the row separation >= MARGIN
+            side = {self.flavor_vars[n]: -float(coef) for n, coef in form.items() if n in self.flavor_vars}
+            self.parts.append(_Part("side", "side", flavor=side, rhs=cfg.side_bound()))
 
     def _new(self, states: np.ndarray) -> _Block:
-        self.blocks.append(_Block(states, self.capacity, self.n_states))
-        self.n_states += len(states)
+        self.blocks.append(_Block(states, self.capacity))
         return self.blocks[-1]
+
+    def _part(self, c, after: _Block, before: _Block) -> None:
+        """Append the part of condition `c` at these blocks: sign * B <=
+        sign * threshold, the threshold a column of the LP or a fixed bound."""
+        part = _Part(
+            c.condition_id, c.kind, after, before if c.before is not None else None,
+            vec=c.vec, sign=float(c.sign), before_vec=c.before or 0,
+        )
+        const = THRESHOLDS[self.cfg.flavor][c.kind]
+        if const in self.flavor_vars:
+            part.flavor = {self.flavor_vars[const]: -part.sign}
+        elif const is not None:
+            part.rhs = part.sign * self.cfg.fixed_constants()[const]
+        self.parts.append(part)
+
+    def _append(self, blocks: dict[str, _Block]) -> None:
+        """Append the part of every condition over a region of `blocks` at
+        that region's block, in condition order; over a step window, one
+        part per draw, at the block's image under the draw's matrix."""
+        images = {}  # window -> image blocks; every window is over the global states
+        for c in self.conditions.values():
+            block = blocks.get(c.region)
+            if block is None:
+                continue
+            if c.window is None:
+                self._part(c, block, block)
+                continue
+            if c.window not in images:
+                images[c.window] = [self._new(_image(block.states, m)) for m in self.draws[c.window]]
+            for image in images[c.window]:
+                self._part(c, image, block)
 
     @property
     def cells(self) -> int:
         """Term values evaluated so far; each one is evaluated once."""
         return sum(b.values.size for b in self.blocks)
 
-    def families(self, template: BarrierTemplate):
-        """({region: blocks}, {condition id: (after blocks, before blocks)})
-        in row order, every block evaluated on a prefix of the table's terms,
-        or on a template extending them, evaluated first; the before blocks
-        pair with the after blocks one to one, and are None where the
-        condition subtracts none."""
+    def evaluate(self, template: BarrierTemplate) -> None:
+        """Evaluate every block on the template's terms. The template must
+        extend the terms evaluated so far, or be a prefix of them."""
         have = self.template.n_terms if self.template else 0
         nt = template.n_terms
         if self.template and template.terms[:have] != self.template.terms[:nt]:
@@ -613,23 +643,14 @@ class ScenarioRows:
                 if not np.isfinite(new).all():
                     raise LPError("non-finite coefficients in the scenario rows")
                 b.extend(new)
-        out = {}
-        for cid, c in self.conditions.items():
-            if c.window is None:
-                after = before = self.regions[c.region]
-            else:
-                draws, own = self.images[c.window], self.own[cid]
-                after = [b for _, blocks in draws for b in blocks] + [a for _, a in own]
-                before = self.regions[c.region] * len(draws) + [b for b, _ in own]
-            out[cid] = (after, before if c.before is not None else None)
-        return self.regions, out
 
     def absorb(self, condition_id: str, state, params) -> None:
-        """Add a refuted condition's counterexample to the rows of that
-        condition; its term values are evaluated with the next families. Over
-        a step window the state and its image under the model's parameters
-        are the condition's own; otherwise the state joins its region, and a
-        global state adds a row to every image."""
+        """Append the parts of a refuted condition's counterexample; its term
+        values are evaluated with the next LP. Over a step window the state
+        and its image under the model's parameters make one part of that
+        condition; otherwise the state joins its region, with a part for
+        every condition over the region, and a global state has a part for
+        each draw of every step window."""
         c = self.conditions.get(condition_id)
         if c is None:
             raise LPError(f"condition {condition_id!r} has no scenario rows")
@@ -639,58 +660,12 @@ class ScenarioRows:
             flat = iter(params)  # the parameters of each step in turn
             seq = [tuple(islice(flat, self.dyn.map_at(t0 + i).n_params)) or None for i in range(count)]
             mat = self.dyn.composed_matrix(t0, count, seq)
-            self.own[condition_id].append((self._new(state), self._new((mat @ state[0])[None])))
+            before = self._new(state)
+            self._part(c, self._new((mat @ state[0])[None]), before)
             return
-        self.regions[c.region].append(self._new(state))
-        if c.region == "global":
-            for draws in self.images.values():
-                for mat, blocks in draws:
-                    blocks.append(self._new(_image(state, mat)))
-
-
-@dataclass
-class _Family:
-    """Rows sign * B_vec(after) - B_before_vec(before) + flavor @ x <= rhs,
-    one per state of the `after` blocks (term-major values, `before` paired
-    block by block and only for difference rows); without blocks, one row
-    over the flavor variables alone. `ids` holds the job-wide id of each
-    after block's first state."""
-
-    after: list[np.ndarray] = field(default_factory=list)
-    ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    vec: int = 0
-    sign: float = 1.0
-    before: list[np.ndarray] | None = None
-    before_vec: int = 0
-    flavor: dict[int, float] = field(default_factory=dict)  # column -> coefficient
-    rhs: float = 0.0
-
-    @property
-    def starts(self) -> np.ndarray:
-        """Row of each block's first state, then the row count."""
-        return np.cumsum([0] + [a.shape[1] for a in self.after])
-
-    @property
-    def n(self) -> int:
-        return int(self.starts[-1]) if self.after else 1
-
-    def blocks(self):
-        """(first row, after values, before values or None) per block."""
-        before = self.before or [None] * len(self.after)
-        return zip(self.starts[:-1], self.after, before)
-
-
-def _gather(terms: list[np.ndarray], starts: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """(len(sel), nt) term values at rows `sel` of term-major blocks that
-    start at rows `starts`."""
-    if len(terms) == 1:
-        return terms[0][:, sel].T
-    seg = np.searchsorted(starts, sel, side="right") - 1
-    out = np.empty((len(sel), terms[0].shape[0]), dtype=complex)
-    for j in np.unique(seg):
-        hit = seg == j
-        out[hit] = terms[j][:, sel[hit] - starts[j]].T
-    return out
+        block = self._new(state)
+        self.regions[c.region].append(block)
+        self._append({c.region: block})
 
 
 def _combination(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -711,47 +686,38 @@ def _stacked(terms: list[np.ndarray]) -> np.ndarray:
     return terms[0].T if len(terms) == 1 else np.hstack(terms).T
 
 
-# a row's job-wide id: its family's position above this many bits, and the
-# id of its state below them
-_ID_BITS = 40
+def _coef_cols(n_fv: int, n_vec: int, nt: int, vec: int) -> tuple[slice, slice]:
+    """The re and the im columns of coefficient vector `vec`. The n_fv
+    flavor columns come first, then term-major, for each term the re and
+    im column of every vector in turn, so a new term's columns come last."""
+    start, stop, step = n_fv + 2 * vec, n_fv + 2 * n_vec * nt, 2 * n_vec
+    return slice(start, stop, step), slice(start + 1, stop, step)
 
 
 class ScenarioMatrix:
-    """The scenario rows of one LP, kept as term values per family.
+    """The rows of one scenario LP, kept as term values per part.
 
-    Over the variables `names` (re, im of each coefficient vector, then the
-    flavor variables), B_v at term values T is the row T.real at re_v and
-    -T.imag at im_v. No matrix of every row is formed: `take` builds the
-    rows of a working set, and `residual` multiplies the term values. A
-    row's id (`row_ids`) names the same row in every LP of the job.
+    B_v at term values T is the row T.real at v's re columns and -T.imag at
+    its im columns (`_coef_cols`). No matrix of every row is formed: `take`
+    builds the rows of a working set, and `residual` multiplies the term
+    values.
     """
 
-    def __init__(self, nt: int, names: list[str]):
-        self.nt = nt
-        self.names = names
-        self.n_cols = len(names)
-        self.n_rows = 0
-        self.parts: list[tuple[int, _Family]] = []  # (first row, family)
+    def __init__(self, nt: int, n_vec: int, n_fv: int, parts: list[_Part]):
+        self.nt, self.n_vec, self.n_fv = nt, n_vec, n_fv
+        self.n_cols = n_fv + 2 * n_vec * nt
+        self.parts = parts
+        self.starts = np.cumsum([0] + [p.n for p in parts])  # first row of each part
+        self.n_rows = int(self.starts[-1])
 
-    def add(self, fam: _Family) -> None:
-        self.parts.append((self.n_rows, fam))
-        self.n_rows += fam.n
-
-    def _coef_block(self, term_vals: np.ndarray, vec: int, sign=1.0) -> np.ndarray:
-        """Columns for sign * B_vec at the given term values."""
-        block = np.zeros((term_vals.shape[0], self.n_cols))
-        base = vec * 2 * self.nt
-        block[:, base : base + 2 * self.nt : 2] = sign * term_vals.real
-        block[:, base + 1 : base + 2 * self.nt : 2] = -sign * term_vals.imag
-        return block
-
-    def _hits(self, idx: np.ndarray):
-        """(family position, first row, family, mask of idx, rows of idx in
-        the family) for each family that idx reaches."""
-        for pos, (first, fam) in enumerate(self.parts):
-            hit = (idx >= first) & (idx < first + fam.n)
-            if hit.any():
-                yield pos, first, fam, hit, idx[hit] - first
+    def _coef_block(self, block: _Block, sel: np.ndarray, vec: int, sign=1.0) -> np.ndarray:
+        """Rows sign * B_vec at states `sel` of the block."""
+        vals = block.terms[: self.nt, sel].T
+        out = np.zeros((len(sel), self.n_cols))
+        re, im = _coef_cols(self.n_fv, self.n_vec, self.nt, vec)
+        out[:, re] = sign * vals.real
+        out[:, im] = -sign * vals.imag
+        return out
 
     def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A[idx], b[idx])."""
@@ -760,81 +726,47 @@ class ScenarioMatrix:
             raise IndexError("row index out of range")
         a = np.empty((len(idx), self.n_cols))
         b = np.empty(len(idx))
-        for _, _, fam, hit, sel in self._hits(idx):
-            if not fam.after:
+        seg = np.searchsorted(self.starts, idx, side="right") - 1
+        for j in np.unique(seg):
+            hit = seg == j
+            part, sel = self.parts[j], idx[hit] - self.starts[j]
+            if part.after is None:
                 blk = np.zeros((len(sel), self.n_cols))
             else:
-                starts = fam.starts
-                blk = self._coef_block(_gather(fam.after, starts, sel), fam.vec, fam.sign)
-                if fam.before is not None:
-                    blk = blk - self._coef_block(_gather(fam.before, starts, sel), fam.before_vec)
-            for col, value in fam.flavor.items():
+                blk = self._coef_block(part.after, sel, part.vec, part.sign)
+                if part.before is not None:
+                    blk = blk - self._coef_block(part.before, sel, part.before_vec)
+            for col, value in part.flavor.items():
                 blk[:, col] = value
             a[hit] = blk
-            b[hit] = fam.rhs
+            b[hit] = part.rhs
         return a, b
 
     def _vector(self, x: np.ndarray, vec: int) -> np.ndarray:
         """Coefficient vector `vec` of x, re + 1j * im, so that
         Re(vector @ T) is B_vec at term-major values T."""
-        base = vec * 2 * self.nt
-        return x[base : base + 2 * self.nt : 2] + 1j * x[base + 1 : base + 2 * self.nt : 2]
+        re, im = _coef_cols(self.n_fv, self.n_vec, self.nt, vec)
+        return x[re] + 1j * x[im]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A @ x - b over every row."""
         out = np.empty(self.n_rows)
-        for first, fam in self.parts:
-            r = out[first : first + fam.n]
-            shift = sum(value * x[col] for col, value in fam.flavor.items()) - fam.rhs
-            if not fam.after:
+        for start, part in zip(self.starts, self.parts):
+            r = out[start : start + part.n]
+            shift = sum(value * x[col] for col, value in part.flavor.items()) - part.rhs
+            if part.after is None:
                 r.fill(shift)
                 continue
-            coef, before_coef = self._vector(x, fam.vec), self._vector(x, fam.before_vec)
-            for start, after, before in fam.blocks():
-                seg = r[start : start + after.shape[1]]
-                seg[:] = fam.sign * (coef @ after).real
-                if before is not None:
-                    seg -= (before_coef @ before).real
-                seg += shift
+            r[:] = part.sign * (self._vector(x, part.vec) @ part.after.terms[: self.nt]).real
+            if part.before is not None:
+                r -= (self._vector(x, part.before_vec) @ part.before.terms[: self.nt]).real
+            r += shift
         return out
-
-    def row_ids(self, idx: np.ndarray) -> np.ndarray:
-        """Job-wide ids of rows `idx`: the family's position, then the id of
-        the row's state. An absorbed state shifts the rows of later states,
-        not their ids."""
-        idx = np.asarray(idx, dtype=np.intp)
-        ids = np.empty(len(idx), dtype=np.int64)
-        for pos, _, fam, hit, sel in self._hits(idx):
-            ids[hit] = pos << _ID_BITS
-            if fam.after:
-                starts = fam.starts
-                seg = np.searchsorted(starts, sel, side="right") - 1
-                ids[hit] += fam.ids[seg] + sel - starts[seg]
-        return ids
-
-    def locate(self, ids: np.ndarray) -> np.ndarray:
-        """The rows of these ids, in their order."""
-        ids = np.asarray(ids, dtype=np.int64)
-        idx = np.full(len(ids), -1, dtype=np.intp)
-        pos, state = ids >> _ID_BITS, ids & ((1 << _ID_BITS) - 1)
-        for p, (first, fam) in enumerate(self.parts):
-            hit = pos == p
-            if not fam.after:
-                idx[hit] = first
-                continue
-            starts = fam.starts
-            order = np.argsort(fam.ids)
-            seg = order[np.searchsorted(fam.ids[order], state[hit], side="right") - 1]
-            off = state[hit] - fam.ids[seg]
-            inside = (off >= 0) & (off < starts[seg + 1] - starts[seg])
-            idx[hit] = np.where(inside, first + starts[seg] + off, -1)
-        if (idx < 0).any():
-            raise LPError("a held row is not among this LP's rows")
-        return idx
 
 
 class ScenarioLP:
-    """Rows, objective, and scenario extrema for one template size."""
+    """Rows, objective, and scenario extrema for one template size: the
+    job's parts so far, over the template's terms."""
 
     def __init__(self, template: BarrierTemplate, rows: ScenarioRows):
         self.template = template
@@ -846,25 +778,16 @@ class ScenarioLP:
         self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
         self.polish_rows_kept = 0
         self.polish_iterations = 0  # simplex iterations of those calls
-        regions, values = rows.families(template)
-
-        def terms(blocks):
-            return [b.terms[: self.nt] for b in blocks]
-
-        # term-major values of each region's blocks and of each family's
-        self.regions = {name: terms(blocks) for name, blocks in regions.items()}
+        rows.evaluate(template)
         self.thresholds = THRESHOLDS[self.flavor]
-        # (condition id, kind, rows without their threshold) in condition
-        # order: sign * B_vec at `after`, less B_before at `before`
-        self.term_families = []
-        for cid, c in rows.conditions.items():
-            after, before = values[cid]
-            fam = _Family(
-                after=terms(after), ids=np.array([b.first for b in after], dtype=np.int64),
-                vec=c.vec, sign=float(c.sign),
-                before=None if before is None else terms(before), before_vec=c.before or 0,
-            )
-            self.term_families.append((cid, c.kind, fam))
+        self.flavor_vars = rows.flavor_vars  # flavor variable -> its column
+        self.parts = list(rows.parts)
+        # term-major values of each region's blocks
+        self.regions = {name: [self._values(b) for b in blocks] for name, blocks in rows.regions.items()}
+
+    def _values(self, block: _Block) -> np.ndarray:
+        """(nt, N): the block's values of the template's terms."""
+        return block.terms[: self.nt]
 
     # ----- stacked term values, one row per state, for inspection -----------
 
@@ -881,110 +804,69 @@ class ScenarioLP:
         return _stacked(self.regions["global"])
 
     def _pairs(self, kind: str) -> list:
+        """(before, after) of each condition of this kind, its parts stacked
+        in row order."""
+        by_name: dict[str, list[_Part]] = {}
+        for p in self.parts:
+            if p.kind == kind:
+                by_name.setdefault(p.name, []).append(p)
         return [
-            (_stacked(f.before), _stacked(f.after)) for _, k, f in self.term_families if k == kind
+            (_stacked([self._values(p.before) for p in ps]), _stacked([self._values(p.after) for p in ps]))
+            for ps in by_name.values()
         ]
 
     @property
     def step_data(self) -> list:
-        """(before, after) per step family."""
+        """(before, after) per step condition."""
         return self._pairs("step")
 
     @property
     def kstep_data(self):
-        """(before, after) of the k-step family, if there is one."""
+        """(before, after) of the k-step condition, if there is one."""
         return next(iter(self._pairs("k-step")), None)
 
     # ----- variable layout ----------------------------------------------
 
-    def var_layout(self):
-        names = []
-        for v in range(self.n_vec):
-            for i in range(self.nt):
-                names.append(f"re[{v}][{i}]")
-                names.append(f"im[{v}][{i}]")
-        self.flavor_vars: dict[str, int] = {}
-        for fv in self._flavor_var_names():
-            self.flavor_vars[fv] = len(names)
-            names.append(fv)
-        return names
-
-    def _flavor_var_names(self):
-        """The thresholds the job does not fix, in condition order."""
-        fixed = self.cfg.fixed_constants()
-        return [c for c in self.thresholds.values() if c is not None and c not in fixed]
+    def var_layout(self) -> list[str]:
+        """The LP's variables in column order (`_coef_cols`)."""
+        coefs = [f"{p}[{v}][{i}]" for i in range(self.nt) for v in range(self.n_vec) for p in ("re", "im")]
+        return list(self.flavor_vars) + coefs
 
     # ----- LP assembly ----------------------------------------------------
 
     def build(self) -> LPProblem:
-        cfg = self.cfg
-        names = self.var_layout()
-        width = len(names)
         fv = self.flavor_vars
-        rows = ScenarioMatrix(self.nt, names)
-        families: list[tuple[str, int, int]] = []
-
-        def family(name, fam):
-            start = rows.n_rows
-            rows.add(fam)
-            families.append((name, start, rows.n_rows))
-
-        # sign * B <= sign * threshold: a column of the LP or a fixed bound
-        fixed = cfg.fixed_constants()
-        for name, kind, fam in self.term_families:
-            const = self.thresholds[kind]
-            if const in fv:
-                fam = replace(fam, flavor={fv[const]: -fam.sign})
-            elif const is not None:
-                fam = replace(fam, rhs=fam.sign * fixed[const])
-            family(name, fam)
-
-        # the objective is the separation over the LP's constants; a
-        # separation of one constant is that constant's lower bound, which
-        # the acceptance test objective >= MARGIN enforces, so only a sum
-        # gets the row separation >= MARGIN
-        form = cfg.separation()
-        objective = np.zeros(width)
-        for name, coef in form.items():
+        rows = ScenarioMatrix(self.nt, self.n_vec, len(fv), self.parts)
+        families = [(p.name, int(start), int(start) + p.n) for start, p in zip(rows.starts, self.parts)]
+        objective = np.zeros(rows.n_cols)
+        for name, coef in self.cfg.separation().items():
             if name in fv:
                 objective[fv[name]] = coef
-        if len(form) > 1:
-            side = {fv[name]: -float(coef) for name, coef in form.items() if name in fv}
-            family("side", _Family(flavor=side, rhs=cfg.side_bound()))
-
-        bounds: list[tuple[float | None, float | None]] = []
-        for v in range(self.n_vec):
-            bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (2 * self.nt)
-        for fname in self._flavor_var_names():
-            if fname in ("delta", "eps", "d"):
-                bounds.append((0.0, COEFF_BOUND))
-            elif fname == "gamma" and self.flavor == "hybrid":
-                bounds.append((0.0, COEFF_BOUND))
-            else:
-                bounds.append((-COEFF_BOUND, COEFF_BOUND))
-
+        bounds: list[tuple[float | None, float | None]] = [
+            (0.0, COEFF_BOUND)
+            if name in ("delta", "eps", "d") or (name == "gamma" and self.flavor == "hybrid")
+            else (-COEFF_BOUND, COEFF_BOUND)
+            for name in fv
+        ]
+        bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (rows.n_cols - len(fv))
         return LPProblem(rows=rows, bounds=bounds, objective=objective, families=families)
 
     # ----- candidate extraction -------------------------------------------
 
     def coeff_vectors_from(self, x: np.ndarray):
-        out = []
-        for v in range(self.n_vec):
-            base = v * 2 * self.nt
-            re = x[base : base + 2 * self.nt : 2]
-            im = x[base + 1 : base + 2 * self.nt : 2]
-            out.append(re + 1j * im)
-        return out
+        cols = (_coef_cols(len(self.flavor_vars), self.n_vec, self.nt, v) for v in range(self.n_vec))
+        return [x[re] + 1j * x[im] for re, im in cols]
 
     def _extrema(self, vectors) -> dict[str, float]:
         """Per condition kind, the scenario maximum of sign * B over its rows."""
         ext: dict[str, float] = {}
-        for _, kind, fam in self.term_families:
-            for _, after, before in fam.blocks():
-                vals = fam.sign * _combination(vectors[fam.vec], after)
-                if before is not None:
-                    vals = vals - _combination(vectors[fam.before_vec], before)
-                ext[kind] = max(ext.get(kind, -math.inf), float(np.max(vals)))
+        for p in self.parts:
+            if p.after is None:
+                continue
+            vals = p.sign * _combination(vectors[p.vec], self._values(p.after))
+            if p.before is not None:
+                vals = vals - _combination(vectors[p.before_vec], self._values(p.before))
+            ext[p.kind] = max(ext.get(p.kind, -math.inf), float(np.max(vals)))
         return ext
 
     def _unsafe_min(self, vector: np.ndarray) -> float:
@@ -998,14 +880,15 @@ class ScenarioLP:
         The scenario rows are generated as in `solve_lp`; the gap, |coef|
         and coefficient-difference rows stay in every solve."""
         width = problem.n_vars
-        n_coef = self.n_vec * 2 * self.nt
+        n_fv = len(self.flavor_vars)
+        n_coef = width - n_fv
         gap = max(MARGIN, 0.5 * opt_value)
         # |coef| helper variables; for hybrid families also penalize the
         # coefficient differences between consecutive vectors so the polish
         # prefers time-uniform certificates
-        n_diff = (self.n_vec - 1) * 2 * self.nt if self.n_vec > 1 else 0
+        n_diff = (self.n_vec - 1) * 2 * self.nt
         gap_row = np.concatenate([-problem.objective, np.zeros(n_coef + n_diff)])
-        eye = np.eye(width)[:n_coef]
+        eye = np.eye(width)[n_fv:]
         a_abs = np.vstack([eye, -eye])
         blocks = [
             gap_row.reshape(1, -1),
@@ -1015,12 +898,12 @@ class ScenarioLP:
         ]
         b_fixed_parts = [np.array([-gap]), np.zeros(2 * n_coef)]
         if n_diff:
+            # one row per column of vectors 0..n_vec-2: the same term and
+            # part of the next vector, two columns on, less that column
+            cols = n_fv + np.arange(n_coef).reshape(self.nt, self.n_vec, 2)[:, :-1].ravel()
             d_rows = np.zeros((n_diff, width))
-            for v in range(self.n_vec - 1):
-                for i in range(2 * self.nt):
-                    r = v * 2 * self.nt + i
-                    d_rows[r, (v + 1) * 2 * self.nt + i] = 1.0
-                    d_rows[r, v * 2 * self.nt + i] = -1.0
+            d_rows[np.arange(n_diff), cols + 2] = 1.0
+            d_rows[np.arange(n_diff), cols] = -1.0
             d_aux = -np.eye(n_diff)
             blocks.append(
                 np.hstack([d_rows, np.zeros((n_diff, n_coef)), d_aux])
@@ -1058,7 +941,7 @@ class ScenarioLP:
         # same sizes are polished and the same candidates come out
         if self.nt <= 24 and problem.n_rows <= 40000:
             for i in range(self.nt - 1, 0, -1):
-                cols = [v * 2 * self.nt + 2 * i + j for v in range(self.n_vec) for j in (0, 1)]
+                cols = list(range(n_fv + 2 * self.n_vec * i, n_fv + 2 * self.n_vec * (i + 1)))  # term i's
                 if all(abs(x[c]) < 1e-12 for c in cols):
                     continue
                 model.set_bounds(cols, [(0.0, 0.0)] * len(cols))
@@ -1200,7 +1083,7 @@ class ScenarioLP:
         certificate (independent re-check of the rounded candidate)."""
         ext = self._extrema(list(cert.coeff_vectors))
         c = cert.constants
-        sign = {kind: fam.sign for _, kind, fam in self.term_families}
+        sign = {p.kind: p.sign for p in self.parts}
         worst = max(
             ext[kind] - (sign[kind] * c[name] if name else 0.0)
             for kind, name in self.thresholds.items()

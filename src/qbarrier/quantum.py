@@ -79,7 +79,7 @@ class Gate:
         if dim < 2 or 2 ** m != dim:
             raise QuantumError(f"gate dimension {dim} is not a power of two")
         err = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if err > UNITARY_TOL:
+        if not err <= UNITARY_TOL:  # a NaN entry fails too
             raise NonUnitaryError(f"matrix is not unitary (max residual {err:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -227,16 +227,21 @@ class UncertainGate:
 
 
 def hadamard_uncertain(lo: float = 0.9, hi: float = 1.1) -> UncertainGate:
-    """Mixing gate with a tunable off-diagonal weight; equals H at weight 1."""
+    """Mixing gate with a tunable off-diagonal weight; equals H at weight 1.
+
+    The weights at both ends must give a unitary gate, else NonUnitaryError:
+    an infinite weight, or one whose square overflows, gives none. s and
+    |s * eps| are monotone in |eps|, so then every weight between does."""
 
     def gen(params: tuple[float, ...]) -> Gate:
         (eps,) = params
         s = 1.0 / math.sqrt(1.0 + eps * eps)
         return Gate(np.array([[s, s * eps], [s * eps, -s]], dtype=complex))
 
-    return UncertainGate(
-        nominal=gen((1.0,)), domain=((lo, hi),), generator=gen, name="HE"
-    )
+    gate = UncertainGate(nominal=gen((1.0,)), domain=((lo, hi),), generator=gen, name="HE")
+    gen((lo,))
+    gen((hi,))
+    return gate
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,14 +55,16 @@ class EncodeError(ValueError):
 
 
 def poly_sexpr(poly: RealPoly, names: Sequence[str]) -> str:
+    """The polynomial as an SMT-LIB term; each monomial is emitted from its
+    nonzero exponents alone, found in one pass."""
     items = sorted(poly.coeffs.items())
     if not items:
         return "0"
     terms = []
     for exps, coeff in items:
         factors = []
-        for i, e in enumerate(exps):
-            factors.extend([names[i]] * e)
+        for i in compress(range(len(exps)), exps):
+            factors += [names[i]] * exps[i]
         lit = rational_sexpr(coeff)
         if not factors:
             terms.append(lit)

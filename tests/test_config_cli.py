@@ -112,6 +112,10 @@ def test_config_error_reports_field(tmp_path):
         ("epsilon = 0.01", "epsilon = nan", "epsilon"),
         ("epsilon = 0.01", "epsilon = 0.01\ngamma = -inf", "gamma"),
         ("k = 1\nepsilon = 0.01", "k = 2\nepsilon = 1e308", "epsilon"),
+        # the HE gate is not unitary at an infinite weight, nor where the
+        # weight's square overflows
+        ("Z 0", "HE 0 [0.9,inf]", "map.u0"),
+        ("Z 0", "HE 0 [1e200,1e201]", "map.u0"),
     ],
     ids=[
         "regions-key",
@@ -132,6 +136,8 @@ def test_config_error_reports_field(tmp_path):
         "epsilon-nan",
         "gamma-inf",
         "epsilon-overflow",
+        "he-infinite-end",
+        "he-overflowing-end",
     ],
 )
 def test_strict_parser_exits_four_naming_the_key(tmp_path, capsys, old, new, key):
@@ -286,6 +292,13 @@ def test_verify_reads_side_conditions_at_the_certificate_decimals(tmp_path, caps
     assert all(line.split()[1] == "unsat" for line in lines[:-2])
 
 
+ANGLE_CERT = {"kind": "angle-linear", "c": 1.0, "gamma": 0.0, "lam": 1.0, "delta": 0.0, "T": 2}
+# the grover_n5_m1 certificate; its job's horizon is 5 steps
+GROVER_N5_CERT = {
+    "kind": "angle-linear", "c": 21.220659, "gamma": 11.087338, "lam": 93.543261, "delta": 14.769369, "T": 5,
+}
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -293,14 +306,27 @@ def test_verify_reads_side_conditions_at_the_certificate_decimals(tmp_path, caps
         ({"constants": {"d": 0.4, "eps": 0.1, "k": 0}}, "k must be an integer >= 1"),
         # written as Infinity, which json reads back as a float
         ({"coefficients": [[[float("inf"), 0]]]}, "coefficients must be finite"),
+        # an angle certificate's horizon is checked against its job, as a
+        # circuit certificate's is, and a boolean is not a number
+        (GROVER_N5_CERT | {"T": 1}, "T = 1 does not match the job horizon 5"),
+        (GROVER_N5_CERT | {"T": 2.5}, "'T' must be an integer >= 1"),
+        (GROVER_N5_CERT | {"T": True}, "'T' must be a finite number"),
+        (GROVER_N5_CERT | {"c": True}, "'c' must be a finite number"),
     ],
 )
 def test_verify_rejects_malformed_certificates(tmp_path, capsys, change, message):
-    assert _verify(tmp_path, X_FLIP_CFG, ZERO_CERT | change) == 4
+    if change.get("kind") == "angle-linear":
+        cfg, doc = bundled_config_path("grover_n5_m1").read_text(), change
+    else:
+        cfg, doc = X_FLIP_CFG, ZERO_CERT | change
+    assert _verify(tmp_path, cfg, doc) == 4
     assert message in capsys.readouterr().err
 
 
-ANGLE_CERT = {"kind": "angle-linear", "c": 1.0, "gamma": 0.0, "lam": 1.0, "delta": 0.0, "T": 2}
+def test_verify_accepts_the_angle_certificate_at_its_job_horizon(tmp_path, capsys):
+    cfg = bundled_config_path("grover_n5_m1").read_text()
+    assert _verify(tmp_path, cfg, GROVER_N5_CERT) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: verified"
 
 
 # a value of the wrong type is a certificate error that names its field,

@@ -243,8 +243,7 @@ def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
     n_cols=st.integers(1, 8),
 )
 def test_columns_appended_one_at_a_time_match_fresh_solves(seed, n_rows, n_cols):
-    # the LP's columns are the model's in another order, the newest one at a
-    # random place, as a new term's columns sit before the flavor variables;
+    # each new column comes with its entries on the rows the model holds;
     # half of the rows arrive only after some columns were appended
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_rows, n_cols))
@@ -254,30 +253,19 @@ def test_columns_appended_one_at_a_time_match_fresh_solves(seed, n_rows, n_cols)
     first, late = np.arange(n_rows // 2), np.arange(n_rows // 2, n_rows)
     model = HighsModel()
     held = np.zeros(0, dtype=int)
-    layout: list[int] = []  # model column of each LP column
     for j in range(n_cols):
-        if j == 0:
-            model.add_cols(cost[:1], bounds[:1], np.zeros((0, 1)))
-            held = first
-            model.cols = np.array([0])
-            res = linprog(model, A_ub=a[first, :1], b_ub=b[first])
-            layout = [0]
-        else:
-            model.add_cols(cost[j : j + 1], bounds[:1], a[held][:, [j]])
-            layout.insert(int(rng.integers(0, j + 1)), j)
-            model.cols = np.array(layout)
-            new = late if j == n_cols // 2 else np.zeros(0, dtype=int)
-            res = linprog(model, A_ub=a[new][:, layout], b_ub=b[new])
-            held = np.concatenate([held, new])
+        model.add_cols(cost[j : j + 1], bounds[:1], a[held][:, [j]])
+        new = first if j == 0 else late if j == n_cols // 2 else np.zeros(0, dtype=int)
+        res = linprog(model, A_ub=a[new, : j + 1], b_ub=b[new])
+        held = np.concatenate([held, new])
         ref = scipy_linprog(
             cost[: j + 1], A_ub=a[held, : j + 1], b_ub=b[held], bounds=bounds[: j + 1], method="highs"
         )
+        assert model.n_cols == j + 1
         assert res.status == ref.status == 0
         assert res.fun == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
-        x = np.empty(j + 1)
-        x[layout] = res.x  # back to the model's order
-        assert cost[: j + 1] @ x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
-        assert np.all(a[held, : j + 1] @ x <= b[held] + 1e-7)
+        assert cost[: j + 1] @ res.x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        assert np.all(a[held, : j + 1] @ res.x <= b[held] + 1e-7)
 
 
 def _z_job(samples=400, seed=2):
@@ -319,9 +307,9 @@ def test_one_model_counts_each_solve_on_its_own(monkeypatch):
     assert model.calls == len(calls) and 0 < sol.highs_calls < model.calls
 
 
-def test_row_ids_follow_rows_across_absorbed_states():
+def test_a_later_lp_extends_the_earlier_one():
     # an uncertain step draws five images of the global states; a global
-    # counterexample joins each of them, inside the step families
+    # counterexample adds its image under each of them to the step rows
     from qbarrier import Dynamics, Schedule, SynthesisConfig, standard_gate
     from qbarrier.quantum import StepMap, hadamard_uncertain
 
@@ -331,22 +319,22 @@ def test_row_ids_follow_rows_across_absorbed_states():
     init = parse_region(["prob(0) >= 0.9"], 4, "init")
     unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
     rows = ScenarioRows(sample_scenarios(init, unsafe, full_sphere(4), cfg), dyn, cfg)
-    template = full_template(4, 2, 5)
-    first = ScenarioLP(template.prefix(3), rows).build().rows
-    ids = first.row_ids(np.arange(first.n_rows))
+    template = full_template(4, 2, 6)
     rng = np.random.default_rng(1)
-    for cid, params in (("shift-t0", ()), ("step-t1", (1.0,)), ("init", ())):
+    problems = [ScenarioLP(template.prefix(2), rows).build()]
+    for nt, cid, params in ((3, "shift-t0", ()), (3, "step-t1", (1.0,)), (5, "init", ()), (6, "k-step", (1.0, 0.95))):
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         rows.absorb(cid, z / np.linalg.norm(z), params)
-    later = ScenarioLP(template.prefix(5), rows).build().rows
-    idx = later.locate(ids)
-    assert len(set(idx.tolist())) == first.n_rows and later.n_rows > first.n_rows
-    assert not np.array_equal(idx, np.arange(first.n_rows))  # the rows moved
-    a0, b0 = first.take(np.arange(first.n_rows))
-    a1, b1 = later.take(idx)
-    cols = [later.names.index(name) for name in first.names]
-    assert np.array_equal(a1[:, cols], a0) and np.array_equal(b1, b0)
-    assert np.array_equal(later.row_ids(idx), ids)
+        problems.append(ScenarioLP(template.prefix(nt), rows).build())
+    for first, later in zip(problems, problems[1:]):
+        assert later.n_rows > first.n_rows and later.n_vars >= first.n_vars
+        idx = np.arange(first.n_rows)
+        a0, b0 = first.rows.take(idx)
+        a1, b1 = later.rows.take(idx)
+        assert a1[:, : first.n_vars].tobytes() == a0.tobytes() and b1.tobytes() == b0.tobytes()
+        assert later.families[: len(first.families)] == first.families
+        assert np.array_equal(later.objective[: first.n_vars], first.objective)
+        assert later.bounds[: first.n_vars] == first.bounds
 
 
 def test_the_job_model_matches_cold_solves_at_every_size(monkeypatch, tmp_path):
@@ -378,20 +366,24 @@ def test_each_scenario_row_reaches_the_job_model_once(monkeypatch, tmp_path):
     job = load_config(bundled_config_path("xgate3_finite_t1"))
     cfg = job.synthesis
     cfg.samples = 1000
-    real = qbarrier.lp.linprog
-    sent = {}  # job model -> ids of the rows appended to it
+    real_solve, real_linprog = qbarrier.lp.solve_lp, qbarrier.lp.linprog
+    models = set()  # the job's model: the one every scenario solve is given
+    sent = []  # indices of the rows appended to it
+
+    def solving(problem, model=None):
+        models.add(id(model))
+        return real_solve(problem, model)
 
     def counting(model, *, A_ub, b_ub):
-        if model.rows is not None:  # the job's model, not a polish model
-            new = model.held[len(model.held) - len(A_ub) :]
-            sent.setdefault(id(model), []).extend(model.rows.row_ids(new).tolist())
-        return real(model, A_ub=A_ub, b_ub=b_ub)
+        if id(model) in models:  # not a polish model
+            sent.extend(model.held[len(model.held) - len(A_ub) :].tolist())
+        return real_linprog(model, A_ub=A_ub, b_ub=b_ub)
 
+    monkeypatch.setattr(qbarrier.lp, "solve_lp", solving)
     monkeypatch.setattr(qbarrier.lp, "linprog", counting)
     res = synthesis_loop(
         job.dynamics, job.init_region, job.unsafe_region, job.global_region, cfg, workdir=tmp_path
     )
-    assert res.status == "unsolved" and len(res.lp) > res.terms_used
-    (ids,) = sent.values()
-    assert len(ids) == len(set(ids)) == res.lp[-1]["rows_kept"]
-    assert sum(entry["rows"] for entry in res.lp) > 100 * len(ids)
+    assert res.status == "unsolved" and len(res.lp) > res.terms_used and len(models) == 1
+    assert len(sent) == len(set(sent)) == res.lp[-1]["rows_kept"]
+    assert sum(entry["rows"] for entry in res.lp) > 100 * len(sent)

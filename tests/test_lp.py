@@ -460,42 +460,46 @@ def _draw_matrices(dyn, cfg, t0, count):
     return mats
 
 
+def _window_matrix(dyn, t0, count, params):
+    """The product of `count` steps from t0 at these parameters, in turn."""
+    mat, used = np.eye(dyn.dim, dtype=complex), 0
+    for i in range(count):
+        need = dyn.map_at(t0 + i).n_params
+        mat = dyn.map_at(t0 + i).matrix(tuple(params[used : used + need]) or None) @ mat
+        used += need
+    return mat
+
+
 def _reference_families(template, dyn, cfg, scen, cexes):
-    """Hybrid term matrices from stacked states: sampled rows first (one copy
-    of the global rows, with the global counterexamples, per parameter
-    draw), then the family's own counterexamples in arrival order."""
-    k = cfg.k
-    init, unsafe, glob, kstep = [scen.init], [scen.unsafe], [scen.global_states], []
-    steps = {t: [] for t in range(k)}
-    for cid, state, params in cexes:
-        s = np.asarray(state, dtype=complex).reshape(1, -1)
-        if cid == "init":
-            init.append(s)
-        elif cid.startswith("unsafe"):
-            unsafe.append(s)
-        elif cid.startswith("step"):
-            t = int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0
-            steps[t].append((s, dyn.map_at(t).matrix(params or None) @ s[0]))
-        elif cid == "k-step":
-            mat, used = np.eye(dyn.dim, dtype=complex), 0
-            for i in range(k):
-                need = dyn.map_at(i).n_params
-                mat = dyn.map_at(i).matrix(tuple(params[used : used + need]) or None) @ mat
-                used += need
-            kstep.append((s, mat @ s[0]))
-        else:
-            glob.append(s)
+    """Hybrid term matrices from stacked states, in row order: the sampled
+    rows (one copy of the global rows per parameter draw), then each
+    counterexample's rows in arrival order: a global state's image under
+    every draw, or the family's own state and its image."""
     ev = template.evaluate_terms
-    gl = np.vstack(glob)
+    cexes = [(cid, np.asarray(state, dtype=complex).reshape(1, -1), params) for cid, state, params in cexes]
+    init = np.vstack([scen.init] + [s for cid, s, _ in cexes if cid == "init"])
+    unsafe = np.vstack([scen.unsafe] + [s for cid, s, _ in cexes if cid.startswith("unsafe")])
+    glob = np.vstack([scen.global_states] + [s for cid, s, _ in cexes if cid.startswith("shift")])
+    n = len(scen.global_states)
 
-    def family(mats, extras):
-        before = np.vstack([gl] * len(mats) + [s for s, _ in extras])
-        after = np.vstack([gl @ m.T for m in mats] + [a.reshape(1, -1) for _, a in extras])
-        return ev(before), ev(after)
+    def family(name, t0, count):
+        mats = _draw_matrices(dyn, cfg, t0, count)
+        images = [glob @ m.T for m in mats]  # every global state's image under each draw
+        before, after = [glob[:n]] * len(mats), [im[:n] for im in images]
+        g = n
+        for cid, s, params in cexes:
+            if cid.startswith("shift"):
+                before += [glob[g : g + 1]] * len(mats)
+                after += [im[g : g + 1] for im in images]
+                g += 1
+            elif cid == name:
+                before.append(s)
+                after.append((_window_matrix(dyn, t0, count, params) @ s[0]).reshape(1, -1))
+        return ev(np.vstack(before)), ev(np.vstack(after))
 
-    step_data = [family(_draw_matrices(dyn, cfg, t, 1), steps[t]) for t in range(k)]
-    kstep_data = family(_draw_matrices(dyn, cfg, 0, k), kstep)
-    return ev(np.vstack(init)), ev(np.vstack(unsafe)), ev(gl), step_data, kstep_data
+    names = [f"step-t{t}" for t in range(cfg.k)] if cfg.flavor == "hybrid" else ["step"]
+    step_data = [family(name, t, 1) for t, name in enumerate(names)]
+    return ev(init), ev(unsafe), ev(glob), step_data, family("k-step", 0, cfg.k)
 
 
 def _cx_cz_dynamics():
@@ -644,20 +648,38 @@ def test_synthesis_evaluates_each_term_once_per_row(monkeypatch, tmp_path):
 # ----- the scenario rows against the dense assembly they replace ------------
 
 
-def _reference_build(slp: ScenarioLP):
+# the flavor variables of each flavor when the job fixes none, in column order
+FLAVOR_VARIABLES = {
+    "invariant": ["gamma"],
+    "finite-horizon": ["gamma", "lam", "delta"],
+    "k-inductive": ["d", "eps"],
+    "hybrid": ["d", "eps", "gamma"],
+}
+
+
+def _reference_build(slp: ScenarioLP, dyn, scen, cexes):
     """The dense assembly the scenario rows replace: every row formed and
-    stacked. Returns (a_ub, b_ub, families, bounds, objective)."""
-    cfg = slp.cfg
-    names = slp.var_layout()
+    stacked, in row order: each condition's sampled rows (over a step window
+    once per parameter draw), the side row, then each counterexample's rows
+    in arrival order. The columns are the flavor variables, then term-major
+    the re and im part of each vector's coefficient. Returns (a_ub, b_ub,
+    families, bounds, objective, variable names)."""
+    cfg, flavor, k, nt = slp.cfg, slp.flavor, slp.k, slp.nt
+    fixed = {"eps": cfg.eps, "gamma": cfg.gamma}
+    fnames = [n for n in FLAVOR_VARIABLES[flavor] if flavor in ("invariant", "finite-horizon")
+              or fixed.get(n, "free") == "free"]
+    n_vec = k if flavor == "hybrid" else 1
+    names = fnames + [f"{p}[{v}][{i}]" for i in range(nt) for v in range(n_vec) for p in ("re", "im")]
     width = len(names)
-    fv = slp.flavor_vars
+    col = {name: j for j, name in enumerate(names)}
+    ev = slp.template.evaluate_terms
     rows, rhs, families = [], [], []
 
-    def coef_block(term_vals, vec, sign=1.0):
-        block = np.zeros((term_vals.shape[0], width))
-        base = vec * 2 * slp.nt
-        block[:, base : base + 2 * slp.nt : 2] = sign * term_vals.real
-        block[:, base + 1 : base + 2 * slp.nt : 2] = -sign * term_vals.imag
+    def coef_block(states, vec, sign=1.0):
+        term_vals = ev(states)
+        block = np.zeros((len(states), width))
+        block[:, [col[f"re[{vec}][{i}]"] for i in range(nt)]] = sign * term_vals.real
+        block[:, [col[f"im[{vec}][{i}]"] for i in range(nt)]] = -sign * term_vals.imag
         return block
 
     def family(name, block, bvals):
@@ -666,85 +688,109 @@ def _reference_build(slp: ScenarioLP):
         rhs.extend(bvals)
         families.append((name, start, start + block.shape[0]))
 
-    eps_fixed = None if cfg.eps == "free" else float(cfg.eps)
-    gam_fixed = None if cfg.gamma == "free" else float(cfg.gamma)
-    blk = coef_block(slp.init_T, 0)
-    if slp.flavor == "finite-horizon":
-        blk[:, fv["gamma"]] = -1.0
-    family("init", blk, np.zeros(blk.shape[0]))
-    for v in range(slp.n_vec):
-        blk = coef_block(slp.unsafe_T, v, sign=-1.0)
-        if slp.flavor == "invariant":
-            blk[:, fv["gamma"]] = 1.0
-        elif slp.flavor == "finite-horizon":
-            blk[:, fv["lam"]] = 1.0
+    def threshold(blk, b, name):
+        """A free threshold's column at -1, else its fixed value in b."""
+        if name in col:
+            blk[:, col[name]] = -1.0
         else:
-            blk[:, fv["d"]] = 1.0
-        family(f"unsafe-t{v}" if slp.n_vec > 1 else "unsafe", blk, np.zeros(blk.shape[0]))
-    for t, (before_T, after_T) in enumerate(slp.step_data):
-        v = t if slp.flavor == "hybrid" else 0
-        blk = coef_block(after_T, v) - coef_block(before_T, v)
-        b = np.zeros(blk.shape[0])
-        if slp.flavor == "finite-horizon":
-            blk[:, fv["delta"]] = -1.0
-        elif slp.flavor in ("k-inductive", "hybrid"):
-            if eps_fixed is None:
-                blk[:, fv["eps"]] = -1.0
-            else:
-                b += eps_fixed
-        family(f"step-t{t}" if slp.n_vec > 1 else "step", blk, b)
-    if slp.flavor == "hybrid":
-        for t in range(slp.k):
-            nxt = (t + 1) % slp.k
-            blk = coef_block(slp.global_T, nxt) - coef_block(slp.global_T, t)
-            b = np.zeros(blk.shape[0])
-            if gam_fixed is None:
-                blk[:, fv["gamma"]] = -1.0
-            else:
-                b += gam_fixed
-            family(f"shift-t{t}", blk, b)
-    if slp.kstep_data is not None:
-        before_T, after_T = slp.kstep_data
-        blk = coef_block(after_T, 0) - coef_block(before_T, 0)
-        family("k-step", blk, np.zeros(blk.shape[0]))
+            b += float(fixed[name])
+
+    def condition_rows(cid, states, images=None):
+        base, t = cid.rsplit("-t", 1) if "-t" in cid else (cid, 0)
+        t = int(t)
+        b = np.zeros(len(states))
+        if base == "init":
+            blk = coef_block(states, 0)
+            if flavor == "finite-horizon":
+                blk[:, col["gamma"]] = -1.0
+        elif base == "unsafe":
+            blk = coef_block(states, t, sign=-1.0)
+            blk[:, col[{"invariant": "gamma", "finite-horizon": "lam"}.get(flavor, "d")]] = 1.0
+        elif base in ("step", "k-step"):
+            blk = coef_block(images, t) - coef_block(states, t)
+            if base == "step" and flavor == "finite-horizon":
+                blk[:, col["delta"]] = -1.0
+            elif base == "step" and flavor != "invariant":
+                threshold(blk, b, "eps")
+        else:  # shift-t: B_{t+1} - B_t on the same state
+            blk = coef_block(states, (t + 1) % k) - coef_block(states, t)
+            threshold(blk, b, "gamma")
+        family(cid, blk, b)
+
+    def window(cid):
+        if cid == "k-step":
+            return 0, k
+        if cid.startswith("step"):
+            return (int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0), 1
+        return None
+
+    def region(cid):
+        return {"init": "init", "unsafe": "unsafe"}.get(cid.split("-")[0], "global")
+
+    ids = [c.condition_id for c in state_conditions(flavor, k)]
+    regions = {"init": scen.init, "unsafe": scen.unsafe}
+    # every global state, sampled or absorbed, and its image under each draw;
+    # a counterexample over a step window is its condition's own
+    n = len(scen.global_states)
+    absorbed = [s.reshape(1, -1) for cid, s, _ in cexes if region(cid) == "global" and not window(cid)]
+    glob = np.vstack([scen.global_states] + absorbed)
+    draws = {cid: [glob @ m.T for m in _draw_matrices(dyn, cfg, *window(cid))] for cid in ids if window(cid)}
+    for cid in ids:
+        if window(cid) is None:
+            condition_rows(cid, regions.get(region(cid), glob[:n]))
+        else:
+            for images in draws[cid]:
+                condition_rows(cid, glob[:n], images[:n])
+
     objective = np.zeros(width)
-    if slp.flavor == "invariant":
-        objective[fv["gamma"]] = 1.0
-    elif slp.flavor == "finite-horizon":
+    if flavor == "invariant":
+        objective[col["gamma"]] = 1.0
+    elif flavor == "finite-horizon":
         t_hor = int(cfg.horizon)
-        objective[fv["gamma"]] = -1.0
-        objective[fv["lam"]] = 1.0
-        objective[fv["delta"]] = -float(t_hor)
+        objective[col["gamma"]] = -1.0
+        objective[col["lam"]] = 1.0
+        objective[col["delta"]] = -float(t_hor)
         side = np.zeros((1, width))
-        side[0, fv["gamma"]] = 1.0
-        side[0, fv["lam"]] = -1.0
-        side[0, fv["delta"]] = float(t_hor)
+        side[0, col["gamma"]] = 1.0
+        side[0, col["lam"]] = -1.0
+        side[0, col["delta"]] = float(t_hor)
         family("side", side, np.array([-MARGIN]))
     else:
-        objective[fv["d"]] = 1.0
+        objective[col["d"]] = 1.0
         side = np.zeros((1, width))
-        side[0, fv["d"]] = -1.0
+        side[0, col["d"]] = -1.0
         bound = -MARGIN
-        if eps_fixed is None:
-            side[0, fv["eps"]] = float(slp.k)
-            objective[fv["eps"]] = -float(slp.k)
-        else:
-            bound -= slp.k * eps_fixed
-        if slp.flavor == "hybrid":
-            if gam_fixed is None:
-                side[0, fv["gamma"]] = float(slp.k)
-                objective[fv["gamma"]] = -float(slp.k)
+        for name in ("eps", "gamma") if flavor == "hybrid" else ("eps",):
+            if name in col:
+                side[0, col[name]] = float(k)
+                objective[col[name]] = -float(k)
             else:
-                bound -= slp.k * gam_fixed
+                bound -= k * float(fixed[name])
         family("side", side, np.array([bound]))
-    c_bound = COEFF_BOUND
-    bounds = [(-c_bound, c_bound)] * (2 * slp.nt * slp.n_vec)
-    for fname in slp._flavor_var_names():
-        if fname in ("delta", "eps", "d") or (fname == "gamma" and slp.flavor == "hybrid"):
-            bounds.append((0.0, c_bound))
-        else:
-            bounds.append((-c_bound, c_bound))
-    return np.vstack(rows), np.asarray(rhs), families, bounds, objective
+
+    g = n
+    for cex, state, params in cexes:
+        s = state.reshape(1, -1)
+        if window(cex):
+            condition_rows(cex, s, (_window_matrix(dyn, *window(cex), params) @ s[0]).reshape(1, -1))
+            continue
+        for cid in ids:
+            if region(cid) != region(cex):
+                continue
+            if window(cid) is None:
+                condition_rows(cid, s)
+            else:
+                for images in draws[cid]:
+                    condition_rows(cid, s, images[g : g + 1])
+        g += region(cex) == "global"
+
+    bounds = [
+        (0.0, COEFF_BOUND) if name in ("delta", "eps", "d") or (name == "gamma" and flavor == "hybrid")
+        else (-COEFF_BOUND, COEFF_BOUND)
+        for name in fnames
+    ]
+    bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (width - len(fnames))
+    return np.vstack(rows), np.asarray(rhs), families, bounds, objective, names
 
 
 def _params(rng, dyn, t0, count):
@@ -773,7 +819,7 @@ ROW_CASES = {
 
 
 def _row_case(name, nt=9, samples=30):
-    flavor, make_dynamics, k, eps, gamma, cexes = ROW_CASES[name]
+    flavor, make_dynamics, k, eps, gamma, cex_ids = ROW_CASES[name]
     dyn = make_dynamics()
     cfg = SynthesisConfig(
         flavor=flavor, degree=2, samples=samples, seed=7, k=k, eps=eps, gamma=gamma,
@@ -786,21 +832,23 @@ def _row_case(name, nt=9, samples=30):
     rng = np.random.default_rng(11)
     template = full_template(4, 2, nt)
     ScenarioLP(template.prefix(2), rows)  # evaluate some terms first
-    for cid in cexes:
+    cexes = []
+    for cid in cex_ids:
         if cid == "k-step":
             t0, count = 0, k
         else:
             t0, count = (int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0), 1
-        rows.absorb(cid, _unit(rng, 4), _params(rng, dyn, t0, count))
-    return ScenarioLP(template, rows)
+        cexes.append((cid, _unit(rng, 4), _params(rng, dyn, t0, count)))
+        rows.absorb(*cexes[-1])
+    return ScenarioLP(template, rows), dyn, scen, cexes
 
 
 @pytest.mark.parametrize("name", sorted(ROW_CASES))
 def test_scenario_rows_match_the_dense_assembly(name):
-    slp = _row_case(name)
+    slp, dyn, scen, cexes = _row_case(name)
     problem = slp.build()
-    a_ref, b_ref, families, bounds, objective = _reference_build(slp)
-    assert problem.families == families
+    a_ref, b_ref, families, bounds, objective, names = _reference_build(slp, dyn, scen, cexes)
+    assert problem.families == families and slp.var_layout() == names
     assert (problem.n_rows, problem.n_vars) == a_ref.shape
     assert problem.bounds == bounds and np.array_equal(problem.objective, objective)
     kinds = {f.split("-t")[0] for f, start, stop in families if stop > start}

@@ -139,6 +139,23 @@ def test_non_unitary_matrix_rejected():
         Gate(np.array([[1, 0], [0, 2]], dtype=complex))
 
 
+def test_nan_matrix_rejected():
+    with pytest.raises(NonUnitaryError, match="nan"):
+        Gate(np.array([[0, np.nan], [np.nan, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.9, np.inf), (-np.inf, 1.1), (1e200, 1e201)])
+def test_he_interval_ends_must_give_unitary_gates(lo, hi):
+    with pytest.raises(NonUnitaryError):
+        hadamard_uncertain(lo, hi)
+
+
+def test_he_gate_is_unitary_across_a_wide_interval():
+    ug = hadamard_uncertain(-1e150, 1e150)
+    for eps in (-1e150, -3.0, 0.0, 1e-8, 7.5, 1e150):
+        assert np.allclose(ug.instantiate((eps,)).matrix @ ug.instantiate((eps,)).matrix.conj().T, np.eye(2))
+
+
 def test_state_validation():
     with pytest.raises(QuantumError):
         QuantumState(np.array([1.0, 1.0]))  # not normalized
