@@ -111,6 +111,7 @@ def conditions_doc(report) -> list[dict]:
         {
             "id": v.condition_id,
             "status": v.status,
+            "decider": v.decider,
             "wall_s": round(v.wall_s, 6),
             "model": v.model,
         }

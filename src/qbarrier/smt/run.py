@@ -16,6 +16,7 @@ refutation.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 import shlex
 import subprocess
 import time
@@ -31,6 +32,9 @@ from .encode import SMTQuery
 
 RECHECK_SLACK = 1e-9
 BUILTIN_COMMAND = "builtin"
+EXTERNAL_DECIDER = "external"
+
+log = logging.getLogger(__name__)
 
 
 class SolverToolError(RuntimeError):
@@ -46,6 +50,9 @@ class Verdict:
     wall_s: float
     model: dict[str, float] | None = None
     reason: str = ""
+    # the builtin decider that answered (see `builtin.Decision`), or
+    # "external" for any other solver
+    decider: str = EXTERNAL_DECIDER
 
     @property
     def verified(self) -> bool:
@@ -122,8 +129,9 @@ def builtin_problem(query: SMTQuery) -> _builtin.Problem:
     return _builtin.Problem(names=names, constraints=constraints)
 
 
-def _run_builtin(query: SMTQuery) -> tuple[str, dict | None]:
-    return _builtin.solve_problem(builtin_problem(query), timeout_s=query.timeout_s)
+def _run_builtin(query: SMTQuery) -> tuple[str, dict | None, str]:
+    decision = _builtin.solve_problem(builtin_problem(query), timeout_s=query.timeout_s)
+    return (*decision, decision.decider)
 
 
 def _run_external(query: SMTQuery, path: Path, command: str) -> tuple[str, dict | None]:
@@ -168,10 +176,12 @@ def run_solver(
     path.write_text(query.text, encoding="utf-8")
     start = time.perf_counter()
     if command == BUILTIN_COMMAND:
-        status, model = _run_builtin(query)
+        status, model, decider = _run_builtin(query)
     else:
         status, model = _run_external(query, path, command)
+        decider = EXTERNAL_DECIDER
     wall = time.perf_counter() - start
+    log.info("%s: %s (%s, %.3f s)", query.condition_id, status, decider, wall)
     if status == "sat":
         if model is None:
             raise SolverToolError(
@@ -181,10 +191,12 @@ def run_solver(
             raise SolverToolError(
                 f"{query.condition_id}: sat model fails the numeric re-check"
             )
-        return Verdict(query.condition_id, "sat", wall, model=model)
+        return Verdict(query.condition_id, "sat", wall, model=model, decider=decider)
     if status == "unsat":
-        return Verdict(query.condition_id, "unsat", wall)
-    return Verdict(query.condition_id, "unknown", wall, reason="solver unknown/timeout")
+        return Verdict(query.condition_id, "unsat", wall, decider=decider)
+    return Verdict(
+        query.condition_id, "unknown", wall, reason="solver unknown/timeout", decider=decider
+    )
 
 
 def model_to_state(query: SMTQuery, model: dict[str, float]) -> np.ndarray:

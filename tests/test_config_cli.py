@@ -202,6 +202,22 @@ def test_report_lp_counts_repeat_at_a_seed(tiny_config, tmp_path):
     assert all(0 < e["rows_kept"] <= e["rows"] and e["highs_calls"] >= 1 for e in lp)
 
 
+def test_report_deciders_repeat_at_a_seed(tmp_path, caplog):
+    """Each condition of `report.json` names the decider that answered it,
+    the same in two runs at one seed, and `-v` logs it."""
+    config = str(bundled_config_path("hadamard1_finite_t1"))
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        with caplog.at_level("INFO", logger="qbarrier.smt.run"):
+            assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        runs.append([(c["id"], c["status"], c["decider"]) for c in doc["conditions"]])
+    assert runs[0] == runs[1]
+    assert {d for _, _, d in runs[0]} == {"constant", "feature-lp", "s-lemma"}
+    assert "step: unsat (s-lemma, " in caplog.text
+
+
 def test_malformed_config_exits_above_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CFG.replace("prob(0) >= 0.9", "prob(0) == 0.9"))

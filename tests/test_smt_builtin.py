@@ -1,16 +1,13 @@
-import contextlib
 import functools
 import itertools
-import logging
 import math
-import sys
 import time
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qbarrier.smt.builtin as builtin
@@ -20,12 +17,12 @@ from qbarrier.smt.builtin import (
     Problem,
     SmtParseError,
     decide_feature_lp,
-    icp_refute,
+    is_psd,
     main,
     parse_numeral,
     parse_problem,
     probe_sat,
-    qubit_feature_refute,
+    slemma_refute,
     solve_problem,
     solve_text,
 )
@@ -85,7 +82,9 @@ def test_infeasible_region_is_unsat():
         SPHERE2,
         "(assert (> x0 0))",
     )
-    assert solve_text(text)[0] == "unsat"
+    # x0 > 0 does not reduce to the features, but the rest is infeasible
+    decision = solve_text(text)
+    assert (decision, decision.decider) == (("unsat", None), "feature-lp")
 
 
 def test_constant_queries():
@@ -131,7 +130,7 @@ def test_probe_finds_gross_nonaffine_violation():
 
 def test_qubit_feature_relaxation_refutes_tight_bound():
     # max of p0 + Re(z0 conj z1) - 1/2 over the sphere is sqrt(2)/2; a bound
-    # slightly above that is unsatisfiable but needs the feature reasoning
+    # slightly above that is unsatisfiable, which the feature LP cannot show
     bound = math.sqrt(2) / 2 + 0.02
     num = Fraction(bound).limit_denominator(10 ** 9)
     text = wrap(
@@ -139,7 +138,8 @@ def test_qubit_feature_relaxation_refutes_tight_bound():
         "(assert (> (+ (* x0 x0) (* y0 y0) (* x0 x1) (* y0 y1) (- 0.5)) "
         f"(/ {num.numerator} {num.denominator})))",
     )
-    assert solve_text(text)[0] == "unsat"
+    decision = solve_text(text)
+    assert (decision, decision.decider) == (("unsat", None), "s-lemma")
 
 
 def test_qubit_feature_relaxation_leaves_satisfiable_alone():
@@ -189,8 +189,8 @@ def test_malformed_input_is_a_parse_error(assertion, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-# a cross-term query that neither the feature LP nor the qubit relaxation
-# decides; only the probe finds its model
+# a cross-term query that neither the feature LP nor the S-lemma decides;
+# only the probe finds its model
 CROSS_TERM = wrap(SPHERE2, "(assert (> (+ (* x0 x1) (* y0 y1)) (/ 2 5)))")
 
 
@@ -209,156 +209,10 @@ def test_configured_budget_is_not_capped(monkeypatch):
     assert model["x0"] * model["x1"] + model["y0"] * model["y1"] > 0.4
 
 
-# ---------------------------------------------------------------------------
-# interval branch-and-prune
-
-
-def _reference_interval_eval(exps, coefs, lo, hi):
-    tot_lo, tot_hi = 0.0, 0.0
-    for e, c in zip(exps, coefs):
-        t_lo, t_hi = c, c
-        for i in np.nonzero(e)[0]:
-            p_lo, p_hi = lo[i], hi[i]
-            for _ in range(e[i]):
-                cands = (t_lo * p_lo, t_lo * p_hi, t_hi * p_lo, t_hi * p_hi)
-                t_lo, t_hi = min(cands), max(cands)
-        tot_lo += t_lo
-        tot_hi += t_hi
-    pad = 1e-12 * (1.0 + abs(tot_lo) + abs(tot_hi))
-    return tot_lo - pad, tot_hi + pad
-
-
-def _reference_icp_refute(problem, deadline, max_nodes=20000):
-    """The numpy branch-and-prune that the compiled term program replaced,
-    kept as the reference it must match box for box."""
-    arrays = builtin._constraint_arrays(problem)
-    pairs = builtin._amplitude_pairs(problem.names) or {}
-    amp_vars = sorted(i for x, y in pairs.values() for i in (x, y))
-    lo0, hi0 = builtin._var_bounds(problem)
-    stack = [(lo0.copy(), hi0.copy())]
-    nodes = 0
-    while stack:
-        nodes += 1
-        if nodes > max_nodes or time.monotonic() > deadline:
-            return "unknown", None
-        lo, hi = stack.pop()
-        pruned = False
-        for exps, coefs, op, rhs in arrays:
-            v_lo, v_hi = _reference_interval_eval(exps, coefs, lo, hi)
-            if op == "=" and (v_hi < rhs or v_lo > rhs):
-                pruned = True
-                break
-            if op in ("<=", "<") and v_lo > rhs:
-                pruned = True
-                break
-        if pruned:
-            continue
-        center = (lo + hi) / 2.0
-        if amp_vars:
-            norm = math.sqrt(sum(center[i] ** 2 for i in amp_vars))
-            if norm > 1e-12:
-                for i in amp_vars:
-                    center[i] /= norm
-        point = center.reshape(1, -1)
-        if bool(builtin._feasible_mask(arrays, point)[0]):
-            return "sat", {
-                problem.names[i]: float(center[i]) for i in range(problem.nv)
-            }
-        widths = hi - lo
-        split = int(np.argmax(widths))
-        if widths[split] < 1e-7:
-            return "unknown", None
-        mid = (lo[split] + hi[split]) / 2.0
-        l2, h2 = lo.copy(), hi.copy()
-        h2[split] = mid
-        stack.append((l2, h2))
-        l3, h3 = lo.copy(), hi.copy()
-        l3[split] = mid
-        stack.append((l3, h3))
-    return "unsat", None
-
-
-@contextlib.contextmanager
-def _recording_boxes(module, name, boxes):
-    """Record every (box, enclosure) that `module.name` evaluates."""
-    inner = getattr(module, name)
-
-    def record(*args):
-        out = inner(*args)
-        lo, hi = args[-2], args[-1]
-        boxes.append((tuple(map(float, lo)), tuple(map(float, hi)), out))
-        return out
-
-    setattr(module, name, record)
-    try:
-        yield
-    finally:
-        setattr(module, name, inner)
-
-
-QUBIT_PARAM = ("x0", "y0", "x1", "y1", "u0")
-_NV = len(QUBIT_PARAM)
-
-
-def _poly(terms) -> RealPoly:
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for factors, c in terms:
-        e = [0] * _NV
-        for i in factors:
-            e[i] += 1
-        coeffs[tuple(e)] = coeffs.get(tuple(e), Fraction(0)) + c
-    return RealPoly(_NV, coeffs)
-
-
-_fractions = st.builds(
-    Fraction,
-    st.integers(-9, 9).filter(bool),
-    st.integers(1, 4),
-)
-_terms = st.lists(
-    st.tuples(st.lists(st.integers(0, _NV - 1), min_size=1, max_size=4), _fractions),
-    min_size=1,
-    max_size=4,
-)
-_polynomial_constraints = st.lists(
-    st.builds(
-        lambda terms, op, rhs: Constraint(_poly(terms), op, rhs),
-        _terms,
-        st.sampled_from(["<=", "<"]),
-        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
-    ),
-    min_size=1,
-    max_size=3,
-).filter(lambda cons: all(con.poly for con in cons))
-
-
-@st.composite
-def _queries(draw):
-    sphere = Constraint(_poly([((i, i), Fraction(1)) for i in range(4)]), "=", Fraction(1))
-    bound = draw(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8)))
-    if draw(st.booleans()):
-        param = Constraint(_poly([((4,), Fraction(1))]), "<=", bound)
-    else:
-        param = Constraint(_poly([((4,), Fraction(-1))]), "<=", -bound)
-    return Problem(list(QUBIT_PARAM), [sphere, param, *draw(_polynomial_constraints)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(problem=_queries(), max_nodes=st.sampled_from([50, 300, 2000]))
-def test_compiled_icp_matches_reference(problem, max_nodes):
-    deadline = time.monotonic() + 1e6
-    ref_boxes, boxes = [], []
-    with _recording_boxes(sys.modules[__name__], "_reference_interval_eval", ref_boxes):
-        expected = _reference_icp_refute(problem, deadline, max_nodes)
-    with _recording_boxes(builtin, "_hull", boxes):
-        got = icp_refute(problem, deadline, max_nodes)
-    assert got == expected  # models compared by float equality
-    assert boxes == ref_boxes
-
-
-# the one-qubit queries of the `recheck` benchmark that reach branch-and-prune;
-# both run to the node limit
-RECHECK_ICP_QUERIES = [
+# the `init` queries of two `hadamard1_infinite` certificates of the `recheck`
+# benchmark, which no decider answers: both are satisfiable, but only on a
+# thin sliver along the face p0 = 9/10, which the probe does not hit
+RECHECK_SLIVER_QUERIES = [
     """(set-logic QF_NRA)
 (declare-const x0 Real)
 (declare-const x1 Real)
@@ -389,12 +243,23 @@ RECHECK_ICP_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("text", RECHECK_ICP_QUERIES)
-def test_recheck_queries_run_to_the_node_limit(text, caplog):
-    problem = parse_problem(text)
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        assert icp_refute(problem, time.monotonic() + 1e6) == ("unknown", None)
-    assert caplog.messages == ["icp: 20000 boxes, 9990 pruned, node-limit"]
+def _sliver_witness(problem):
+    """A point z0 = sqrt(p0), z1 = -sqrt(1 - p0) with p0 just above 9/10
+    that meets every constraint exactly, or None."""
+    for p0 in np.linspace(0.9, 0.901, 1001):
+        model = {"x0": math.sqrt(p0), "x1": -math.sqrt(1 - p0), "y0": 0.0, "y1": 0.0}
+        if all(_exact_holds(con, model, problem.names) for con in problem.constraints):
+            return model
+    return None
+
+
+def test_recheck_sliver_queries_end_unknown():
+    for text in RECHECK_SLIVER_QUERIES:
+        problem = parse_problem(text)
+        assert _sliver_witness(problem) is not None
+        assert slemma_refute(problem) is None
+        decision = solve_problem(problem)
+        assert (decision, decision.decider) == (("unknown", None), "none")
 
 
 def _sphere_points(n=60):
@@ -432,72 +297,18 @@ def _exact_holds(con, model, names, slack=Fraction(1, 10 ** 9)):
 
 
 # x0^3 + y0^3 <= x0^2 + y0^2 <= 1 on the sphere, so this bound is unsat; the
-# cubic is beyond the feature LP and the degree-2 qubit relaxation
+# cubic is beyond the feature LP and the S-lemma, so no decider answers
 CUBIC_UNSAT = wrap(SPHERE2, "(assert (> (+ (* x0 x0 x0) (* y0 y0 y0)) (/ 21 20)))")
 
 
-def test_icp_refutes_what_the_other_deciders_cannot(caplog):
-    problem = parse_problem(CUBIC_UNSAT)
-    deadline = time.monotonic() + 1e6
-    assert decide_feature_lp(problem) is None
-    assert qubit_feature_refute(problem, deadline) is None
+def test_cubic_query_beyond_the_deciders_ends_unknown(tmp_path, capsys):
     pts = _sphere_points()
     assert (pts[:, 0] ** 3 + pts[:, 1] ** 3).max() < 1.05  # no grid point is feasible
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        assert solve_problem(problem) == ("unsat", None)
-    assert caplog.messages[-1].endswith(" pruned, refuted")
-
-
-# only u0 = 0 within 3e-5 meets the equality, which the random probe does not
-# hit; a box center does
-CENTER_SAT = wrap(
-    SPHERE2,
-    "(assert (= (* u0 u0) 0))",
-    "(assert (> (* x0 x0 x0) (/ 1 2)))",
-    decls=("x0", "y0", "x1", "y1", "u0"),
-)
-
-
-def test_icp_center_model_passes_the_recheck(caplog):
-    problem = parse_problem(CENTER_SAT)
-    deadline = time.monotonic() + 1e6
-    assert decide_feature_lp(problem) is None
-    assert probe_sat(problem, deadline) is None
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        status, model = solve_problem(problem)
-    assert status == "sat"
-    assert caplog.messages[-1].endswith(" pruned, sat-center")
-    assert all(_exact_holds(con, model, problem.names) for con in problem.constraints)
-
-
-def test_icp_stops_at_the_node_limit(caplog):
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        got = icp_refute(parse_problem(CUBIC_UNSAT), time.monotonic() + 1e6, max_nodes=5)
-    assert got == ("unknown", None)
-    assert caplog.messages == ["icp: 5 boxes, 0 pruned, node-limit"]
-
-
-def test_icp_stops_at_an_expired_deadline(monkeypatch, caplog):
-    # the clock passes the deadline after three boxes
-    reads = itertools.chain([0.0, 0.0, 0.0], itertools.repeat(60.0))
-    monkeypatch.setattr(builtin, "time", types.SimpleNamespace(monotonic=lambda: next(reads)))
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        got = icp_refute(parse_problem(CUBIC_UNSAT), deadline=1.0)
-    assert got == ("unknown", None)
-    assert caplog.messages == ["icp: 3 boxes, 0 pruned, deadline"]
-
-
-def test_icp_stops_at_the_width_floor(caplog, tmp_path, capsys):
-    # u0 = 1/2 is a root, but a box 1e-7 wide is too coarse to put a center
-    # within the 1e-9 equality tolerance of a cubic
-    text = wrap("(assert (= (* u0 u0 u0) (/ 1 8)))", decls=("u0",))
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        assert icp_refute(parse_problem(text), time.monotonic() + 1e6) == ("unknown", None)
-    assert caplog.messages[-1].endswith(" pruned, width-floor")
-    path = tmp_path / "floor.smt2"
-    path.write_text(text)
-    with caplog.at_level(logging.INFO, logger=builtin.__name__):
-        assert main([str(path)]) == 0
+    decision = solve_problem(parse_problem(CUBIC_UNSAT))
+    assert (decision, decision.decider) == (("unknown", None), "none")
+    path = tmp_path / "cubic.smt2"
+    path.write_text(CUBIC_UNSAT)
+    assert main([str(path)]) == 0
     assert capsys.readouterr().out == "unknown\n"
 
 
@@ -536,6 +347,10 @@ def _feature_polys(draw):
 
 _degree2_polys = st.dictionaries(
     st.sampled_from(_DEGREE2), _nonzero, min_size=1, max_size=5
+).map(lambda coeffs: RealPoly(4, coeffs))
+# quadratic forms, which the S-lemma takes
+_forms = st.dictionaries(
+    st.sampled_from([e for e in _DEGREE2 if sum(e) == 2]), _nonzero, min_size=1, max_size=5
 ).map(lambda coeffs: RealPoly(4, coeffs))
 
 
@@ -580,8 +395,8 @@ def _check_deciders(query: SMTQuery):
         assert not _grid_feasible(query)
     if verdict is not None and verdict[0] == "sat":
         assert recheck_model(query, verdict[1])
-    refuted = qubit_feature_refute(problem, time.monotonic() + 60.0)
-    event(f"qubit relaxation: {refuted}")
+    refuted = slemma_refute(problem)
+    event(f"S-lemma: {refuted}")
     if refuted == "unsat":
         assert not _grid_feasible(query)
     return verdict
@@ -593,7 +408,107 @@ def test_feature_lp_verdicts_match_the_sphere_grid(query):
     assert _check_deciders(query) is not None  # affine in p0, p1: always reduced
 
 
+def _as_query(text: str) -> SMTQuery:
+    """A one-qubit query text as the encoder's query, with its strict
+    constraint as the negated condition."""
+    problem = parse_problem(text)
+    assert tuple(problem.names) == _AMPS
+    cons = [StructConstraint(c.poly, c.op, c.rhs, c.op == "<") for c in problem.constraints]
+    return SMTQuery("init", 2, _AMPS, tuple(cons), timeout_s=60.0)
+
+
 @settings(max_examples=80, deadline=None)
-@given(query=_one_qubit_queries(_degree2_polys))
+@given(query=_one_qubit_queries(_degree2_polys | _forms))
+@example(query=_as_query(RECHECK_SLIVER_QUERIES[0]))
+@example(query=_as_query(RECHECK_SLIVER_QUERIES[1]))
 def test_qubit_refutations_match_the_sphere_grid(query):
     _check_deciders(query)
+
+
+# ---------------------------------------------------------------------------
+# the S-lemma's exact check
+
+
+_small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_ldlt_matches_eigvalsh(data):
+    """A Gram matrix B B^T is positive semidefinite, and singular when B has
+    fewer columns than rows. Less s * I, it stays so exactly when its least
+    eigenvalue is at least s, which `eigvalsh` decides away from equality."""
+    n = data.draw(st.integers(1, 6), label="n")
+    rank = data.draw(st.integers(0, n), label="rank")
+    b = [[data.draw(_small) for _ in range(rank)] for _ in range(n)]
+    gram = [[sum(b[i][k] * b[j][k] for k in range(rank)) for j in range(n)] for i in range(n)]
+    event(f"singular: {rank < n}")
+    assert is_psd(gram)
+    shift = data.draw(_small, label="shift")
+    shifted = [[g - shift * (i == j) for j, g in enumerate(row)] for i, row in enumerate(gram)]
+    least = np.linalg.eigvalsh(np.array(shifted, dtype=float))[0]
+    if abs(least) > 1e-9:
+        event(f"positive semidefinite: {least > 0}")
+        assert is_psd(shifted) == (least > 0)
+
+
+def test_zero_pivot_needs_a_zero_row():
+    assert is_psd([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
+    assert not is_psd([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(5)]])
+
+
+def test_s_lemma_certifies_exactly_not_in_floats():
+    # region p0 <= 1/2 and -eps * x0^2 < 0, satisfiable at x0 = 1/2: the best
+    # lam = eps leaves lambda_min(G_v + lam * G_r) at -eps/2, within float
+    # noise of a certificate, which only the exact LDL^T refuses
+    text = wrap(
+        SPHERE2,
+        "(assert (<= (+ (* x0 x0) (* y0 y0)) (/ 1 2)))",
+        "(assert (< (* (- (/ 1 1000000000000)) x0 x0) 0))",
+    )
+    assert slemma_refute(parse_problem(text)) is None
+
+
+_I_POWERS = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^k as (re, im)
+_ROTATIONS = [(Fraction(1), Fraction(0)), (Fraction(3, 5), Fraction(4, 5)),
+              (Fraction(5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(-15, 17))]
+
+
+def _unitary_forms(phases, rotation):
+    """x_j and y_j of U z as linear forms in (x0, x1, y0, y1), for the
+    rational unitary U = R(c, s) diag(i^a, i^b): a phase on each amplitude,
+    then a real rotation by a Pythagorean angle."""
+    c, s = rotation
+    rot = [[c, -s], [s, c]]
+    coords = [RealPoly.variable(4, i) for i in range(4)]
+    xs, ys = coords[:2], coords[2:]
+    forms = [RealPoly(4)] * 4
+    for j in range(2):
+        for k in range(2):
+            re, im = (rot[j][k] * part for part in _I_POWERS[phases[k]])
+            forms[j] = forms[j].add(xs[k].scale(re)).sub(ys[k].scale(im))
+            forms[2 + j] = forms[2 + j].add(xs[k].scale(im)).add(ys[k].scale(re))
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    forms=st.lists(_forms, min_size=1, max_size=2),
+    bounds=st.lists(_bounds, min_size=2, max_size=2),
+    phases=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    rotation=st.sampled_from(_ROTATIONS),
+)
+def test_unitary_change_of_basis_keeps_the_s_lemma_verdict(forms, bounds, phases, rotation):
+    """z -> U z maps the sphere onto itself, so the query in the new basis
+    is as satisfiable as before."""
+    *region, strict = forms
+    cons = [Constraint(sphere_poly(2, 4), "=", Fraction(1))]
+    cons += [Constraint(f, "<=", r) for f, r in zip(region, bounds)]
+    cons.append(Constraint(strict, "<", bounds[-1]))
+    problem = Problem(list(_AMPS), cons)
+    verdict = slemma_refute(problem)
+    event(f"S-lemma: {verdict}")
+    substitution = _unitary_forms(phases, rotation)
+    moved = [Constraint(c.poly.substitute(substitution), c.op, c.rhs) for c in cons]
+    assert moved[0].poly.coeffs == cons[0].poly.coeffs  # U keeps the sphere
+    assert slemma_refute(Problem(list(_AMPS), moved)) == verdict

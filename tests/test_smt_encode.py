@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import math
+import operator
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +30,7 @@ from qbarrier.smt.encode import (
     conditions_for,
     encode_condition,
 )
-from qbarrier.smt.run import builtin_problem
+from qbarrier.smt.run import builtin_problem, run_solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -368,8 +372,7 @@ def test_parse_recovers_emitted_constraints_exactly(name):
 
 def _assert_same_problem(parsed, built, label):
     """The in-memory problem equals the parsed one down to the order of
-    variables and terms, which the probe's draws and the float sums of
-    branch-and-prune follow."""
+    variables and terms, which the probe's draws follow."""
     assert built.names == parsed.names, label
     assert len(built.constraints) == len(parsed.constraints), label
     for i, (b, p) in enumerate(zip(built.constraints, parsed.constraints)):
@@ -378,15 +381,14 @@ def _assert_same_problem(parsed, built, label):
         assert list(b.poly.coeffs.items()) == list(p.poly.coeffs.items()), where
 
 
-def test_builtin_problem_equals_the_parse_of_every_recheck_query():
-    """Every query of the stored recheck certificates, built in memory, is the
-    problem that parsing its emitted text gives, and the texts of all of
-    them, in order, are pinned."""
+def _recheck_queries(indices=None):
+    """(certificate index, query) for every condition of the certificates
+    stored for the `recheck` benchmark, or of those at `indices`."""
     doc = json.loads((PERFBENCH / "data" / "recheck.json").read_text(encoding="utf-8"))
     jobs = {}
-    count = 0
-    digest = hashlib.sha256()
     for i, entry in enumerate(doc["certificates"]):
+        if indices is not None and i not in indices:
+            continue
         name = entry["config"]
         if name not in jobs:
             local = PERFBENCH / "configs" / f"{name}.cfg"
@@ -394,15 +396,65 @@ def test_builtin_problem_equals_the_parse_of_every_recheck_query():
         job = jobs[name]
         cert = Certificate.from_dict(entry["certificate"])
         for spec in conditions_for(cert):
-            q = encode_condition(
+            yield i, encode_condition(
                 cert, spec, job.init_region, job.unsafe_region, job.global_region,
-                job.dynamics,
+                job.dynamics, job.smt.timeout,
             )
-            label = f"certificate {i} ({name}) {spec.condition_id}"
-            _assert_same_problem(parse_problem(q.text), builtin_problem(q), label)
-            digest.update(q.text.encode())
-            count += 1
-    assert (len(doc["certificates"]), count) == (66, 358)
+
+
+def test_builtin_problem_equals_the_parse_of_every_recheck_query():
+    """Every query of the stored recheck certificates, built in memory, is the
+    problem that parsing its emitted text gives, and the texts of all of
+    them, in order, are pinned."""
+    digest = hashlib.sha256()
+    certificates = set()
+    count = 0
+    for i, q in _recheck_queries():
+        label = f"certificate {i} {q.condition_id}"
+        _assert_same_problem(parse_problem(q.text), builtin_problem(q), label)
+        digest.update(q.text.encode())
+        certificates.add(i)
+        count += 1
+    assert (len(certificates), count) == (66, 358)
     assert digest.hexdigest() == (
         "a23e9a356f22f0a6dde31baed1a509a4820117a25e6e5b31d350fa4a8a743e77"
     )
+
+
+def test_every_recheck_verdict_and_decider_is_pinned(tmp_path):
+    """The builtin engine's status and decider for each of the 358 queries,
+    in order, are pinned by one digest."""
+    digest = hashlib.sha256()
+    deciders = Counter()
+    for i, q in _recheck_queries():
+        v = run_solver(q, workdir=tmp_path)
+        digest.update(f"{i} {q.condition_id} {v.status} {v.decider}\n".encode())
+        deciders[v.decider] += 1
+    assert deciders == {"constant": 207, "feature-lp": 133, "s-lemma": 8, "none": 7, "probe": 3}
+    assert digest.hexdigest() == (
+        "c3ebffcb6cb36685d9139555032b4683f504b718c1e607cef2bdb48027cdc85e"
+    )
+
+
+def test_recheck_k_step_queries_hold_exactly_at_the_basis_state(tmp_path):
+    """The k-step queries of certificates 21-23 (`hadamard1_infinite`, k = 2)
+    are satisfiable: at z = |0>, their negated condition holds exactly, by
+    about 2.4e-14. No decider may call them unsat; they end unknown, as the
+    margin is below the 1e-9 that a model's re-check requires."""
+    ops = {"=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+    seen = 0
+    for i, q in _recheck_queries({21, 22, 23}):
+        if q.condition_id != "k-step":
+            continue
+        point = [Fraction(name == "x0") for name in q.var_names]
+        for c in q.constraints:
+            value = sum(
+                coeff * math.prod(x ** p for x, p in zip(point, e))
+                for e, coeff in c.poly.coeffs.items()
+            )
+            assert ops[c.op](value, c.rhs), (i, c.op)
+            if c.negated_condition:
+                assert 0 < abs(value - c.rhs) < Fraction(1, 10 ** 13)
+        assert run_solver(q, workdir=tmp_path).status == "unknown"
+        seen += 1
+    assert seen == 3
