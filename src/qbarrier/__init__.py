@@ -52,7 +52,6 @@ from .lp import (
     ScenarioRows,
     SynthesisConfig,
     SynthesisResult,
-    build_lp,
     extract_certificate,
     recheck_solution,
     sample_scenarios,

@@ -280,6 +280,8 @@ def load_config(path: str | Path) -> JobConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for title in parser.sections():

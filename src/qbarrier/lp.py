@@ -169,7 +169,7 @@ class DenseRows:
 class LPProblem:
     # the rows A @ x <= b: n_rows, n_cols, take(idx) -> (A[idx], b[idx]) and
     # residual(x) -> A @ x - b over every row
-    rows: DenseRows | ScenarioMatrix
+    rows: DenseRows | ScenarioLP
     bounds: list[tuple[float | None, float | None]]
     objective: np.ndarray  # maximized
     families: list[tuple[str, int, int]]  # (family, start row, stop row)
@@ -181,9 +181,6 @@ class LPProblem:
     @property
     def n_vars(self) -> int:
         return self.rows.n_cols
-
-    def family_rows(self, name: str) -> int:
-        return sum(stop - start for f, start, stop in self.families if f == name)
 
 
 @dataclass
@@ -202,34 +199,34 @@ class LPSolution:
 # made: importing scipy.optimize takes most of the package's start-up, and the
 # paths that only verify certificates never solve an LP.
 
-# HiGHS model status -> the status code scipy's linprog gives it: 0 optimal,
-# 1 limit reached, 2 infeasible, 3 unbounded, 4 unbounded or infeasible, or a
-# failure; any other status raises
-_STATUS_CODES = {
-    "kNotset": 4,
-    "kLoadError": 4,
-    "kModelError": 2,
-    "kPresolveError": 4,
-    "kSolveError": 4,
-    "kPostsolveError": 4,
-    "kModelEmpty": 4,
-    "kObjectiveBound": 4,
-    "kObjectiveTarget": 4,
-    "kOptimal": 0,
-    "kTimeLimit": 1,
-    "kIterationLimit": 1,
-    "kInfeasible": 2,
-    "kUnbounded": 3,
-    "kUnboundedOrInfeasible": 4,
+# HiGHS model status -> its outcome: optimal, infeasible, unbounded,
+# "limit" (a time or iteration limit reached), or "unresolved": unbounded or
+# infeasible, or a failure; any other status raises
+_OUTCOMES = {
+    "kNotset": "unresolved",
+    "kLoadError": "unresolved",
+    "kModelError": "infeasible",
+    "kPresolveError": "unresolved",
+    "kSolveError": "unresolved",
+    "kPostsolveError": "unresolved",
+    "kModelEmpty": "unresolved",
+    "kObjectiveBound": "unresolved",
+    "kObjectiveTarget": "unresolved",
+    "kOptimal": "optimal",
+    "kTimeLimit": "limit",
+    "kIterationLimit": "limit",
+    "kInfeasible": "infeasible",
+    "kUnbounded": "unbounded",
+    "kUnboundedOrInfeasible": "unresolved",
 }
 
 
 @dataclass
 class HighsResult:
-    status: int  # a code of _STATUS_CODES
+    status: str  # an outcome of _OUTCOMES
     message: str
-    x: np.ndarray | None = None  # the optimal point, only for status 0
-    fun: float | None = None  # the optimal objective, only for status 0
+    x: np.ndarray | None = None  # the optimal point, only when optimal
+    fun: float | None = None  # the optimal objective, only when optimal
 
 
 def _bound_arrays(bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -308,17 +305,17 @@ class HighsModel:
     def run(self) -> HighsResult:
         self._highs.run()  # a failed run shows in the model status
         status = self._highs.getModelStatus()
-        code = _STATUS_CODES.get(status.name)
-        if code is None:
+        outcome = _OUTCOMES.get(status.name)
+        if outcome is None:
             raise LPSolverError(f"HiGHS ended with an unknown model status: {status.name}")
         info = self._highs.getInfo()
         self.calls += 1
         self.iterations += info.simplex_iteration_count
         message = self._highs.modelStatusToString(status)
-        if code != 0:
-            return HighsResult(code, message)
+        if outcome != "optimal":
+            return HighsResult(outcome, message)
         x = np.array(self._highs.getSolution().col_value)
-        return HighsResult(code, message, x=x, fun=info.objective_function_value)
+        return HighsResult(outcome, message, x=x, fun=info.objective_function_value)
 
 
 def linprog(model: HighsModel, *, A_ub: np.ndarray, b_ub: np.ndarray) -> HighsResult:
@@ -343,7 +340,7 @@ def _spread(n_rows: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_rows - 1, count).round().astype(np.intp))
 
 
-def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioMatrix, keep: np.ndarray):
+def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioLP, keep: np.ndarray):
     """Minimize the model's cost subject to its rows and the rows
     A @ x[:rows.n_cols] <= b, by constraint generation over the A rows.
 
@@ -351,8 +348,8 @@ def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioMatrix, keep: np.nda
     and re-solves from the last basis, then adds the most violated remaining
     rows to `keep`; it stops when no row outside the working set is
     violated, so the point satisfies every row. An infeasible relaxation
-    proves the full problem infeasible; an unbounded one doubles the working
-    set until it is bounded or holds every row.
+    proves the full problem infeasible; an unbounded or unresolved one
+    doubles the working set until it is neither or holds every row.
 
     Returns (the last HiGHS result, the final working set).
     """
@@ -362,11 +359,10 @@ def _cut_solve(model: HighsModel, rows: DenseRows | ScenarioMatrix, keep: np.nda
         model.held = np.concatenate([model.held, new])
         a_new, b_new = rows.take(new)
         res = linprog(model, A_ub=a_new, b_ub=b_new)
-        # HiGHS status 4 includes "unbounded or infeasible" from presolve
-        if res.status in (3, 4) and len(keep) < n_rows:
+        if res.status in ("unbounded", "unresolved") and len(keep) < n_rows:
             keep = np.union1d(keep, _spread(n_rows, 2 * max(len(keep), 1)))
             continue
-        if res.status != 0:
+        if res.status != "optimal":
             return res, keep
         viol = rows.residual(res.x[:n_cols])
         viol[keep] = -np.inf
@@ -410,13 +406,11 @@ def solve_lp(problem: LPProblem, model: HighsModel | None = None) -> LPSolution:
         "highs_calls": model.calls - calls,
         "simplex_iterations": model.iterations - iterations,
     }
-    if res.status == 0:
+    if res.status == "optimal":
         return LPSolution(status="optimal", x=res.x, objective=float(-res.fun), **stats)
-    if res.status == 2:
-        return LPSolution(status="infeasible", **stats)
-    if res.status == 3:
-        return LPSolution(status="unbounded", **stats)
-    raise LPSolverError(f"LP solver failed: status {res.status}: {res.message}")
+    if res.status in ("infeasible", "unbounded"):
+        return LPSolution(status=res.status, **stats)
+    raise LPSolverError(f"LP solver failed: {res.status}: {res.message}")
 
 
 def recheck_solution(problem: LPProblem, x: np.ndarray) -> float:
@@ -681,11 +675,6 @@ def _combination(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return re - im
 
 
-def _stacked(terms: list[np.ndarray]) -> np.ndarray:
-    """(N, nt) term values of term-major blocks, one row per state."""
-    return terms[0].T if len(terms) == 1 else np.hstack(terms).T
-
-
 def _coef_cols(n_fv: int, n_vec: int, nt: int, vec: int) -> tuple[slice, slice]:
     """The re and the im columns of coefficient vector `vec`. The n_fv
     flavor columns come first, then term-major, for each term the re and
@@ -694,8 +683,10 @@ def _coef_cols(n_fv: int, n_vec: int, nt: int, vec: int) -> tuple[slice, slice]:
     return slice(start, stop, step), slice(start + 1, stop, step)
 
 
-class ScenarioMatrix:
-    """The rows of one scenario LP, kept as term values per part.
+class ScenarioLP:
+    """The scenario LP for one template size: the job's parts so far, over
+    the template's terms, as the rows A @ x <= b that `solve_lp` reads, the
+    objective, and the scenario extrema.
 
     B_v at term values T is the row T.real at v's re columns and -T.imag at
     its im columns (`_coef_cols`). No matrix of every row is formed: `take`
@@ -703,18 +694,36 @@ class ScenarioMatrix:
     values.
     """
 
-    def __init__(self, nt: int, n_vec: int, n_fv: int, parts: list[_Part]):
-        self.nt, self.n_vec, self.n_fv = nt, n_vec, n_fv
-        self.n_cols = n_fv + 2 * n_vec * nt
-        self.parts = parts
-        self.starts = np.cumsum([0] + [p.n for p in parts])  # first row of each part
+    def __init__(self, template: BarrierTemplate, rows: ScenarioRows):
+        self.template = template
+        self.cfg = rows.cfg
+        self.flavor = rows.cfg.flavor
+        self.k = rows.k
+        self.n_vec = self.k if self.flavor == "hybrid" else 1
+        self.nt = template.n_terms
+        self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
+        self.polish_rows_kept = 0
+        self.polish_iterations = 0  # simplex iterations of those calls
+        rows.evaluate(template)
+        self.thresholds = THRESHOLDS[self.flavor]
+        self.flavor_vars = rows.flavor_vars  # flavor variable -> its column
+        self.parts = list(rows.parts)
+        self._unsafe = list(rows.regions["unsafe"])  # the unsafe blocks so far
+        self.n_cols = len(self.flavor_vars) + 2 * self.n_vec * self.nt
+        self.starts = np.cumsum([0] + [p.n for p in self.parts])  # first row of each part
         self.n_rows = int(self.starts[-1])
+
+    def _values(self, block: _Block) -> np.ndarray:
+        """(nt, N): the block's values of the template's terms."""
+        return block.terms[: self.nt]
+
+    # ----- the rows ---------------------------------------------------------
 
     def _coef_block(self, block: _Block, sel: np.ndarray, vec: int, sign=1.0) -> np.ndarray:
         """Rows sign * B_vec at states `sel` of the block."""
-        vals = block.terms[: self.nt, sel].T
+        vals = self._values(block)[:, sel].T
         out = np.zeros((len(sel), self.n_cols))
-        re, im = _coef_cols(self.n_fv, self.n_vec, self.nt, vec)
+        re, im = _coef_cols(len(self.flavor_vars), self.n_vec, self.nt, vec)
         out[:, re] = sign * vals.real
         out[:, im] = -sign * vals.imag
         return out
@@ -742,14 +751,9 @@ class ScenarioMatrix:
             b[hit] = part.rhs
         return a, b
 
-    def _vector(self, x: np.ndarray, vec: int) -> np.ndarray:
-        """Coefficient vector `vec` of x, re + 1j * im, so that
-        Re(vector @ T) is B_vec at term-major values T."""
-        re, im = _coef_cols(self.n_fv, self.n_vec, self.nt, vec)
-        return x[re] + 1j * x[im]
-
     def residual(self, x: np.ndarray) -> np.ndarray:
         """A @ x - b over every row."""
+        vectors = self.coeff_vectors_from(x)
         out = np.empty(self.n_rows)
         for start, part in zip(self.starts, self.parts):
             r = out[start : start + part.n]
@@ -757,88 +761,16 @@ class ScenarioMatrix:
             if part.after is None:
                 r.fill(shift)
                 continue
-            r[:] = part.sign * (self._vector(x, part.vec) @ part.after.terms[: self.nt]).real
+            r[:] = part.sign * (vectors[part.vec] @ self._values(part.after)).real
             if part.before is not None:
-                r -= (self._vector(x, part.before_vec) @ part.before.terms[: self.nt]).real
+                r -= (vectors[part.before_vec] @ self._values(part.before)).real
             r += shift
         return out
 
-
-class ScenarioLP:
-    """Rows, objective, and scenario extrema for one template size: the
-    job's parts so far, over the template's terms."""
-
-    def __init__(self, template: BarrierTemplate, rows: ScenarioRows):
-        self.template = template
-        self.cfg = rows.cfg
-        self.flavor = rows.cfg.flavor
-        self.k = rows.k
-        self.n_vec = self.k if self.flavor == "hybrid" else 1
-        self.nt = template.n_terms
-        self.polish_calls = 0  # HiGHS calls (cut rounds) made by polish
-        self.polish_rows_kept = 0
-        self.polish_iterations = 0  # simplex iterations of those calls
-        rows.evaluate(template)
-        self.thresholds = THRESHOLDS[self.flavor]
-        self.flavor_vars = rows.flavor_vars  # flavor variable -> its column
-        self.parts = list(rows.parts)
-        # term-major values of each region's blocks
-        self.regions = {name: [self._values(b) for b in blocks] for name, blocks in rows.regions.items()}
-
-    def _values(self, block: _Block) -> np.ndarray:
-        """(nt, N): the block's values of the template's terms."""
-        return block.terms[: self.nt]
-
-    # ----- stacked term values, one row per state, for inspection -----------
-
-    @property
-    def init_T(self) -> np.ndarray:
-        return _stacked(self.regions["init"])
-
-    @property
-    def unsafe_T(self) -> np.ndarray:
-        return _stacked(self.regions["unsafe"])
-
-    @property
-    def global_T(self) -> np.ndarray:
-        return _stacked(self.regions["global"])
-
-    def _pairs(self, kind: str) -> list:
-        """(before, after) of each condition of this kind, its parts stacked
-        in row order."""
-        by_name: dict[str, list[_Part]] = {}
-        for p in self.parts:
-            if p.kind == kind:
-                by_name.setdefault(p.name, []).append(p)
-        return [
-            (_stacked([self._values(p.before) for p in ps]), _stacked([self._values(p.after) for p in ps]))
-            for ps in by_name.values()
-        ]
-
-    @property
-    def step_data(self) -> list:
-        """(before, after) per step condition."""
-        return self._pairs("step")
-
-    @property
-    def kstep_data(self):
-        """(before, after) of the k-step condition, if there is one."""
-        return next(iter(self._pairs("k-step")), None)
-
-    # ----- variable layout ----------------------------------------------
-
-    def var_layout(self) -> list[str]:
-        """The LP's variables in column order (`_coef_cols`)."""
-        coefs = [f"{p}[{v}][{i}]" for i in range(self.nt) for v in range(self.n_vec) for p in ("re", "im")]
-        return list(self.flavor_vars) + coefs
-
-    # ----- LP assembly ----------------------------------------------------
-
     def build(self) -> LPProblem:
         fv = self.flavor_vars
-        rows = ScenarioMatrix(self.nt, self.n_vec, len(fv), self.parts)
-        families = [(p.name, int(start), int(start) + p.n) for start, p in zip(rows.starts, self.parts)]
-        objective = np.zeros(rows.n_cols)
+        families = [(p.name, int(start), int(start) + p.n) for start, p in zip(self.starts, self.parts)]
+        objective = np.zeros(self.n_cols)
         for name, coef in self.cfg.separation().items():
             if name in fv:
                 objective[fv[name]] = coef
@@ -848,8 +780,8 @@ class ScenarioLP:
             else (-COEFF_BOUND, COEFF_BOUND)
             for name in fv
         ]
-        bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (rows.n_cols - len(fv))
-        return LPProblem(rows=rows, bounds=bounds, objective=objective, families=families)
+        bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (self.n_cols - len(fv))
+        return LPProblem(rows=self, bounds=bounds, objective=objective, families=families)
 
     # ----- candidate extraction -------------------------------------------
 
@@ -871,7 +803,7 @@ class ScenarioLP:
 
     def _unsafe_min(self, vector: np.ndarray) -> float:
         """The scenario minimum of B at the unsafe states."""
-        return min(float(np.min(_combination(vector, t))) for t in self.regions["unsafe"])
+        return min(float(np.min(_combination(vector, self._values(b)))) for b in self._unsafe)
 
     def polish(self, problem: LPProblem, opt_value: float) -> np.ndarray:
         """Re-solve with the separation pinned at half the optimum and an L1
@@ -933,7 +865,7 @@ class ScenarioLP:
             return res, keep
 
         res, keep = solve(_seed_rows(problem))
-        if res.status != 0:
+        if res.status != "optimal":
             return None
         x = res.x[:width]
         # trailing-term elimination re-solves once per term; the gate stays on
@@ -946,7 +878,7 @@ class ScenarioLP:
                     continue
                 model.set_bounds(cols, [(0.0, 0.0)] * len(cols))
                 res2, keep = solve(keep)
-                if res2.status == 0:
+                if res2.status == "optimal":
                     x = res2.x[:width]
                 else:
                     model.set_bounds(cols, [bounds[c] for c in cols])
@@ -1090,16 +1022,6 @@ class ScenarioLP:
         )
         separation = side_value(cert.side_conditions[-1][1], c, cert.decimals)
         return max(worst, MARGIN * 0.5 - float(separation))
-
-
-def build_lp(
-    template: BarrierTemplate,
-    dynamics: Dynamics,
-    cfg: SynthesisConfig,
-    scenarios: Scenarios,
-) -> LPProblem:
-    """Assemble the scenario LP for the configured flavor."""
-    return ScenarioLP(template, ScenarioRows(scenarios, dynamics, cfg)).build()
 
 
 def extract_certificate(

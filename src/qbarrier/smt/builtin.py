@@ -862,7 +862,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status, model = solve_file(args.file, args.timeout)
-    except (SmtParseError, OSError) as exc:
+    except (SmtParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(status)

@@ -232,12 +232,14 @@ def verify_queries(
     """Run condition queries in canonical order.
 
     Sequential runs short-circuit on the first refutation, and take no query
-    from `queries` past it; parallel runs evaluate everything and join
-    deterministically in iteration order.
+    from `queries` past it. With `jobs` > 1, an external solver's queries
+    run on a thread pool, which evaluates everything and joins
+    deterministically in iteration order. The builtin engine always runs in
+    order: it holds the interpreter lock, so threads would gain nothing.
     """
     start = time.perf_counter()
     verdicts: list[Verdict] = []
-    if jobs <= 1:
+    if jobs <= 1 or command == BUILTIN_COMMAND:
         for q in queries:
             v = run_solver(q, command, workdir)
             verdicts.append(v)

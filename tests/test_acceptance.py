@@ -25,8 +25,9 @@ from qbarrier.grover import (
     initial_interval,
 )
 from qbarrier.lp import (
+    ScenarioLP,
+    ScenarioRows,
     SynthesisConfig,
-    build_lp,
     recheck_solution,
     sample_scenarios,
     solve_lp,
@@ -414,9 +415,9 @@ def test_criterion_9_lp_layer():
     for n in (64, 300):
         cfg = SynthesisConfig(flavor="invariant", degree=2, samples=n, seed=2)
         scen = sample_scenarios(init, unsafe, glob, cfg)
-        problem = build_lp(
-            full_template(8, 2).prefix(3), dyn_job.dynamics, cfg, scen
-        )
+        problem = ScenarioLP(
+            full_template(8, 2).prefix(3), ScenarioRows(scen, dyn_job.dynamics, cfg)
+        ).build()
         ok &= passline(
             problem.n_rows == 3 * n, f"invariant row count {problem.n_rows} == 3N"
         )

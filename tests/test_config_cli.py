@@ -223,6 +223,13 @@ def test_malformed_config_exits_above_two(tmp_path, capsys):
     bad.write_text(TINY_CFG.replace("prob(0) >= 0.9", "prob(0) == 0.9"))
     code = main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code > 2
+    # a UTF-16 file, byte-order mark ff fe first: an input error, not a verdict
+    utf16 = tmp_path / "utf16.cfg"
+    utf16.write_bytes(TINY_CFG.encode("utf-16"))
+    assert utf16.read_bytes()[:2] == b"\xff\xfe"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(utf16), "--out", str(tmp_path / "o16")]) == 4
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_verify_roundtrip_and_tamper(tiny_config, tmp_path, capsys):

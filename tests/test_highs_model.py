@@ -1,5 +1,5 @@
 """The live HiGHS model behind every LP solve: the bindings it needs, the
-status codes it gives, rows appended once, re-solves after in-place bound
+outcomes it gives, rows appended once, re-solves after in-place bound
 changes that agree with fresh solves, and the one model a synthesis job
 carries across template sizes and rounds."""
 import re
@@ -46,7 +46,7 @@ def test_bindings_have_every_method_the_module_calls():
         pytest.fail(f"scipy {scipy.__version__} ships no HiGHS bindings ({exc}); qbarrier needs scipy>=1.17")
     missing = sorted(name for name in called if not hasattr(core._Highs, name))
     assert missing == [], f"scipy {scipy.__version__}'s HiGHS bindings lack {missing}; qbarrier needs scipy>=1.17"
-    unknown = sorted(set(qbarrier.lp._STATUS_CODES) - set(core.HighsModelStatus.__members__))
+    unknown = sorted(set(qbarrier.lp._OUTCOMES) - set(core.HighsModelStatus.__members__))
     assert unknown == [], f"scipy {scipy.__version__}'s HiGHS has no model status {unknown}"
 
 
@@ -60,24 +60,24 @@ def _run(cost, bounds, a, b, **options):
 def test_optimal_status_carries_the_point_and_objective():
     # min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6, x >= 0
     res = _run([-1, -1], [(0, None)] * 2, [[1, 2], [3, 1]], [4, 6])
-    assert res.status == 0
+    assert res.status == "optimal"
     assert np.allclose(res.x, [1.6, 1.2]) and res.fun == pytest.approx(-2.8)
 
 
 def test_infeasible_status():
     res = _run([1], [(None, None)], [[1], [-1]], [-1, -1])  # x <= -1 and x >= 1
-    assert (res.status, res.x, res.fun) == (2, None, None)
+    assert (res.status, res.x, res.fun) == ("infeasible", None, None)
 
 
 def test_unbounded_status():
     res = _run([-1, -1], [(0, None)] * 2, [[1, -1]], [1])  # the ray x0 = x1 + 1
-    assert (res.status, res.x) == (3, None)
+    assert (res.status, res.x) == ("unbounded", None)
 
 
 def test_unbounded_or_infeasible_status():
     # presolve sees a column that its cost drives to infinity and stops there
     res = _run([-1, 0], [(0, None), (None, None)], [[-1, 1]], [1], allow_unbounded_or_infeasible=True)
-    assert (res.status, res.x) == (4, None)
+    assert (res.status, res.x) == ("unresolved", None)
 
 
 def test_unbounded_or_infeasible_working_set_takes_the_doubling_path(monkeypatch):
@@ -100,7 +100,7 @@ def test_unbounded_or_infeasible_working_set_takes_the_doubling_path(monkeypatch
 
     monkeypatch.setattr(qbarrier.lp, "linprog", recording)
     res, keep = _cut_solve(model, DenseRows(a, b), seed)
-    assert statuses == [(len(seed), 4), (n_rows - len(seed), 0)]
+    assert statuses == [(len(seed), "unresolved"), (n_rows - len(seed), "optimal")]
     assert len(keep) == n_rows and res.x[0] == pytest.approx(3.0)
 
 
@@ -119,6 +119,28 @@ def test_an_unknown_model_status_raises(name):
     model._highs = Bindings()
     with pytest.raises(LPSolverError, match=name):
         linprog(model, A_ub=np.ones((1, 1)), b_ub=np.ones(1))
+
+
+@pytest.mark.parametrize(
+    "options,outcome",
+    [
+        ({"simplex_iteration_limit": 0, "presolve": "off"}, "limit"),
+        # unbounded or infeasible with every row held: no wider working set
+        ({"allow_unbounded_or_infeasible": True}, "unresolved"),
+    ],
+)
+def test_limits_and_unresolved_outcomes_raise(options, outcome):
+    problem = LPProblem(
+        rows=DenseRows(np.array([[-1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0])),
+        bounds=[(0.0, None), (None, None)],
+        objective=np.array([1.0, 0.0]),
+        families=[("rows", 0, 2)],
+    )
+    model = HighsModel()
+    for key, value in options.items():
+        model._highs.setOptionValue(key, value)
+    with pytest.raises(LPSolverError, match=f"failed: {outcome}:"):
+        solve_lp(problem, model)
 
 
 def test_rows_are_appended_once(monkeypatch):
@@ -161,23 +183,23 @@ def test_bounds_changed_in_place_match_fresh_solves():
     bounds = [(-10.0, 10.0)] * 6
     model = HighsModel(cost, bounds)
     first, keep = _cut_solve(model, rows, _spread(rows.n_rows, 200))
-    assert first.status == 0
+    assert first.status == "optimal"
     for cols in ([5], [4, 5], [3, 4, 5]):
         model.set_bounds(cols, [(0.0, 0.0)] * len(cols))
         res, keep = _cut_solve(model, rows, keep)
         fixed = [(0.0, 0.0) if i in cols else b for i, b in enumerate(bounds)]
         ref = _fresh(cost, fixed, rows)
-        assert res.status == ref.status == 0
+        assert res.status == ref.status == "optimal"
         assert res.fun == pytest.approx(ref.fun, rel=1e-7)
         assert recheck_solution(LPProblem(rows, fixed, -cost, []), res.x) <= 1e-7
     # an infeasible try, then its bounds restored in place
     model.set_bounds([0], [(5.0, 5.0)])
     res, keep = _cut_solve(model, rows, keep)
-    assert res.status == 2
+    assert res.status == "infeasible"
     model.set_bounds([0], [bounds[0]])
     res, keep = _cut_solve(model, rows, keep)
     ref = _fresh(cost, [b if i < 3 else (0.0, 0.0) for i, b in enumerate(bounds)], rows)
-    assert res.status == 0 and res.fun == pytest.approx(ref.fun, rel=1e-7)
+    assert res.status == "optimal" and res.fun == pytest.approx(ref.fun, rel=1e-7)
 
 
 def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
@@ -217,7 +239,7 @@ def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
         res, keep = real_cut_solve(model, rows, keep)
         ref, _ = real_cut_solve(HighsModel(*model.spec), rows, _spread(rows.n_rows, 200))
         assert res.status == ref.status
-        if res.status == 0:
+        if res.status == "optimal":
             assert res.fun == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
             kept = zeroed
         statuses.append(res.status)
@@ -227,8 +249,8 @@ def test_polish_re_solves_match_fresh_solves_at_their_bounds(monkeypatch):
     monkeypatch.setattr(qbarrier.lp, "HighsModel", Recording)
     monkeypatch.setattr(qbarrier.lp, "_cut_solve", comparing)
     x = slp.polish(problem, sol.objective)
-    assert x is not None and statuses[0] == 0
-    assert 0 in statuses[1:] and 2 in statuses[1:-1]
+    assert x is not None and statuses[0] == "optimal"
+    assert "optimal" in statuses[1:] and "infeasible" in statuses[1:-1]
     assert models[0].zeroed() == kept  # the last infeasible try was undone
     assert slp.polish_calls >= len(statuses) and slp.polish_iterations > 0
 
@@ -262,7 +284,7 @@ def test_columns_appended_one_at_a_time_match_fresh_solves(seed, n_rows, n_cols)
             cost[: j + 1], A_ub=a[held, : j + 1], b_ub=b[held], bounds=bounds[: j + 1], method="highs"
         )
         assert model.n_cols == j + 1
-        assert res.status == ref.status == 0
+        assert (res.status, ref.status) == ("optimal", 0)
         assert res.fun == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
         assert cost[: j + 1] @ res.x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
         assert np.all(a[held, : j + 1] @ res.x <= b[held] + 1e-7)

@@ -15,7 +15,6 @@ from qbarrier import (
     Dynamics,
     Schedule,
     SynthesisConfig,
-    build_lp,
     constant_dynamics,
     full_sphere,
     full_template,
@@ -64,7 +63,7 @@ def test_invariant_flavor_has_exactly_3n_rows():
     for n in (50, 173):
         cfg = SynthesisConfig(flavor="invariant", degree=2, samples=n, seed=2)
         scen = sample_scenarios(init, unsafe, glob, cfg)
-        problem = build_lp(full_template(8, 2).prefix(3), z3_dynamics(), cfg, scen)
+        problem = ScenarioLP(full_template(8, 2).prefix(3), ScenarioRows(scen, z3_dynamics(), cfg)).build()
         assert problem.n_rows == 3 * n
 
 
@@ -121,10 +120,11 @@ def test_hybrid_kstep_rows_use_schedule_composition():
     cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=25, seed=5, k=2)
     scen = sample_scenarios(init, unsafe, glob, cfg)
     slp = ScenarioLP(full_template(4, 2).prefix(3), ScenarioRows(scen, dyn, cfg))
-    before_T, after_T = slp.kstep_data
+    kstep, = [p for p in slp.parts if p.kind == "k-step"]
+    assert kstep.before.states is scen.global_states
     composed = cz.matrix @ cx.matrix
     expected = slp.template.evaluate_terms(scen.global_states @ composed.T)
-    assert np.allclose(after_T, expected, atol=1e-12)
+    assert np.allclose(kstep.after.values, expected, atol=1e-12)
 
 
 def test_returned_solution_rechecks_feasible():
@@ -133,7 +133,7 @@ def test_returned_solution_rechecks_feasible():
         flavor="finite-horizon", degree=2, samples=300, seed=9, horizon=6
     )
     scen = sample_scenarios(init, unsafe, glob, cfg)
-    problem = build_lp(full_template(8, 2).prefix(2), z3_dynamics(), cfg, scen)
+    problem = ScenarioLP(full_template(8, 2).prefix(2), ScenarioRows(scen, z3_dynamics(), cfg)).build()
     sol = solve_lp(problem)
     assert sol.status == "optimal"
     assert recheck_solution(problem, sol.x) <= 1e-6
@@ -201,7 +201,7 @@ def test_uncertain_dynamics_expand_step_rows_per_parameter_point(tmp_path):
     scen = sample_scenarios(init, unsafe, glob, cfg)
     slp = ScenarioLP(full_template(2, 2).prefix(2), ScenarioRows(scen, dyn, cfg))
     problem = slp.build()
-    assert problem.family_rows("step") == UNCERTAINTY_SAMPLES * n
+    assert sum(stop - start for f, start, stop in problem.families if f == "step") == UNCERTAINTY_SAMPLES * n
     # the loop terminates cleanly on the uncertain job (verdict may be
     # unknown: the gate parameter enters the queries nonlinearly)
     res = synthesis_loop(dyn, init, unsafe, glob, cfg, workdir=tmp_path)
@@ -470,38 +470,6 @@ def _window_matrix(dyn, t0, count, params):
     return mat
 
 
-def _reference_families(template, dyn, cfg, scen, cexes):
-    """Hybrid term matrices from stacked states, in row order: the sampled
-    rows (one copy of the global rows per parameter draw), then each
-    counterexample's rows in arrival order: a global state's image under
-    every draw, or the family's own state and its image."""
-    ev = template.evaluate_terms
-    cexes = [(cid, np.asarray(state, dtype=complex).reshape(1, -1), params) for cid, state, params in cexes]
-    init = np.vstack([scen.init] + [s for cid, s, _ in cexes if cid == "init"])
-    unsafe = np.vstack([scen.unsafe] + [s for cid, s, _ in cexes if cid.startswith("unsafe")])
-    glob = np.vstack([scen.global_states] + [s for cid, s, _ in cexes if cid.startswith("shift")])
-    n = len(scen.global_states)
-
-    def family(name, t0, count):
-        mats = _draw_matrices(dyn, cfg, t0, count)
-        images = [glob @ m.T for m in mats]  # every global state's image under each draw
-        before, after = [glob[:n]] * len(mats), [im[:n] for im in images]
-        g = n
-        for cid, s, params in cexes:
-            if cid.startswith("shift"):
-                before += [glob[g : g + 1]] * len(mats)
-                after += [im[g : g + 1] for im in images]
-                g += 1
-            elif cid == name:
-                before.append(s)
-                after.append((_window_matrix(dyn, t0, count, params) @ s[0]).reshape(1, -1))
-        return ev(np.vstack(before)), ev(np.vstack(after))
-
-    names = [f"step-t{t}" for t in range(cfg.k)] if cfg.flavor == "hybrid" else ["step"]
-    step_data = [family(name, t, 1) for t, name in enumerate(names)]
-    return ev(init), ev(unsafe), ev(glob), step_data, family("k-step", 0, cfg.k)
-
-
 def _cx_cz_dynamics():
     cx, cz = standard_gate("CX"), standard_gate("CZ")
     return Dynamics(maps=(fixed_step(cx), fixed_step(cz)), schedule=Schedule((0, 1)))
@@ -516,66 +484,6 @@ def _he_dynamics():
 def _unit(rng, dim):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)
-
-
-# counterexample condition ids, each with the step window (t0, count) whose
-# parameters its model carries
-HYBRID_CEXES = (
-    ("init", None), ("unsafe-t1", None), ("step-t1", (1, 1)), ("shift-t0", None),
-    ("k-step", (0, 2)), ("step-t1", (1, 1)),
-)
-
-
-@pytest.mark.parametrize(
-    "make_dynamics,flavor,k,cex_ids",
-    [
-        pytest.param(_cx_cz_dynamics, "hybrid", 2, HYBRID_CEXES, id="_cx_cz_dynamics"),
-        pytest.param(_he_dynamics, "hybrid", 2, HYBRID_CEXES, id="_he_dynamics"),
-        # step and k-step take their images from the one window's draws
-        pytest.param(
-            _he_dynamics, "k-inductive", 1,
-            (("init", None), ("step", (0, 1)), ("unsafe", None), ("k-step", (0, 1)), ("step", (0, 1))),
-            id="k-inductive-k1",
-        ),
-        pytest.param(
-            _he_dynamics, "hybrid", 3,
-            (("unsafe-t2", None), ("step-t2", (2, 1)), ("shift-t1", None), ("k-step", (0, 3)),
-             ("step-t0", (0, 1)), ("init", None)),
-            id="hybrid-k3",
-        ),
-    ],
-)
-def test_row_table_matches_stacked_evaluation(make_dynamics, flavor, k, cex_ids):
-    dyn = make_dynamics()
-    init = parse_region(["prob(0) >= 0.9"], 4, "init")
-    unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
-    cfg = SynthesisConfig(flavor=flavor, degree=2, samples=30, seed=5, k=k)
-    scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
-    template = full_template(4, 2, 6)
-    rng = np.random.default_rng(3)
-
-    def params(t0, count):
-        return tuple(
-            rng.uniform(lo, hi) for i in range(count) for lo, hi in dyn.map_at(t0 + i).param_domain
-        )
-
-    cexes = [(cid, _unit(rng, 4), params(*window) if window else ()) for cid, window in cex_ids]
-    rows = ScenarioRows(scen, dyn, cfg)
-    ScenarioLP(template.prefix(2), rows)
-    for cid, state, p in cexes:
-        rows.absorb(cid, state, p)
-    for nt in (2, 6, 3):
-        slp = ScenarioLP(template.prefix(nt), rows)
-        got = (slp.init_T, slp.unsafe_T, slp.global_T, slp.step_data, slp.kstep_data)
-        want = _reference_families(template.prefix(nt), dyn, cfg, scen, cexes)
-        for name, g, w in zip(("init", "unsafe", "global"), got, want):
-            assert np.array_equal(g, w), name
-        for t, (g, w) in enumerate(zip(got[3], want[3])):
-            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1]), f"step@{t}"
-        assert np.array_equal(got[4][0], want[4][0]) and np.array_equal(got[4][1], want[4][1])
-    other = BarrierTemplate(4, (template.terms[0], template.terms[3]))
-    with pytest.raises(LPError):
-        ScenarioLP(other, rows)
 
 
 # constants that meet each flavor's side conditions
@@ -663,7 +571,7 @@ def _reference_build(slp: ScenarioLP, dyn, scen, cexes):
     once per parameter draw), the side row, then each counterexample's rows
     in arrival order. The columns are the flavor variables, then term-major
     the re and im part of each vector's coefficient. Returns (a_ub, b_ub,
-    families, bounds, objective, variable names)."""
+    families, bounds, objective)."""
     cfg, flavor, k, nt = slp.cfg, slp.flavor, slp.k, slp.nt
     fixed = {"eps": cfg.eps, "gamma": cfg.gamma}
     fnames = [n for n in FLAVOR_VARIABLES[flavor] if flavor in ("invariant", "finite-horizon")
@@ -790,7 +698,7 @@ def _reference_build(slp: ScenarioLP, dyn, scen, cexes):
         for name in fnames
     ]
     bounds += [(-COEFF_BOUND, COEFF_BOUND)] * (width - len(fnames))
-    return np.vstack(rows), np.asarray(rhs), families, bounds, objective, names
+    return np.vstack(rows), np.asarray(rhs), families, bounds, objective
 
 
 def _params(rng, dyn, t0, count):
@@ -814,11 +722,16 @@ ROW_CASES = {
     "hybrid-free": ("hybrid", _cx_cz_dynamics, 2, "free", "free",
                     ("init", "step-t0", "shift-t0", "k-step")),
     "hybrid-HE": ("hybrid", _he_dynamics, 2, 0.01, "free",
-                  ("init", "unsafe-t1", "step-t1", "shift-t0", "k-step")),
+                  ("init", "unsafe-t1", "step-t1", "shift-t0", "k-step", "step-t1")),
+    # step and k-step take their images from the one window's draws
+    "k-inductive-k1-HE": ("k-inductive", _he_dynamics, 1, 0.01, 0.01,
+                          ("init", "step", "unsafe", "k-step", "step")),
+    "hybrid-k3-HE": ("hybrid", _he_dynamics, 3, 0.01, 0.01,
+                     ("unsafe-t2", "step-t2", "shift-t1", "k-step", "step-t0", "init")),
 }
 
 
-def _row_case(name, nt=9, samples=30):
+def _row_case(name, samples=30):
     flavor, make_dynamics, k, eps, gamma, cex_ids = ROW_CASES[name]
     dyn = make_dynamics()
     cfg = SynthesisConfig(
@@ -830,8 +743,7 @@ def _row_case(name, nt=9, samples=30):
     scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
     rows = ScenarioRows(scen, dyn, cfg)
     rng = np.random.default_rng(11)
-    template = full_template(4, 2, nt)
-    ScenarioLP(template.prefix(2), rows)  # evaluate some terms first
+    ScenarioLP(full_template(4, 2, 9).prefix(2), rows)  # evaluate some terms first
     cexes = []
     for cid in cex_ids:
         if cid == "k-step":
@@ -840,15 +752,14 @@ def _row_case(name, nt=9, samples=30):
             t0, count = (int(cid.rsplit("-t", 1)[1]) if "-t" in cid else 0), 1
         cexes.append((cid, _unit(rng, 4), _params(rng, dyn, t0, count)))
         rows.absorb(*cexes[-1])
-    return ScenarioLP(template, rows), dyn, scen, cexes
+    return rows, dyn, scen, cexes
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CASES))
-def test_scenario_rows_match_the_dense_assembly(name):
-    slp, dyn, scen, cexes = _row_case(name)
+def _check_against_dense(slp, dyn, scen, cexes):
+    """The LP of `slp` equals `_reference_build` bit for bit in its rows."""
     problem = slp.build()
-    a_ref, b_ref, families, bounds, objective, names = _reference_build(slp, dyn, scen, cexes)
-    assert problem.families == families and slp.var_layout() == names
+    a_ref, b_ref, families, bounds, objective = _reference_build(slp, dyn, scen, cexes)
+    assert problem.families == families
     assert (problem.n_rows, problem.n_vars) == a_ref.shape
     assert problem.bounds == bounds and np.array_equal(problem.objective, objective)
     kinds = {f.split("-t")[0] for f, start, stop in families if stop > start}
@@ -880,6 +791,19 @@ def test_scenario_rows_match_the_dense_assembly(name):
         )
     with pytest.raises(IndexError):
         problem.rows.take(np.array([n]))
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_scenario_rows_match_the_dense_assembly(name):
+    rows, dyn, scen, cexes = _row_case(name)
+    # the counterexamples arrived after 2 terms were evaluated; a size
+    # after a larger one reads a prefix of the values
+    for nt in (9, 3):
+        _check_against_dense(ScenarioLP(full_template(4, 2, 9).prefix(nt), rows), dyn, scen, cexes)
+    # a template that does not extend the evaluated terms is refused
+    terms = full_template(4, 2, 4).terms
+    with pytest.raises(LPError, match="does not extend"):
+        ScenarioLP(BarrierTemplate(4, (terms[0], terms[3])), rows)
 
 
 def test_scenario_lp_forms_no_dense_row_matrix():
@@ -958,8 +882,13 @@ def test_term_columns_grow_in_place():
     template = full_template(8, 2, 11)
     for nt in range(1, 12):
         slp = ScenarioLP(template.prefix(nt), rows)
-        # values of the whole evaluated prefix, and cells count values, not capacity
-        assert np.array_equal(slp.init_T, template.prefix(nt).evaluate_terms(scen.init))
+        # the init rows hold values of the whole evaluated prefix: after the
+        # gamma column, the re and the -im part of each term in turn
+        (start, stop), = [(a, b) for f, a, b in slp.build().families if f == "init"]
+        a, _ = slp.take(np.arange(start, stop))
+        values = template.prefix(nt).evaluate_terms(scen.init)
+        assert np.array_equal(a[:, 1::2], values.real) and np.array_equal(a[:, 2::2], -values.imag)
+        # cells count values, not capacity
         assert rows.cells == sum(len(b.states) for b in rows.blocks) * nt
         assert all(b.values.shape == (len(b.states), nt) for b in rows.blocks)
 

@@ -189,6 +189,13 @@ def test_malformed_input_is_a_parse_error(assertion, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.smt2"
+    path.write_bytes(wrap("(assert (<= x0 1))", decls=("x0",)).encode("utf-16"))
+    assert main([str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # a cross-term query that neither the feature LP nor the S-lemma decides;
 # only the probe finds its model
 CROSS_TERM = wrap(SPHERE2, "(assert (> (+ (* x0 x1) (* y0 y1)) (/ 2 5)))")

@@ -33,6 +33,10 @@ def setup_regions():
     return init, unsafe, full_sphere(8, "global"), dyn
 
 
+# the bundled engine run as an external solver, one process per query
+CONSOLE_ENGINE = f"{sys.executable} -m qbarrier.smt.builtin {{file}} --timeout {{timeout_s}}"
+
+
 def stub_solver(tmp_path, body, name="stub"):
     path = tmp_path / f"{name}.py"
     path.write_text(body)
@@ -165,7 +169,7 @@ def test_bundled_engine_as_external_command_matches_in_process(tmp_path):
     """The console entry point speaks the external contract: same verdicts
     and a parseable model for the refuted case."""
     init, unsafe, glob, dyn = setup_regions()
-    cmd = f"{sys.executable} -m qbarrier.smt.builtin {{file}} --timeout {{timeout_s}}"
+    cmd = CONSOLE_ENGINE
     good = make_cert(gamma=4.001, lam=4.999)
     r_ext, _ = verify_certificate(
         good, init, unsafe, glob, dyn, command=cmd, workdir=tmp_path / "g"
@@ -183,13 +187,14 @@ def test_bundled_engine_as_external_command_matches_in_process(tmp_path):
 
 
 def test_parallel_jobs_join_deterministically(tmp_path):
+    # only an external solver's queries run on the thread pool
     init, unsafe, glob, dyn = setup_regions()
     cert = make_cert(gamma=4.001, lam=4.999)
     r1, q1 = verify_certificate(
-        cert, init, unsafe, glob, dyn, workdir=tmp_path / "a", jobs=3
+        cert, init, unsafe, glob, dyn, command=CONSOLE_ENGINE, workdir=tmp_path / "a", jobs=3
     )
     r2, _ = verify_certificate(
-        cert, init, unsafe, glob, dyn, workdir=tmp_path / "b", jobs=3
+        cert, init, unsafe, glob, dyn, command=CONSOLE_ENGINE, workdir=tmp_path / "b", jobs=3
     )
     assert [v.condition_id for v in r1.verdicts] == [q.condition_id for q in q1]
     assert [v.status for v in r1.verdicts] == [v.status for v in r2.verdicts]
@@ -215,9 +220,18 @@ def test_sequential_verification_encodes_no_condition_past_a_refutation(
     )
     assert encoded == ["init"]
     assert [q.condition_id for q in seq_queries] == ["init"]
+    # the builtin engine runs in order whatever `jobs` says
+    encoded.clear()
+    two, two_queries = verify_certificate(
+        cert, init, unsafe, glob, dyn, workdir=tmp_path / "two", jobs=2
+    )
+    assert encoded == ["init"] and [v.condition_id for v in two.verdicts] == ["init"]
+    assert [q.condition_id for q in two_queries] == ["init"]
+    assert (two.refutation.model, two.refutation.decider) == (seq.refutation.model, seq.refutation.decider)
+    # an external solver's queries all run on the pool, joined in order
     encoded.clear()
     par, par_queries = verify_certificate(
-        cert, init, unsafe, glob, dyn, workdir=tmp_path / "par", jobs=2
+        cert, init, unsafe, glob, dyn, command=CONSOLE_ENGINE, workdir=tmp_path / "par", jobs=2
     )
     every = [spec.condition_id for spec in conditions_for(cert)]
     assert encoded == every
