@@ -486,6 +486,120 @@ def _unit(rng, dim):
     return z / np.linalg.norm(z)
 
 
+def _reference_families(template, dyn, cfg, scen, cexes):
+    """Hybrid term matrices from stacked states, in row order: the sampled
+    rows (one copy of the global rows per parameter draw), then each
+    counterexample's rows in arrival order: a global state's image under
+    every draw, or the family's own state and its image."""
+    ev = template.evaluate_terms
+    cexes = [(cid, np.asarray(state, dtype=complex).reshape(1, -1), params) for cid, state, params in cexes]
+    init = np.vstack([scen.init] + [s for cid, s, _ in cexes if cid == "init"])
+    unsafe = np.vstack([scen.unsafe] + [s for cid, s, _ in cexes if cid.startswith("unsafe")])
+    glob = np.vstack([scen.global_states] + [s for cid, s, _ in cexes if cid.startswith("shift")])
+    n = len(scen.global_states)
+
+    def family(name, t0, count):
+        mats = _draw_matrices(dyn, cfg, t0, count)
+        images = [glob @ m.T for m in mats]  # every global state's image under each draw
+        before, after = [glob[:n]] * len(mats), [im[:n] for im in images]
+        g = n
+        for cid, s, params in cexes:
+            if cid.startswith("shift"):
+                before += [glob[g : g + 1]] * len(mats)
+                after += [im[g : g + 1] for im in images]
+                g += 1
+            elif cid == name:
+                before.append(s)
+                after.append((_window_matrix(dyn, t0, count, params) @ s[0]).reshape(1, -1))
+        return ev(np.vstack(before)), ev(np.vstack(after))
+
+    names = [f"step-t{t}" for t in range(cfg.k)] if cfg.flavor == "hybrid" else ["step"]
+    step_data = [family(name, t, 1) for t, name in enumerate(names)]
+    return ev(init), ev(unsafe), ev(glob), step_data, family("k-step", 0, cfg.k)
+
+
+def _row_table(slp, rows):
+    """The term values of the LP's rows, one row per state: each region's
+    blocks stacked, and (before, after) of each step condition and of the
+    k-step condition, their parts stacked in row order."""
+
+    def stacked(blocks):
+        return np.vstack([b.values[:, : slp.nt] for b in blocks])
+
+    regions = tuple(stacked(rows.regions[name]) for name in ("init", "unsafe", "global"))
+    pairs = {}
+    for p in slp.parts:
+        if p.kind in ("step", "k-step"):
+            pairs.setdefault((p.kind, p.name), []).append(p)
+    data = {
+        key: (stacked([p.before for p in ps]), stacked([p.after for p in ps])) for key, ps in pairs.items()
+    }
+    step = [v for (kind, _), v in data.items() if kind == "step"]
+    kstep, = [v for (kind, _), v in data.items() if kind == "k-step"]
+    return (*regions, step, kstep)
+
+
+# counterexample condition ids, each with the step window (t0, count) whose
+# parameters its model carries
+HYBRID_CEXES = (
+    ("init", None), ("unsafe-t1", None), ("step-t1", (1, 1)), ("shift-t0", None),
+    ("k-step", (0, 2)), ("step-t1", (1, 1)),
+)
+
+
+@pytest.mark.parametrize(
+    "make_dynamics,flavor,k,cex_ids",
+    [
+        pytest.param(_cx_cz_dynamics, "hybrid", 2, HYBRID_CEXES, id="_cx_cz_dynamics"),
+        pytest.param(_he_dynamics, "hybrid", 2, HYBRID_CEXES, id="_he_dynamics"),
+        # step and k-step take their images from the one window's draws
+        pytest.param(
+            _he_dynamics, "k-inductive", 1,
+            (("init", None), ("step", (0, 1)), ("unsafe", None), ("k-step", (0, 1)), ("step", (0, 1))),
+            id="k-inductive-k1",
+        ),
+        pytest.param(
+            _he_dynamics, "hybrid", 3,
+            (("unsafe-t2", None), ("step-t2", (2, 1)), ("shift-t1", None), ("k-step", (0, 3)),
+             ("step-t0", (0, 1)), ("init", None)),
+            id="hybrid-k3",
+        ),
+    ],
+)
+def test_row_table_matches_stacked_evaluation(make_dynamics, flavor, k, cex_ids):
+    dyn = make_dynamics()
+    init = parse_region(["prob(0) >= 0.9"], 4, "init")
+    unsafe = parse_region(["prob(3) >= 0.5"], 4, "unsafe")
+    cfg = SynthesisConfig(flavor=flavor, degree=2, samples=30, seed=5, k=k)
+    scen = sample_scenarios(init, unsafe, full_sphere(4), cfg)
+    template = full_template(4, 2, 6)
+    rng = np.random.default_rng(3)
+
+    def params(t0, count):
+        return tuple(
+            rng.uniform(lo, hi) for i in range(count) for lo, hi in dyn.map_at(t0 + i).param_domain
+        )
+
+    cexes = [(cid, _unit(rng, 4), params(*window) if window else ()) for cid, window in cex_ids]
+    rows = ScenarioRows(scen, dyn, cfg)
+    ScenarioLP(template.prefix(2), rows)
+    for cid, state, p in cexes:
+        rows.absorb(cid, state, p)
+    for nt in (2, 6, 3):
+        slp = ScenarioLP(template.prefix(nt), rows)
+        got = _row_table(slp, rows)
+        want = _reference_families(template.prefix(nt), dyn, cfg, scen, cexes)
+        for name, g, w in zip(("init", "unsafe", "global"), got, want):
+            assert np.array_equal(g, w), name
+        assert len(got[3]) == len(want[3])
+        for t, (g, w) in enumerate(zip(got[3], want[3])):
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1]), f"step@{t}"
+        assert np.array_equal(got[4][0], want[4][0]) and np.array_equal(got[4][1], want[4][1])
+    other = BarrierTemplate(4, (template.terms[0], template.terms[3]))
+    with pytest.raises(LPError):
+        ScenarioLP(other, rows)
+
+
 # constants that meet each flavor's side conditions
 TABLE_CONSTANTS = {
     "invariant": {"gamma": 1.0},
