@@ -120,8 +120,11 @@ class Region:
         return not self.constraints
 
     def membership_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(states)
-        ok = np.abs(np.linalg.norm(states, axis=1) - 1.0) <= NORM_TOL
+        states = np.ascontiguousarray(np.atleast_2d(states))
+        # |z|^2 summed over the real and imaginary parts, without a conj copy
+        parts = states.view(states.real.dtype) if np.iscomplexobj(states) else states
+        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        ok = np.abs(norms - 1.0) <= NORM_TOL
         for c in self.constraints:
             ok &= c.satisfied_batch(states)
         return ok

@@ -8,8 +8,9 @@ The deciders run in this order, and the first that answers decides:
   query with nothing else left is decided by them;
 * feature LP: queries whose constraints are affine in the squared-magnitude
   features x_j^2 + y_j^2 and in bounded parameters are decided exactly by a
-  rational two-phase simplex over the probability simplex, including the
-  touching cases strict solvers care about;
+  two-phase simplex over the probability simplex, on a tableau of integers
+  that stands for the rational one, including the touching cases strict
+  solvers care about;
 * S-lemma: a query on the unit sphere with one strict and at most one
   non-strict constraint, each a quadratic form in the amplitudes, is
   refuted when some G_v + lam * G_r (lam >= 0) is positive semidefinite.
@@ -254,40 +255,48 @@ def normal_constraint(lhs: RealPoly, op: str, rhs: RealPoly) -> Constraint:
 
 
 # ---------------------------------------------------------------------------
-# exact rational simplex
+# exact simplex
 
 
 class Simplex:
-    """Two-phase tableau simplex with Bland's rule over Fractions.
+    """Two-phase tableau simplex with Bland's rule, exact over the rationals.
 
     Variables are nonnegative; rows are equalities after the caller adds
-    slack variables. Used on tiny systems, so clarity beats speed.
+    slack variables. The tableau holds Python ints, not Fractions: a row
+    stands for itself divided by its entry in its basic column, which is
+    kept positive, and the cost row for itself divided by its last entry,
+    also positive. Scaling a row by a positive factor changes no sign and
+    no ratio, so every pivot is the one the rational tableau takes.
     """
 
     def __init__(self, a_rows, b_vals, n_vars):
         self.m = len(a_rows)
         self.n = n_vars
-        self.rows = [list(r) for r in a_rows]
-        self.b = list(b_vals)
-        for i in range(self.m):
-            if self.b[i] < 0:
-                self.rows[i] = [-x for x in self.rows[i]]
-                self.b[i] = -self.b[i]
+        # each row and its rhs as ints over the lcm d of their denominators,
+        # negated where the rhs is negative: (ints, d)
+        self.rows = []
+        for row, b in zip(a_rows, b_vals):
+            ints, d = _integer_row([*row, b])
+            self.rows.append(([-x for x in ints] if b < 0 else ints, d))
 
     def solve(self, objective):
         """Maximize objective . x subject to rows == b, x >= 0.
 
         Returns (status, value, point) where status is "optimal",
-        "infeasible", or "unbounded".
+        "infeasible", or "unbounded"; value and point are Fractions.
         """
         m, n = self.m, self.n
-        # phase 1: artificials
-        t = [row + [Fraction(int(i == j)) for j in range(m)] + [self.b[i]] for i, row in enumerate(self.rows)]
+        # phase 1: row i's artificial column holds d, its basic entry
+        t = []
+        for i, (ints, d) in enumerate(self.rows):
+            artificials = [0] * m
+            artificials[i] = d
+            t.append(ints[:-1] + artificials + ints[-1:])
         basis = [n + i for i in range(m)]
-        cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-        self._price_out(t, basis, cost)
-        val = self._iterate(t, basis, cost, n + m)
-        if -val > 0:
+        cost = [0] * n + [1] * m + [0, 1]
+        cost = self._price_out(t, basis, cost)
+        cost = self._iterate(t, basis, cost, n + m)
+        if cost[-2] < 0:
             return "infeasible", None, None
         # drive out remaining artificials where possible
         for i in range(m):
@@ -296,43 +305,42 @@ class Simplex:
                 if piv is not None:
                     self._pivot(t, basis, i, piv)
         # phase 2
-        rows2 = []
+        t2, basis2 = [], []
         for i in range(m):
             if basis[i] >= n:
                 continue  # zero row
-            rows2.append(t[i][:n] + [t[i][-1]])
-        basis2 = [b for b in basis if b < n]
-        t2 = rows2
-        cost2 = [-Fraction(c) for c in objective] + [Fraction(0)]
-        self._price_out(t2, basis2, cost2)
-        val = self._iterate(t2, basis2, cost2, n)
-        if val is None:
+            t2.append(_primitive(t[i][:n] + [t[i][-1]]))
+            basis2.append(basis[i])
+        scaled, e = _integer_row([-Fraction(c) for c in objective] + [0])
+        cost2 = self._price_out(t2, basis2, scaled + [e])
+        cost2 = self._iterate(t2, basis2, cost2, n)
+        if cost2 is None:
             return "unbounded", None, None
         point = [Fraction(0)] * n
-        for i, bv in enumerate(basis2):
-            point[bv] = t2[i][-1]
-        return "optimal", val, point
+        for row, bv in zip(t2, basis2):
+            point[bv] = Fraction(row[-1], row[bv])
+        return "optimal", Fraction(cost2[-2], cost2[-1]), point
 
     @staticmethod
     def _price_out(t, basis, cost):
-        for i, bv in enumerate(basis):
+        for row, bv in zip(t, basis):
             if cost[bv]:
-                f = cost[bv]
-                for j in range(len(cost)):
-                    cost[j] -= f * t[i][j] if j < len(t[i]) else 0
-        # note: cost has same length as rows plus rhs
+                cost = _eliminate(cost, row, bv)
+        return cost
 
     @staticmethod
     def _pivot(t, basis, i, j):
-        piv = t[i][j]
-        t[i] = [x / piv for x in t[i]]
-        for r in range(len(t)):
-            if r != i and t[r][j]:
-                f = t[r][j]
-                t[r] = [a - f * b for a, b in zip(t[r], t[i])]
+        if t[i][j] < 0:
+            t[i] = [-x for x in t[i]]
+        pivot = t[i]
+        for r, row in enumerate(t):
+            if r != i and row[j]:
+                t[r] = _eliminate(row, pivot, j)
         basis[i] = j
 
     def _iterate(self, t, basis, cost, width):
+        """Bland's pivots until the cost row has no negative entry below
+        `width`: the final cost row, or None when the LP is unbounded."""
         guard = 0
         while True:
             guard += 1
@@ -340,21 +348,48 @@ class Simplex:
                 raise RuntimeError("simplex iteration guard tripped")
             enter = next((j for j in range(width) if cost[j] < 0), None)
             if enter is None:
-                return cost[-1]
-            ratios = [
-                (t[i][-1] / t[i][enter], basis[i], i)
-                for i in range(len(t))
-                if t[i][enter] > 0
-            ]
-            if not ratios:
+                return cost
+            # least rhs/a over a > 0, ties to the lower basic variable
+            leave = None
+            for i, row in enumerate(t):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                if leave is not None:
+                    # the sign of row[-1] / a - best_rhs / best_a
+                    cross = row[-1] * best_a - best_rhs * a
+                    if cross > 0 or (cross == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = i, row[-1], a
+            if leave is None:
                 return None  # unbounded
-            _, _, leave = min(ratios, key=lambda z: (z[0], z[1]))
             self._pivot(t, basis, leave, enter)
-            f = cost[enter]
-            if f:
-                for j in range(len(cost)):
-                    cost[j] -= f * (t[leave][j] if j < len(t[leave]) else 0)
+            if cost[enter]:
+                cost = _eliminate(cost, t[leave], enter)
         # unreachable
+
+
+def _integer_row(values):
+    """(ints, d): the rationals `values` as ints / d, d the lcm of their
+    denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row, pivot, c):
+    """`row` with its entry in column c cleared by `pivot`, whose entry
+    there is positive: row * pivot[c] - row[c] * pivot, divided by the gcd.
+    Entries of `row` beyond the pivot's length are only scaled, so the cost
+    row's trailing denominator follows along."""
+    p, f = pivot[c], row[c]
+    out = [a * p - f * b for a, b in zip(row, pivot)]
+    out += [a * p for a in row[len(pivot):]]
+    return _primitive(out)
 
 
 def solve_linear_system(eqs, les, strict, n_vars, var_free):
@@ -473,8 +508,10 @@ def reduce_to_features(problem: Problem):
     pairs = _amplitude_pairs(problem.names)
     if pairs is None:
         return None
-    amp_vars = {i for x, y in pairs.values() for i in (x, y)}
-    params = [i for i in range(problem.nv) if i not in amp_vars]
+    part_of = {}
+    for j, (x, y) in pairs.items():
+        part_of[x], part_of[y] = (j, "x"), (j, "y")
+    params = [i for i in range(problem.nv) if i not in part_of]
     p_order = sorted(pairs)
     p_col = {j: k for k, j in enumerate(p_order)}
     u_col = {i: len(p_order) + k for k, i in enumerate(params)}
@@ -490,10 +527,8 @@ def reduce_to_features(problem: Problem):
             if len(active) == 1 and active[0][1] == 1 and active[0][0] in u_col:
                 coeffs[u_col[active[0][0]]] += c
                 continue
-            if len(active) == 1 and active[0][1] == 2 and active[0][0] in amp_vars:
-                idx = active[0][0]
-                j = next(j for j, (x, y) in pairs.items() if idx in (x, y))
-                part = "x" if pairs[j][0] == idx else "y"
+            if len(active) == 1 and active[0][1] == 2 and active[0][0] in part_of:
+                j, part = part_of[active[0][0]]
                 squares.setdefault(j, {})[part] = (
                     squares.setdefault(j, {}).get(part, Fraction(0)) + c
                 )
@@ -516,7 +551,7 @@ def reduce_to_features(problem: Problem):
 
 
 def decide_feature_lp(problem: Problem):
-    """The verdict of the rational simplex over the features. When some
+    """The verdict of the exact simplex over the features. When some
     constraint does not fit, the rest is a relaxation of the query, so only
     its "unsat" carries over; otherwise the answer is None."""
     reduced = reduce_to_features(problem)

@@ -15,6 +15,7 @@ from qbarrier.realpoly import RealPoly, sphere_poly
 from qbarrier.smt.builtin import (
     Constraint,
     Problem,
+    Simplex,
     SmtParseError,
     decide_feature_lp,
     is_psd,
@@ -519,3 +520,103 @@ def test_unitary_change_of_basis_keeps_the_s_lemma_verdict(forms, bounds, phases
     moved = [Constraint(c.poly.substitute(substitution), c.op, c.rhs) for c in cons]
     assert moved[0].poly.coeffs == cons[0].poly.coeffs  # U keeps the sphere
     assert slemma_refute(Problem(list(_AMPS), moved)) == verdict
+
+
+# ---------------------------------------------------------------------------
+# the exact simplex
+
+
+def _holds_exactly(a, b, point):
+    return all(x >= 0 for x in point) and all(
+        sum(c * x for c, x in zip(row, point)) == rhs for row, rhs in zip(a, b)
+    )
+
+
+# denominators 1, 2 and 4, so that the float copies the oracle reads are exact
+_dyadic = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_simplex_matches_linprog(data):
+    """max c.x subject to A x = b, x >= 0: the status is linprog's, an
+    optimum is linprog's to 1e-9, and the point meets every row exactly."""
+    from scipy.optimize import linprog
+
+    m = data.draw(st.integers(1, 4), label="m")
+    n = data.draw(st.integers(1, 5), label="n")
+    a = [[data.draw(_dyadic) for _ in range(n)] for _ in range(m)]
+    b = [data.draw(_dyadic) for _ in range(m)]
+    if m > 1 and data.draw(st.booleans(), label="redundant"):
+        factor = data.draw(st.sampled_from([Fraction(-2), Fraction(-1, 2), Fraction(3)]))
+        a[-1] = [factor * x for x in a[0]]
+        b[-1] = factor * b[0]
+    c = [data.draw(_dyadic) for _ in range(n)]
+    status, value, point = Simplex(a, b, n).solve(c)
+    event(status)
+
+    a_f, b_f = np.array(a, dtype=float), np.array(b, dtype=float)
+    feasible = linprog(np.zeros(n), A_eq=a_f, b_eq=b_f, bounds=(0, None), method="highs")
+    assert feasible.status in (0, 2)
+    if feasible.status == 2:
+        assert status == "infeasible"
+        return
+    best = linprog(-np.array(c, dtype=float), A_eq=a_f, b_eq=b_f, bounds=(0, None), method="highs")
+    assert best.status in (0, 3)
+    if best.status == 3:
+        assert status == "unbounded"
+        return
+    assert status == "optimal"
+    assert all(isinstance(x, Fraction) for x in (value, *point))
+    assert _holds_exactly(a, b, point)
+    assert value == sum(ci * x for ci, x in zip(c, point))
+    assert abs(float(value) + best.fun) <= 1e-9 * (1 + abs(best.fun))
+
+
+def test_simplex_ends_beale_cycling_example():
+    """Beale's LP cycles under the largest-coefficient rule without
+    anti-cycling; Bland's rule reaches its optimum 5/4 at x4 = x6 = 1."""
+    q = Fraction
+    a = [
+        [q(1, 4), q(-8), q(-1), q(9), q(1), q(0), q(0)],
+        [q(1, 2), q(-12), q(-1, 2), q(3), q(0), q(1), q(0)],
+        [q(0), q(0), q(1), q(0), q(0), q(0), q(1)],
+    ]
+    b = [q(0), q(0), q(1)]
+    c = [q(3, 4), q(-20), q(1, 2), q(-6), q(0), q(0), q(0)]
+    status, value, point = Simplex(a, b, 7).solve(c)
+    assert (status, value) == ("optimal", q(5, 4))
+    assert point == [1, 0, 1, 0, q(3, 4), 0, 0]
+    assert _holds_exactly(a, b, point)
+
+
+def test_simplex_drives_out_an_artificial_on_a_negative_entry(monkeypatch):
+    """-x1 = 0 twice (the second row redundant) and x1 + x2 + s = 1:
+    phase 1 ends with the first row's artificial basic at zero, and the only
+    column that can replace it holds -1 there."""
+    pivots = []
+    pivot = Simplex._pivot
+
+    def recording(t, basis, i, j):
+        pivots.append((basis[i], t[i][j]))
+        pivot(t, basis, i, j)
+
+    monkeypatch.setattr(Simplex, "_pivot", staticmethod(recording))
+    q = Fraction
+    a = [[q(-1), q(0), q(0)], [q(-2), q(0), q(0)], [q(1), q(1), q(1)]]
+    b = [q(0), q(0), q(1)]
+    status, value, point = Simplex(a, b, 3).solve([q(0), q(1), q(0)])
+    assert any(basic >= 3 and entry < 0 for basic, entry in pivots)
+    assert (status, value, point) == ("optimal", q(1), [q(0), q(1), q(0)])
+    assert _holds_exactly(a, b, point)
+
+
+def test_simplex_ratio_ties_leave_by_the_lower_basic_variable():
+    """Every vertex on the segment from (1/4, 0, 0, 1/2) to (0, 0, 1/2, 0)
+    is optimal; Bland's tie-break in the ratio test picks the first, and
+    breaking ties the other way ends at the second."""
+    q = Fraction
+    a = [[q(2), q(2), q(2), q(1)], [q(0), q(2), q(2), q(2)]]
+    b = [q(1), q(1)]
+    status, value, point = Simplex(a, b, 4).solve([q(0), q(1), q(2), q(2)])
+    assert (status, value, point) == ("optimal", q(1), [q(1, 4), q(0), q(0), q(1, 2)])
