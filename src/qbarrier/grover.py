@@ -20,7 +20,7 @@ import numpy as np
 from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
 # unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
 # still wraps this name and its smoke test requires every wrapped name to
-# exist; taking it from lp keeps scipy.optimize unloaded until the first solve
+# exist; lp's own function, unlike scipy.optimize's, loads no SciPy module
 from .lp import linprog  # noqa: F401
 from .smt.encode import SMTQuery, StructConstraint, side_query
 from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries

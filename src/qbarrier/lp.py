@@ -23,8 +23,13 @@ rows it holds and its basis are kept.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -195,9 +200,39 @@ class LPSolution:
 
 # ----- the live HiGHS model -------------------------------------------------
 # Every call into HiGHS is in this section. The bindings are scipy's private
-# `scipy.optimize._highspy._core._Highs`, imported when the first model is
-# made: importing scipy.optimize takes most of the package's start-up, and the
-# paths that only verify certificates never solve an LP.
+# `scipy.optimize._highspy._core._Highs`, loaded when the first model is made
+# from the extension's own file: importing the scipy.optimize package around
+# it costs about 0.5 s and 40-50 MB that no LP uses, and the paths that only
+# verify certificates never solve an LP. Models are built on the main thread
+# only (`synthesis_loop`, the angle LP and polish), so the loader is never
+# raced.
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+@functools.cache
+def _highs_class():
+    """scipy's `_Highs` class. A module already in `sys.modules` (when
+    scipy.optimize was imported first) is reused. Otherwise the extension
+    goes into `sys.modules` under its full name before it runs, so a later
+    `import scipy.optimize` reuses it and pybind11 registers the class once."""
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _HIGHS_CORE,
+            [os.path.join(p, "optimize", "_highspy") for p in scipy.submodule_search_locations],
+        )
+        if spec is None:
+            raise LPSolverError(f"no HiGHS bindings {_HIGHS_CORE}: qbarrier needs scipy>=1.17")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS_CORE]
+            raise
+    return module._Highs
+
 
 # HiGHS model status -> its outcome: optimal, infeasible, unbounded,
 # "limit" (a time or iteration limit reached), or "unresolved": unbounded or
@@ -247,9 +282,7 @@ class HighsModel:
     count the runs and their simplex iterations."""
 
     def __init__(self, cost=(), bounds=(), a_fixed=None, b_fixed=None):
-        from scipy.optimize._highspy._core import _Highs
-
-        self._highs = _Highs()
+        self._highs = _highs_class()()
         self._check(self._highs.setOptionValue("output_flag", False), "set its options")
         self.n_cols = 0
         self.held = np.zeros(0, dtype=np.intp)

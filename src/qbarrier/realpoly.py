@@ -12,9 +12,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .templates import exact_value
-
 Exps = tuple[int, ...]
+
+
+def exact_value(value: float, decimals: int | None) -> Fraction:
+    """A certificate number as its conditions read it: the decimal string at
+    `decimals` places, or the exact binary value when decimals is None."""
+    if decimals is not None:
+        return Fraction(format(value, f".{decimals}f"))
+    return Fraction(float(value))
 
 
 class RealPoly:

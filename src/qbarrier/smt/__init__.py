@@ -1,20 +1,13 @@
-from .encode import SMTQuery, StructConstraint, conditions_for, encode_condition
-from .run import (
-    SolverToolError,
-    Verdict,
-    VerificationReport,
-    run_solver,
-    verify_certificate,
-)
+"""SMT encoding of certificate conditions and the solver runs that decide them.
 
-__all__ = [
-    "SMTQuery",
-    "StructConstraint",
-    "conditions_for",
-    "encode_condition",
-    "Verdict",
-    "VerificationReport",
-    "SolverToolError",
-    "run_solver",
-    "verify_certificate",
-]
+The exports load their submodule on first use: the `qbarrier-smt` entry
+point imports `qbarrier.smt.builtin`, which needs neither."""
+from .. import _lazy_exports
+
+__all__, __getattr__ = _lazy_exports(
+    __name__,
+    {
+        "encode": ("SMTQuery", "StructConstraint", "conditions_for", "encode_condition"),
+        "run": ("Verdict", "VerificationReport", "SolverToolError", "run_solver", "verify_certificate"),
+    },
+)

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .realpoly import exact_value
+
 FLAVORS = ("invariant", "k-inductive", "hybrid", "finite-horizon")
 
 # Each flavor's condition kinds in verification order, with the certificate
@@ -98,14 +100,6 @@ def side_conditions(flavor: str, k: int = 1, horizon: int | None = None) -> tupl
         )
     form = {"d": 1, "eps": -k} | ({"gamma": -k} if flavor == "hybrid" else {})
     return (SideCondition("side-margin", form, True),)
-
-
-def exact_value(value: float, decimals: int | None) -> Fraction:
-    """A certificate number as its conditions read it: the decimal string at
-    `decimals` places, or the exact binary value when decimals is None."""
-    if decimals is not None:
-        return Fraction(format(value, f".{decimals}f"))
-    return Fraction(float(value))
 
 
 def side_value(form: dict[str, int], constants: dict[str, float], decimals: int | None = None) -> Fraction:

@@ -12,7 +12,7 @@ import pytest
 
 import qbarrier
 from qbarrier import load_config
-from qbarrier.cli import bundled_config_path, main, pin_mmap_threshold
+from qbarrier.cli import bundled_config_path, main
 from qbarrier.config import ConfigError
 from qbarrier.lp import sample_scenarios
 from qbarrier.report import TOOL_ERROR_EXIT
@@ -526,39 +526,35 @@ def test_contradictory_bounds_exit_as_tool_error(tmp_path, capsys):
     assert "tool error: region appears empty or thin" in capsys.readouterr().err
 
 
-def _resident_mb() -> float:
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
-
-
-@pytest.mark.skipif(
-    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
-    reason="glibc allocator settings, read through /proc",
-)
-def test_pinned_mmap_threshold_returns_freed_arrays():
-    assert pin_mmap_threshold()
-    # unpinned, freeing the first block lifts the threshold above 20 MiB, and
-    # the second block then stays resident in the heap after it is freed
-    for _ in range(2):
-        before = _resident_mb()
-        block = np.ones(20 << 17)  # 20 MiB, every page touched
-        del block
-        assert _resident_mb() - before < 4
-
-
-# Run in a fresh process: which glibc arenas exist, and what the heap holds,
-# depends on every test run before it in the same process.
-SAMPLING_FOOTPRINT = """
+# Each footprint check runs in a fresh process: which glibc arenas exist, and
+# what the heap holds, depends on every test run before it in the same process.
+RESIDENT_MB = """
 import os
-from qbarrier.cli import pin_mmap_threshold
-from qbarrier.lp import SynthesisConfig, sample_scenarios
-from qbarrier.regions import full_sphere, parse_region, sample_states
 
 
 def resident_mb():
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+"""
 
+MMAP_FOOTPRINT = RESIDENT_MB + """
+import numpy as np
+from qbarrier.cli import pin_mmap_threshold
+
+assert pin_mmap_threshold()
+# unpinned, freeing the first block lifts the threshold above 20 MiB, and
+# the second block then stays resident in the heap after it is freed
+for _ in range(2):
+    before = resident_mb()
+    block = np.ones(20 << 17)  # 20 MiB, every page touched
+    del block
+    print(resident_mb() - before)
+"""
+
+SAMPLING_FOOTPRINT = RESIDENT_MB + """
+from qbarrier.cli import pin_mmap_threshold
+from qbarrier.lp import SynthesisConfig, sample_scenarios
+from qbarrier.regions import full_sphere, parse_region, sample_states
 
 assert pin_mmap_threshold()
 dim = 32
@@ -572,6 +568,27 @@ print(resident_mb() - before - held / 2**20)
 """
 
 
+def _footprint(probe: str) -> list[float]:
+    """The megabytes a fresh process running `probe` prints."""
+    src = str(Path(qbarrier.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    return [float(mb) for mb in out.stdout.split()]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
+    reason="glibc allocator settings, read through /proc",
+)
+def test_pinned_mmap_threshold_returns_freed_arrays():
+    grown = _footprint(MMAP_FOOTPRINT)
+    assert len(grown) == 2 and max(grown) < 4
+
+
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/statm"),
     reason="glibc allocator settings, read through /proc",
@@ -580,11 +597,5 @@ def test_threaded_sampling_leaves_only_its_result_resident():
     # the 3 x 20,000 x 32 states take 29.3 MiB. Each worker thread's own
     # arena would keep about 10 MiB of freed batches resident, and the one
     # arena without malloc_trim about 18 MiB
-    src = str(Path(qbarrier.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run(
-        [sys.executable, "-c", SAMPLING_FOOTPRINT],
-        capture_output=True, text=True, check=True, env=env, timeout=120,
-    )
-    assert float(out.stdout) < 4
+    (grown,) = _footprint(SAMPLING_FOOTPRINT)
+    assert grown < 4

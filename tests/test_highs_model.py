@@ -2,7 +2,9 @@
 outcomes it gives, rows appended once, re-solves after in-place bound
 changes that agree with fresh solves, and the one model a synthesis job
 carries across template sizes and rounds."""
+import importlib.util
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +50,15 @@ def test_bindings_have_every_method_the_module_calls():
     assert missing == [], f"scipy {scipy.__version__}'s HiGHS bindings lack {missing}; qbarrier needs scipy>=1.17"
     unknown = sorted(set(qbarrier.lp._OUTCOMES) - set(core.HighsModelStatus.__members__))
     assert unknown == [], f"scipy {scipy.__version__}'s HiGHS has no model status {unknown}"
+
+
+def test_missing_bindings_name_the_scipy_floor(monkeypatch):
+    # the extension is looked up only when sys.modules lacks it; __wrapped__
+    # bypasses the cache of the class already loaded
+    monkeypatch.delitem(sys.modules, qbarrier.lp._HIGHS_CORE)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(LPSolverError, match=r"scipy>=1\.17"):
+        qbarrier.lp._highs_class.__wrapped__()
 
 
 def _run(cost, bounds, a, b, **options):

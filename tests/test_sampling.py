@@ -26,6 +26,7 @@ from qbarrier.regions import (
     _joe_kuo,
     _powers_of_two,
 )
+from test_lp import PINNED_SYNTHESIS
 
 CONFIGS = Path(qbarrier.__file__).parent / "configs"
 
@@ -111,6 +112,14 @@ FULL_SIZE_DIGESTS = {
 }
 
 
+def _differing_rows(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Indices of the rows of two same-shaped arrays whose bytes differ."""
+    def as_bytes(a):
+        return np.frombuffer(a.tobytes(), dtype=np.uint8).reshape(len(a), -1)
+
+    return np.flatnonzero((as_bytes(got) != as_bytes(want)).any(axis=1))
+
+
 @pytest.mark.parametrize("name", sorted(FULL_SIZE_DIGESTS))
 def test_threaded_full_size_draws_match_sequential_draws(name):
     job = load_config(CONFIGS / f"{name}.cfg")
@@ -124,8 +133,16 @@ def test_threaded_full_size_draws_match_sequential_draws(name):
     _joe_kuo.cache_clear()
     _powers_of_two.cache_clear()
     scenarios = sample_scenarios(*regions, cfg)
+    threaded = (scenarios.init, scenarios.unsafe, scenarios.global_states)
+    for label, want, got in zip(("init", "unsafe", "global"), sequential, threaded):
+        if got.shape == want.shape:
+            rows = _differing_rows(got, want)
+            assert len(rows) == 0, (
+                f"{label}: {len(rows)} of {len(want)} states differ, the first at row {rows[0]}: "
+                f"threaded {got[rows[0]].tolist()}, sequential {want[rows[0]].tolist()}"
+            )
     h = hashlib.sha256()
-    for want, got in zip(sequential, (scenarios.init, scenarios.unsafe, scenarios.global_states)):
+    for want, got in zip(sequential, threaded):
         assert got.shape == (cfg.samples, job.dynamics.dim)
         assert got.tobytes() == want.tobytes()
         h.update(got.tobytes())
@@ -167,12 +184,13 @@ def test_stream_refuses_points_past_its_bits():
 
 
 IMPORT_PROBE = """
-import json, sys
+import hashlib, json, sys
+from pathlib import Path
 import numpy as np
 import qbarrier, qbarrier.cli, qbarrier.smt.builtin
 from qbarrier import Certificate, full_template, load_config
 from qbarrier.cli import bundled_config_path
-from qbarrier.lp import DenseRows, LPProblem, solve_lp
+from qbarrier.lp import DenseRows, LPProblem, _highs_class, solve_lp, synthesis_loop
 from qbarrier.smt.run import verify_certificate
 
 def loaded():
@@ -199,14 +217,26 @@ solve_lp(LPProblem(
     families=[("only", 0, 1)],
 ))
 seen["solve"] = loaded()
+job.synthesis.seed = 13
+res = synthesis_loop(
+    job.dynamics, job.init_region, job.unsafe_region, job.global_region, job.synthesis,
+    solver_command=job.smt.solver, workdir=Path(sys.argv[1]) / "synth", timeout_s=job.smt.timeout,
+)
+text = res.certificate.to_json() + json.dumps(res.rejections, sort_keys=True)
+seen["synthesis"] = loaded() + [res.status, hashlib.sha256(text.encode()).hexdigest()]
+import scipy.optimize
+from scipy.optimize._highspy._core import _Highs
+lp = scipy.optimize.linprog([1.0, 1.0], A_ub=[[-1.0, -2.0]], b_ub=[-2.0], bounds=[(0, None)] * 2)
+seen["scipy"] = [_Highs is _highs_class(), lp.status, lp.fun]
 print(json.dumps(seen))
 """
 
 
 def test_import_leaves_scipy_stats_out(tmp_path):
-    """Importing the package loads neither scipy.stats nor scipy.optimize;
-    verifying a certificate still leaves scipy.optimize out, and the first
-    LP solve brings it in."""
+    """Importing the package loads neither scipy.stats nor scipy.optimize,
+    and neither does verifying a certificate, an LP solve or a pinned
+    synthesis run: HiGHS loads from its extension alone. A later import of
+    scipy.optimize reuses that extension, and its linprog still solves."""
     src = str(Path(qbarrier.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -217,4 +247,7 @@ def test_import_leaves_scipy_stats_out(tmp_path):
     seen = json.loads(out.stdout)
     assert seen["import"] == [False, False]
     assert seen["verify"] == [False, False, "verified"]
-    assert seen["solve"][1] is True
+    assert seen["solve"] == [False, False]
+    assert seen["synthesis"] == [False, False, "solved", PINNED_SYNTHESIS[("zgate3_finite", 13)]]
+    assert seen["scipy"][:2] == [True, 0]
+    assert seen["scipy"][2] == pytest.approx(1.0)

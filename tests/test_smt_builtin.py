@@ -1,16 +1,23 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import qbarrier
 import qbarrier.smt.builtin as builtin
+from qbarrier import Certificate, full_template, load_config
+from qbarrier.cli import bundled_config_path
 from qbarrier.realpoly import RealPoly, sphere_poly
 from qbarrier.smt.builtin import (
     Constraint,
@@ -28,7 +35,7 @@ from qbarrier.smt.builtin import (
     solve_text,
 )
 from qbarrier.smt.encode import SMTQuery, StructConstraint
-from qbarrier.smt.run import recheck_model
+from qbarrier.smt.run import recheck_model, verify_certificate
 
 SPHERE2 = (
     "(assert (= (+ (* x0 x0) (* y0 y0) (* x1 x1) (* y1 y1)) 1))"
@@ -620,3 +627,43 @@ def test_simplex_ratio_ties_leave_by_the_lower_basic_variable():
     b = [q(1), q(1)]
     status, value, point = Simplex(a, b, 4).solve([q(0), q(1), q(2), q(2)])
     assert (status, value, point) == ("optimal", q(1), [q(1, 4), q(0), q(0), q(1, 2)])
+
+
+# Run in a fresh process: what the console engine imports, and whether runpy
+# warns that the package imported the module it is about to run, depend on
+# what the package's __init__ files load.
+CONSOLE_PROBE = """
+import sys
+from qbarrier.smt.builtin import main
+code = main(sys.argv[1:])
+print(sorted(m for m in ("qbarrier.lp", "qbarrier.templates", "qbarrier.regions") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_console_engine_loads_no_synthesis_module(tmp_path):
+    job = load_config(bundled_config_path("zgate3_finite"))
+    cert = Certificate(
+        template=full_template(8, 2).prefix(2),
+        coeff_vectors=(np.array([13.0, -10.0], dtype=complex),),
+        flavor="finite-horizon",
+        constants={"gamma": 4.001, "lam": 4.999, "delta": 0.0, "T": 5},
+        decimals=6,
+    )
+    verify_certificate(
+        cert, job.init_region, job.unsafe_region, job.global_region, job.dynamics, workdir=tmp_path
+    )
+    query = str(tmp_path / "init.smt2")
+    src = str(Path(qbarrier.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-m", "qbarrier.smt.builtin", query],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert (out.stdout, out.stderr) == ("unsat\n", "")
+    out = subprocess.run(
+        [sys.executable, "-c", CONSOLE_PROBE, query],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout == "unsat\n[]\n"
