@@ -189,6 +189,7 @@ def _run_grover_job(job: JobConfig, out_dir: Path) -> RunReport:
         timeout_s=job.smt.timeout,
         rejections=[],
         config_echo=job.raw,
+        lp=res.lp,
     )
 
 

@@ -243,6 +243,9 @@ class AngleSynthesisResult:
     verification: VerificationReport | None
     lp_time: float
     smt_time: float
+    # the angle LP's one entry, with the keys of a circuit job's entries
+    # (`SynthesisResult.lp`); the angle model counts no terms
+    lp: list
 
 
 def synth_angle_certificate(
@@ -297,8 +300,17 @@ def synth_angle_certificate(
     )
     sol = solve_lp(problem)
     lp_time = _time.perf_counter() - t0
+    entry = {
+        "terms": None,
+        "round": 0,
+        "rows": problem.n_rows,
+        "rows_kept": sol.rows_kept,
+        "highs_calls": sol.highs_calls,
+        "simplex_iterations": sol.simplex_iterations,
+        "outcome": "no-candidate",
+    }
     if sol.status != "optimal" or sol.objective < MARGIN:
-        return AngleSynthesisResult("unsolved", None, None, lp_time, 0.0)
+        return AngleSynthesisResult("unsolved", None, None, lp_time, 0.0, [entry])
     c, gamma, lam, delta = (float(v) for v in sol.x)
     # keep part of the slack as a buffer against boundary samples
     slack = lam - gamma - delta * t_steps - MARGIN
@@ -320,7 +332,8 @@ def synth_angle_certificate(
     status = {"verified": "solved", "refuted": "unsolved", "unknown": "unknown"}[
         report.overall
     ]
-    return AngleSynthesisResult(status, cert, report, lp_time, smt_time)
+    entry["outcome"] = report.overall
+    return AngleSynthesisResult(status, cert, report, lp_time, smt_time, [entry])
 
 
 def noise_envelope_safe(g: GroverInstance) -> bool:

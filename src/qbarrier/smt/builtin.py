@@ -200,6 +200,15 @@ class Problem:
     def nv(self) -> int:
         return len(self.names)
 
+    @property
+    def pairs(self):
+        """{j: (index of x<j>, index of y<j>)}, or None unless the x and y
+        names pair up; every other variable is a parameter. Computed once
+        per problem."""
+        if "_pairs" not in self.__dict__:
+            self._pairs = _amplitude_pairs(self.names)
+        return self._pairs
+
 
 def parse_problem(text: str) -> Problem:
     forms = parse_sexprs(text)
@@ -243,15 +252,17 @@ def normal_constraint(lhs: RealPoly, op: str, rhs: RealPoly) -> Constraint:
     """`lhs op rhs` as body op' c: the constant term moved to the right-hand
     side, and > and >= flipped to < and <=.  The body keeps the term order of
     lhs; the deciders' float sums and the probe's draws depend on it."""
-    nv = lhs.nvars
-    diff = lhs.sub(rhs)  # lhs - rhs OP 0
-    const = diff.coeffs.get((0,) * nv, Fraction(0))
-    body, rhs_c = diff.sub(RealPoly.constant(nv, const)), -const
-    if op == ">=":
-        body, rhs_c, op = body.scale(-1), -rhs_c, "<="
-    elif op == ">":
-        body, rhs_c, op = body.scale(-1), -rhs_c, "<"
-    return Constraint(poly=body, op=op, rhs=rhs_c)
+    flip = op in (">=", ">")
+    body = {e: -c for e, c in lhs.coeffs.items()} if flip else dict(lhs.coeffs)
+    for e, c in rhs.coeffs.items():
+        s = body.get(e, 0) + (c if flip else -c)
+        if s:
+            body[e] = s
+        else:
+            body.pop(e, None)
+    const = body.pop((0,) * lhs.nvars, Fraction(0))
+    op = {">=": "<=", ">": "<"}.get(op, op)
+    return Constraint(poly=RealPoly._wrap(lhs.nvars, body), op=op, rhs=-const)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +322,7 @@ class Simplex:
                 continue  # zero row
             t2.append(_primitive(t[i][:n] + [t[i][-1]]))
             basis2.append(basis[i])
-        scaled, e = _integer_row([-Fraction(c) for c in objective] + [0])
+        scaled, e = _integer_row([-c for c in objective] + [0])
         cost2 = self._price_out(t2, basis2, scaled + [e])
         cost2 = self._iterate(t2, basis2, cost2, n)
         if cost2 is None:
@@ -392,95 +403,8 @@ def _eliminate(row, pivot, c):
     return _primitive(out)
 
 
-def solve_linear_system(eqs, les, strict, n_vars, var_free):
-    """Decide a linear system over variables, maximizing strict slack.
-
-    eqs/les/strict: lists of (coeff list, rhs Fraction). Free variables are
-    split into differences of nonnegatives. Returns (status, point) where
-    status is "sat", "unsat", or "margin" (feasible closed system but strict
-    slack below resolution).
-    """
-    # column layout: for each var: one col (nonneg) or two (free +/-); then s
-    col_of = []
-    ncols = 0
-    for i in range(n_vars):
-        if var_free[i]:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            col_of.append((ncols, None))
-            ncols += 1
-    s_col = ncols
-    has_strict = bool(strict)
-    if has_strict:
-        ncols += 1
-
-    def expand(coeffs, extra_s):
-        row = [Fraction(0)] * ncols
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            pos, negc = col_of[i]
-            row[pos] += c
-            if negc is not None:
-                row[negc] -= c
-        if extra_s and has_strict:
-            row[s_col] = Fraction(1)
-        return row
-
-    a_rows, b_vals = [], []
-    slack_count = 0
-    rows_spec = []
-    for coeffs, rhs in eqs:
-        rows_spec.append((expand(coeffs, False), rhs, False))
-    for coeffs, rhs in les:
-        rows_spec.append((expand(coeffs, False), rhs, True))
-    for coeffs, rhs in strict:
-        rows_spec.append((expand(coeffs, True), rhs, True))
-    if has_strict:
-        cap = [Fraction(0)] * ncols
-        cap[s_col] = Fraction(1)
-        rows_spec.append((cap, Fraction(1), True))
-    n_slack = sum(1 for _, _, ineq in rows_spec if ineq)
-    width = ncols + n_slack
-    si = 0
-    for row, rhs, ineq in rows_spec:
-        full = row + [Fraction(0)] * n_slack
-        if ineq:
-            full[ncols + si] = Fraction(1)
-            si += 1
-        a_rows.append(full)
-        b_vals.append(rhs)
-    objective = [Fraction(0)] * width
-    if has_strict:
-        objective[s_col] = Fraction(1)
-    sx = Simplex(a_rows, b_vals, width)
-    status, value, point = sx.solve(objective)
-    if status == "infeasible":
-        return "unsat", None
-    if status == "unbounded":
-        # objective is bounded by construction; treat defensively
-        return "unknown", None
-
-    def extract(pt):
-        vals = []
-        for i in range(n_vars):
-            pos, negc = col_of[i]
-            v = pt[pos] - (pt[negc] if negc is not None else 0)
-            vals.append(v)
-        return vals
-
-    if not has_strict:
-        return "sat", extract(point)
-    if value > STRICT_RESOLUTION:
-        return "sat", extract(point)
-    if value > 0:
-        return "margin", None
-    return "unsat", None
-
-
 # ---------------------------------------------------------------------------
-# reduction to squared-magnitude features
+# the feature LP
 
 
 def _amplitude_pairs(names):
@@ -495,96 +419,91 @@ def _amplitude_pairs(names):
     return {j: (xs[j], ys[j]) for j in indices}
 
 
-def reduce_to_features(problem: Problem):
-    """Rewrite constraints as affine forms over (p_j, params) where possible.
-
-    A constraint fits when every monomial is a parameter at degree one, a
-    square of one amplitude coordinate matched by its partner with an equal
-    coefficient, or a constant. Returns (p_indices, param_indices, rows,
-    complete), where rows holds the constraints that fit and complete says
-    whether all of them did, or None when the variables are not amplitude
+def decide_feature_lp(problem: Problem):
+    """The verdict of the exact simplex over the features p_j = x_j^2 +
+    y_j^2 and the parameters, or None when the variables are not amplitude
     pairs and parameters.
+
+    A constraint fits when each of its monomials is x_j^2 matched by y_j^2
+    with an equal coefficient, or a parameter at degree one. When some
+    constraint does not fit, the rest is a relaxation of the query, so only
+    its "unsat" carries over; otherwise the answer is None.
+
+    Columns: the features in index order, each parameter as u+ - u-, then
+    the strict slack s, then one slack per inequality. Rows: the equalities,
+    the <= rows, the strict rows with s, then s <= 1; the simplex maximises
+    s, and a strict system holds when s exceeds STRICT_RESOLUTION.
     """
-    pairs = _amplitude_pairs(problem.names)
+    pairs = problem.pairs
     if pairs is None:
         return None
-    part_of = {}
-    for j, (x, y) in pairs.items():
-        part_of[x], part_of[y] = (j, "x"), (j, "y")
-    params = [i for i in range(problem.nv) if i not in part_of]
-    p_order = sorted(pairs)
-    p_col = {j: k for k, j in enumerate(p_order)}
-    u_col = {i: len(p_order) + k for k, i in enumerate(params)}
-    width = len(p_order) + len(params)
+    nv = problem.nv
 
-    def row(con):
-        coeffs = [Fraction(0)] * width
-        squares: dict[int, dict[str, Fraction]] = {}
-        for e, c in con.poly.coeffs.items():
-            active = [(i, p) for i, p in enumerate(e) if p]
-            if not active:
-                continue
-            if len(active) == 1 and active[0][1] == 1 and active[0][0] in u_col:
-                coeffs[u_col[active[0][0]]] += c
-                continue
-            if len(active) == 1 and active[0][1] == 2 and active[0][0] in part_of:
-                j, part = part_of[active[0][0]]
-                squares.setdefault(j, {})[part] = (
-                    squares.setdefault(j, {}).get(part, Fraction(0)) + c
-                )
-                continue
-            return None
-        for j, parts in squares.items():
-            cx = parts.get("x", Fraction(0))
-            cy = parts.get("y", Fraction(0))
-            if cx != cy:
-                return None
-            coeffs[p_col[j]] += cx
-        return coeffs
+    def monomial(i, power):
+        e = [0] * nv
+        e[i] = power
+        return tuple(e)
 
-    rows = []
+    # monomial -> (column, the monomial that must carry the same coefficient,
+    # or None for a parameter, whose u- column follows its u+ column)
+    features = sorted(pairs)
+    columns = {}
+    for k, j in enumerate(features):
+        x2, y2 = (monomial(i, 2) for i in pairs[j])
+        columns[x2], columns[y2] = (k, y2), (k, x2)
+    amplitudes = {i for xy in pairs.values() for i in xy}
+    params = [i for i in range(nv) if i not in amplitudes]
+    for k, i in enumerate(params):
+        columns[monomial(i, 1)] = (len(pairs) + 2 * k, None)
+    n_struct = len(pairs) + 2 * len(params)
+
+    rows = {"=": [], "<=": [], "<": []}
     for con in problem.constraints:
-        coeffs = row(con)
-        if coeffs is not None:
-            rows.append((coeffs, con.op, con.rhs))
-    return p_order, params, rows, len(rows) == len(problem.constraints)
-
-
-def decide_feature_lp(problem: Problem):
-    """The verdict of the exact simplex over the features. When some
-    constraint does not fit, the rest is a relaxation of the query, so only
-    its "unsat" carries over; otherwise the answer is None."""
-    reduced = reduce_to_features(problem)
-    if reduced is None:
-        return None
-    p_order, params, rows, complete = reduced
-    n_vars = len(p_order) + len(params)
-    var_free = [False] * len(p_order) + [True] * len(params)
-    eqs, les, strict = [], [], []
-    for coeffs, op, rhs in rows:
-        if op == "=":
-            eqs.append((coeffs, rhs))
-        elif op == "<=":
-            les.append((coeffs, rhs))
+        body = con.poly.coeffs
+        row = [0] * n_struct
+        for e, c in body.items():
+            col, partner = columns.get(e, (None, None))
+            if col is None or (partner is not None and body.get(partner) != c):
+                break
+            row[col] = c
+            if partner is None:
+                row[col + 1] = -c
         else:
-            strict.append((coeffs, rhs))
-    status, point = solve_linear_system(eqs, les, strict, n_vars, var_free)
-    if not complete:
-        return ("unsat", None) if status == "unsat" else None
-    if status == "sat":
-        model = {}
-        for k, j in enumerate(p_order):
-            p = max(point[k], Fraction(0))
-            model[f"x{j}"] = math.sqrt(float(p))
-            model[f"y{j}"] = 0.0
-        for k, i in enumerate(params):
-            model[problem.names[i]] = float(point[len(p_order) + k])
-        return "sat", model
-    if status == "margin":
-        return "unknown", None
-    if status == "unsat":
+            rows[con.op].append((row, con.rhs))
+    eqs, les, strict = rows.values()
+    complete = len(eqs) + len(les) + len(strict) == len(problem.constraints)
+    ineqs = les + strict
+    if strict:
+        ineqs.append(([0] * n_struct, 1))  # s <= 1
+    ncols = n_struct + bool(strict)
+    tail = [0] * (bool(strict) + len(ineqs))
+    a_rows = [row + tail for row, _ in eqs]
+    for k, (row, _) in enumerate(ineqs):
+        full = row + tail
+        full[ncols + k] = 1  # its slack
+        if k >= len(les):
+            full[n_struct] = 1  # s
+        a_rows.append(full)
+    objective = [0] * (ncols + len(ineqs))
+    if strict:
+        objective[n_struct] = 1
+    b_vals = [rhs for _, rhs in eqs + ineqs]
+    status, value, point = Simplex(a_rows, b_vals, len(objective)).solve(objective)
+    if status == "infeasible" or (status == "optimal" and strict and value <= 0):
         return "unsat", None
-    return "unknown", None
+    if not complete:
+        return None
+    # the objective is bounded by s <= 1, so "unbounded" is defensive only
+    if status == "unbounded" or (strict and value <= STRICT_RESOLUTION):
+        return "unknown", None
+    model = {}
+    for k, j in enumerate(features):
+        model[f"x{j}"] = math.sqrt(float(max(point[k], 0)))
+        model[f"y{j}"] = 0.0
+    for k, i in enumerate(params):
+        u = len(pairs) + 2 * k
+        model[problem.names[i]] = float(point[u] - point[u + 1])
+    return "sat", model
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +651,7 @@ def _var_bounds(problem: Problem):
     nv = problem.nv
     lo = np.full(nv, -1e3)
     hi = np.full(nv, 1e3)
-    pairs = _amplitude_pairs(problem.names) or {}
+    pairs = problem.pairs or {}
     amp_vars = {i for x, y in pairs.values() for i in (x, y)}
     for i in amp_vars:
         lo[i], hi[i] = -1.0, 1.0
@@ -756,7 +675,7 @@ def _var_bounds(problem: Problem):
 def probe_sat(problem: Problem, deadline: float, rng_seed: int = 20240917):
     """Structured randomized hunt for a satisfying point."""
     arrays = _constraint_arrays(problem)
-    pairs = _amplitude_pairs(problem.names)
+    pairs = problem.pairs
     lo, hi = _var_bounds(problem)
     nv = problem.nv
     rng = np.random.default_rng(rng_seed)
@@ -841,21 +760,20 @@ def solve_problem(problem: Problem, timeout_s: float = 300.0) -> Decision:
     """Returns (status, model|None) with status in {"sat","unsat","unknown"},
     as a `Decision` that also names the decider that answered."""
     deadline = time.monotonic() + timeout_s
-    nv = problem.nv
     live: list[Constraint] = []
     for con in problem.constraints:
-        if con.poly.degree() == 0:
-            val = con.poly.coeffs.get((0,) * nv, Fraction(0))
-            if con.op == "=":
-                holds = val == con.rhs
-            elif con.op == "<=":
-                holds = val <= con.rhs
-            else:
-                holds = val < con.rhs
-            if not holds:
-                return Decision("unsat", None, "constant")
-        else:
+        if con.poly:
             live.append(con)
+            continue
+        # normalised, a constraint without variables reads 0 op rhs
+        if con.op == "=":
+            holds = con.rhs == 0
+        elif con.op == "<=":
+            holds = con.rhs >= 0
+        else:
+            holds = con.rhs > 0
+        if not holds:
+            return Decision("unsat", None, "constant")
     if not live:
         return Decision("sat", {}, "constant")
     trimmed = Problem(names=problem.names, constraints=live)

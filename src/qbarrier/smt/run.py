@@ -125,7 +125,7 @@ def builtin_problem(query: SMTQuery) -> _builtin.Problem:
                     renamed[where[i]] = e
             coeffs[tuple(renamed)] = coeff
         rhs = RealPoly.constant(nv, c.rhs)
-        constraints.append(_builtin.normal_constraint(RealPoly(nv, coeffs), c.op, rhs))
+        constraints.append(_builtin.normal_constraint(RealPoly._wrap(nv, coeffs), c.op, rhs))
     return _builtin.Problem(names=names, constraints=constraints)
 
 

@@ -202,6 +202,19 @@ def test_report_lp_counts_repeat_at_a_seed(tiny_config, tmp_path):
     assert all(0 < e["rows_kept"] <= e["rows"] and e["highs_calls"] >= 1 for e in lp)
 
 
+def test_angle_report_has_its_lp_entry(tmp_path):
+    """An angle job's report lists its one LP with a circuit entry's keys;
+    it counts no terms."""
+    out = tmp_path / "angle"
+    assert main(["synth", "--config", str(bundled_config_path("grover_n5_m1")), "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    keys = {"terms", "round", "rows", "rows_kept", "highs_calls", "simplex_iterations", "outcome"}
+    (entry,) = doc["lp"]
+    assert set(entry) == keys and doc["terms_used"] is None
+    assert (entry["terms"], entry["round"], entry["outcome"]) == (None, 0, "verified")
+    assert 0 < entry["rows_kept"] <= entry["rows"] and entry["highs_calls"] >= 1
+
+
 def test_report_deciders_repeat_at_a_seed(tmp_path, caplog):
     """Each condition of `report.json` names the decider that answered it,
     the same in two runs at one seed, and `-v` logs it."""

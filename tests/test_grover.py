@@ -117,6 +117,7 @@ def test_synthesis_infeasible_parameters(tmp_path):
     res = synth_angle_certificate(g, 200, seed=3, workdir=tmp_path)
     assert res.status == "unsolved"
     assert res.certificate is None
+    assert [e["outcome"] for e in res.lp] == ["no-candidate"]
 
 
 def test_angle_certificate_side_condition():

@@ -68,6 +68,19 @@ def test_touching_strict_query_is_unsat():
     assert solve_text(text) == ("unsat", None)
 
 
+def test_strict_slack_at_the_resolution_is_unknown():
+    # p0 >= 0.9 with 9.000000001 - 10*p0 > 0: the best strict slack is
+    # exactly 1e-9, not above the margin a model's re-check needs
+    text = wrap(
+        "(assert (>= (+ (* x0 x0) (* y0 y0)) (/ 9 10)))",
+        SPHERE2,
+        "(assert (> (+ 9.000000001 (* (- 10) x0 x0) (* (- 10) y0 y0)) 0))",
+    )
+    assert decide_feature_lp(parse_problem(text)) == ("unknown", None)
+    decision = solve_text(text)
+    assert (decision, decision.decider) == (("unknown", None), "none")
+
+
 def test_feasible_strict_query_returns_checked_model():
     text = wrap(
         "(assert (>= (+ (* x0 x0) (* y0 y0)) (/ 9 10)))",
@@ -84,15 +97,17 @@ def test_feasible_strict_query_returns_checked_model():
 
 
 def test_infeasible_region_is_unsat():
-    text = wrap(
-        "(assert (>= (+ (* x0 x0) (* y0 y0)) (/ 9 10)))",
-        "(assert (<= (+ (* x0 x0) (* y0 y0)) (/ 1 10)))",
-        SPHERE2,
-        "(assert (> x0 0))",
-    )
-    # x0 > 0 does not reduce to the features, but the rest is infeasible
-    decision = solve_text(text)
-    assert (decision, decision.decider) == (("unsat", None), "feature-lp")
+    # neither x0 > 0 nor a constraint that weighs x0^2 and y0^2 unequally
+    # reduces to the features, but the rest is infeasible
+    for unfit in ("(assert (> x0 0))", "(assert (< (+ (* 2 x0 x0) (* y0 y0)) 3))"):
+        text = wrap(
+            "(assert (>= (+ (* x0 x0) (* y0 y0)) (/ 9 10)))",
+            "(assert (<= (+ (* x0 x0) (* y0 y0)) (/ 1 10)))",
+            SPHERE2,
+            unfit,
+        )
+        decision = solve_text(text)
+        assert (decision, decision.decider) == (("unsat", None), "feature-lp")
 
 
 def test_constant_queries():
@@ -112,6 +127,17 @@ def test_parameter_only_linear_query():
     assert status == "sat"
     assert 1 - 1e-12 <= model["t"] <= 2 + 1e-12
     assert 3 * model["t"] > 5
+
+
+def test_negative_parameter_is_read_from_its_minus_column():
+    text = wrap(
+        "(assert (>= t (- 2)))",
+        "(assert (<= t (- 1)))",
+        "(assert (< (* 3 t) (- 5)))",
+        decls=("t",),
+    )
+    decision = solve_text(text)
+    assert (decision, decision.decider) == (("sat", {"t": -2.0}), "feature-lp")
 
 
 def test_parameter_only_unsat():
