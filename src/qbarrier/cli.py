@@ -28,12 +28,7 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, JobConfig, load_config
-from .grover import (
-    AngleCertificate,
-    AngleSynthesisResult,
-    angle_queries,
-    synth_angle_certificate,
-)
+from .grover import AngleCertificate, angle_queries, synth_angle_certificate
 from .heap import pin_mmap_threshold
 from .lp import LPError, sample_scenarios, synthesis_loop
 from .regions import RegionError
@@ -121,40 +116,49 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
 def run_job(job: JobConfig, out_dir: Path) -> RunReport:
     """Execute one synthesis job end to end and assemble its report."""
     pin_mmap_threshold()
-    if job.kind == "grover":
-        return _run_grover_job(job, out_dir)
     cfg = job.synthesis
-    t0 = time.perf_counter()
-    scenarios = sample_scenarios(
-        job.init_region, job.unsafe_region, job.global_region, cfg
-    )
-    sampling_s = time.perf_counter() - t0
-    result = synthesis_loop(
-        job.dynamics,
-        job.init_region,
-        job.unsafe_region,
-        job.global_region,
-        cfg,
-        solver_command=job.smt.solver,
-        workdir=out_dir / "smt2",
-        timeout_s=job.smt.timeout,
-        jobs=job.smt.jobs,
-        scenarios=scenarios,
-    )
-    cert_doc = result.certificate.to_dict() if result.certificate else None
-    return RunReport(
-        name=job.name,
-        status=result.status,
-        kind="circuit",
-        certificate=cert_doc,
-        conditions=conditions_doc(result.verification),
-        generation_s=sampling_s + result.lp_time,
-        verification_s=result.smt_time,
-        samples={
+    if job.kind == "grover":
+        sampling_s = 0.0
+        samples = {"init": cfg.samples, "unsafe": cfg.samples}
+        result = synth_angle_certificate(
+            job.grover,
+            samples=cfg.samples,
+            solver_command=job.smt.solver,
+            workdir=out_dir / "smt2",
+            timeout_s=job.smt.timeout,
+        )
+    else:
+        t0 = time.perf_counter()
+        scenarios = sample_scenarios(
+            job.init_region, job.unsafe_region, job.global_region, cfg
+        )
+        sampling_s = time.perf_counter() - t0
+        samples = {
             "init": int(scenarios.init.shape[0]),
             "unsafe": int(scenarios.unsafe.shape[0]),
             "global": int(scenarios.global_states.shape[0]),
-        },
+        }
+        result = synthesis_loop(
+            job.dynamics,
+            job.init_region,
+            job.unsafe_region,
+            job.global_region,
+            cfg,
+            solver_command=job.smt.solver,
+            workdir=out_dir / "smt2",
+            timeout_s=job.smt.timeout,
+            jobs=job.smt.jobs,
+            scenarios=scenarios,
+        )
+    return RunReport(
+        name=job.name,
+        status=result.status,
+        kind=job.kind,
+        certificate=result.certificate.to_dict() if result.certificate else None,
+        conditions=conditions_doc(result.verification),
+        generation_s=sampling_s + result.lp_time,
+        verification_s=result.smt_time,
+        samples=samples,
         seed=cfg.seed,
         solver=job.smt.solver,
         timeout_s=job.smt.timeout,
@@ -162,34 +166,6 @@ def run_job(job: JobConfig, out_dir: Path) -> RunReport:
         rejections=result.rejections,
         config_echo=job.raw,
         lp=result.lp,
-    )
-
-
-def _run_grover_job(job: JobConfig, out_dir: Path) -> RunReport:
-    cfg = job.synthesis
-    res: AngleSynthesisResult = synth_angle_certificate(
-        job.grover,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        solver_command=job.smt.solver,
-        workdir=out_dir / "smt2",
-        timeout_s=job.smt.timeout,
-    )
-    return RunReport(
-        name=job.name,
-        status=res.status,
-        kind="grover",
-        certificate=res.certificate.to_dict() if res.certificate else None,
-        conditions=conditions_doc(res.verification),
-        generation_s=res.lp_time,
-        verification_s=res.smt_time,
-        samples={"init": cfg.samples, "unsafe": cfg.samples},
-        seed=cfg.seed,
-        solver=job.smt.solver,
-        timeout_s=job.smt.timeout,
-        rejections=[],
-        config_echo=job.raw,
-        lp=res.lp,
     )
 
 
@@ -217,6 +193,27 @@ def _load_certificate(path: str):
     return Certificate.from_dict(doc)
 
 
+def _certificate_mismatch(cert, job: JobConfig) -> str | None:
+    """Why the certificate does not fit the job: its kind, its dimension or
+    its horizon T; None when it fits."""
+    if isinstance(cert, AngleCertificate):
+        if job.kind != "grover":
+            return "angle certificate needs a [grover] job"
+        horizon = job.grover.horizon_steps
+    else:
+        if job.kind != "circuit":
+            return "polynomial certificate needs a circuit job"
+        if cert.dim != job.dynamics.dim:
+            return (
+                f"certificate dimension {cert.dim} does not "
+                f"match the circuit dimension {job.dynamics.dim}"
+            )
+        horizon = job.synthesis.horizon
+    if cert.horizon is not None and cert.horizon != horizon:
+        return f"certificate horizon T = {cert.horizon} does not match the job horizon {horizon}"
+    return None
+
+
 def cmd_verify(args) -> int:
     try:
         job = _apply_overrides(load_config(args.config), args)
@@ -224,43 +221,18 @@ def cmd_verify(args) -> int:
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
+    mismatch = _certificate_mismatch(cert, job)
+    if mismatch:
+        print(f"config error: {mismatch}", file=sys.stderr)
+        return 4
     out_dir = Path(args.out) if args.out else Path("runs") / f"{job.name}-verify"
     try:
         if isinstance(cert, AngleCertificate):
-            if job.kind != "grover":
-                print("config error: angle certificate needs a [grover] job",
-                      file=sys.stderr)
-                return 4
-            if cert.horizon != job.grover.horizon_steps:
-                print(
-                    f"config error: certificate horizon T = {cert.horizon} does not "
-                    f"match the job horizon {job.grover.horizon_steps}",
-                    file=sys.stderr,
-                )
-                return 4
             queries = angle_queries(cert, job.grover, job.smt.timeout)
             report = verify_queries(
                 queries, job.smt.solver, out_dir / "smt2", jobs=job.smt.jobs
             )
         else:
-            if job.kind != "circuit":
-                print("config error: polynomial certificate needs a circuit job",
-                      file=sys.stderr)
-                return 4
-            if cert.dim != job.dynamics.dim:
-                print(
-                    f"config error: certificate dimension {cert.dim} does not "
-                    f"match the circuit dimension {job.dynamics.dim}",
-                    file=sys.stderr,
-                )
-                return 4
-            if cert.horizon is not None and cert.horizon != job.synthesis.horizon:
-                print(
-                    f"config error: certificate horizon T = {cert.horizon} does not "
-                    f"match the job horizon {job.synthesis.horizon}",
-                    file=sys.stderr,
-                )
-                return 4
             report, _ = verify_certificate(
                 cert,
                 job.init_region,
@@ -278,7 +250,7 @@ def cmd_verify(args) -> int:
     for v in report.verdicts:
         print(f"{v.condition_id:<16} {v.status:<8} ({v.wall_s:.3f} s)")
     print(f"overall: {report.overall}")
-    return {"verified": 0, "refuted": 1, "unknown": 2}[report.overall]
+    return EXIT_CODES[report.status]
 
 
 def cmd_sample(args) -> int:
@@ -373,7 +345,7 @@ def cmd_bench(args) -> int:
             ver_times.append(report.verification_s)
             statuses.append(report.status)
             terms.append(report.terms_used)
-        meta = _bench_row_meta(load_config(path))
+        meta = _bench_row_meta(job)
         status = statuses[0] if len(set(statuses)) == 1 else "/".join(sorted(set(statuses)))
         row = dict(
             meta,

@@ -11,19 +11,20 @@ the unwrapped angle while state semantics can wrap into [0, 2*pi).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, solve_lp
+from .lp import COEFF_BOUND, MARGIN, DenseRows, LPProblem, SynthesisResult, lp_entry, solve_lp
 # unused here: the angle LP goes through lp.solve_lp, but perfbench/layers.py
 # still wraps this name and its smoke test requires every wrapped name to
 # exist; lp's own function, unlike scipy.optimize's, loads no SciPy module
 from .lp import linprog  # noqa: F401
 from .smt.encode import SMTQuery, StructConstraint, side_query
-from .smt.run import BUILTIN_COMMAND, VerificationReport, verify_queries
+from .smt.run import BUILTIN_COMMAND, verify_queries
 from .realpoly import RealPoly
 from .regions import SobolStream
 from .templates import side_conditions, side_holds, side_value
@@ -161,8 +162,9 @@ class AngleCertificate:
         }
 
 
-def sample_interval(lo: float, hi: float, count: int, seed: int) -> np.ndarray:
-    """Low-discrepancy points in [lo, hi]; the first point hits lo exactly."""
+def sample_interval(lo: float, hi: float, count: int) -> np.ndarray:
+    """Low-discrepancy points in [lo, hi]; the first point hits lo exactly.
+    The Sobol points are unscrambled, so they take no seed."""
     if count < 1:
         raise GroverError("sample count must be >= 1")
     u = SobolStream(1).draw(count).reshape(-1)
@@ -236,26 +238,13 @@ def angle_queries(
     ]
 
 
-@dataclass
-class AngleSynthesisResult:
-    status: str  # solved | unsolved | unknown
-    certificate: AngleCertificate | None
-    verification: VerificationReport | None
-    lp_time: float
-    smt_time: float
-    # the angle LP's one entry, with the keys of a circuit job's entries
-    # (`SynthesisResult.lp`); the angle model counts no terms
-    lp: list
-
-
 def synth_angle_certificate(
     g: GroverInstance,
     samples: int,
-    seed: int,
     solver_command: str = BUILTIN_COMMAND,
     workdir: str | Path = "runs/grover",
     timeout_s: float = 300.0,
-) -> AngleSynthesisResult:
+) -> SynthesisResult:
     """Scenario LP over (c, gamma, lam, delta) followed by the SMT gate.
 
     Rows: c*phi <= gamma on sampled initial angles, c*phi >= lam on sampled
@@ -264,13 +253,11 @@ def synth_angle_certificate(
     maximizes that side slack, with every variable boxed by COEFF_BOUND and
     c constrained nonnegative.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     t_steps = g.horizon_steps
     lo, hi = initial_interval(g)
-    init_phis = sample_interval(lo, hi, samples, seed)
-    unsafe_phis = sample_interval(UNSAFE_LO, UNSAFE_HI, samples, seed + 1)
+    init_phis = sample_interval(lo, hi, samples)
+    unsafe_phis = sample_interval(UNSAFE_LO, UNSAFE_HI, samples)
     th = theta(g)
     # variables: c, gamma, lam, delta; with c >= 0 the sampled rows
     # c*phi <= gamma and c*phi >= lam reduce exactly to the extreme angles;
@@ -299,18 +286,10 @@ def synth_angle_certificate(
         families=[("init", 0, 1), ("unsafe", 1, 2), ("step", 2, 3), ("side", 3, 4)],
     )
     sol = solve_lp(problem)
-    lp_time = _time.perf_counter() - t0
-    entry = {
-        "terms": None,
-        "round": 0,
-        "rows": problem.n_rows,
-        "rows_kept": sol.rows_kept,
-        "highs_calls": sol.highs_calls,
-        "simplex_iterations": sol.simplex_iterations,
-        "outcome": "no-candidate",
-    }
+    lp_time = time.perf_counter() - t0
+    entry = lp_entry(None, 0, problem, sol)
     if sol.status != "optimal" or sol.objective < MARGIN:
-        return AngleSynthesisResult("unsolved", None, None, lp_time, 0.0, [entry])
+        return SynthesisResult("unsolved", None, None, None, lp_time, 0.0, [], [entry])
     c, gamma, lam, delta = (float(v) for v in sol.x)
     # keep part of the slack as a buffer against boundary samples
     slack = lam - gamma - delta * t_steps - MARGIN
@@ -324,16 +303,13 @@ def synth_angle_certificate(
         delta=round(delta, 6) + 1e-6,
         horizon=t_steps,
     )
-    t1 = _time.perf_counter()
+    t1 = time.perf_counter()
     report = verify_queries(
         angle_queries(cert, g, timeout_s), solver_command, workdir, jobs=1
     )
-    smt_time = _time.perf_counter() - t1
-    status = {"verified": "solved", "refuted": "unsolved", "unknown": "unknown"}[
-        report.overall
-    ]
+    smt_time = time.perf_counter() - t1
     entry["outcome"] = report.overall
-    return AngleSynthesisResult(status, cert, report, lp_time, smt_time, [entry])
+    return SynthesisResult(report.status, cert, report, None, lp_time, smt_time, [], [entry])
 
 
 def noise_envelope_safe(g: GroverInstance) -> bool:

@@ -1078,17 +1078,35 @@ def extract_certificate(
 
 @dataclass
 class SynthesisResult:
+    """Outcome of one job of either model; the angle model counts no terms
+    and feeds back no counterexamples."""
+
     status: str  # solved | unsolved | unknown
-    certificate: Certificate | None
+    # a templates.Certificate, or a grover.AngleCertificate for the angle model
+    certificate: object | None
     verification: VerificationReport | None
-    terms_used: int
+    terms_used: int | None
     lp_time: float
     smt_time: float
     rejections: list
-    # per (terms, round): the LP's rows, and the rows kept, HiGHS calls and
-    # simplex iterations of its solve; then the outcome: no-candidate, or
-    # the gate's verdict (refuted, verified or unknown)
+    # one `lp_entry` per (terms, round)
     lp: list
+
+
+def lp_entry(terms: int | None, round_idx: int, problem: LPProblem, solution: LPSolution) -> dict:
+    """One solve's entry of `SynthesisResult.lp`: the LP's rows, and the
+    rows kept, HiGHS calls and simplex iterations of its solve; then the
+    outcome, no-candidate until the gate's verdict (refuted, verified or
+    unknown) replaces it."""
+    return {
+        "terms": terms,
+        "round": round_idx,
+        "rows": problem.n_rows,
+        "rows_kept": solution.rows_kept,
+        "highs_calls": solution.highs_calls,
+        "simplex_iterations": solution.simplex_iterations,
+        "outcome": "no-candidate",
+    }
 
 
 def synthesis_loop(
@@ -1159,17 +1177,7 @@ def synthesis_loop(
                 slp.polish_calls,
                 slp.polish_iterations,
             )
-            solves.append(
-                {
-                    "terms": size,
-                    "round": round_idx,
-                    "rows": problem.n_rows,
-                    "rows_kept": solution.rows_kept,
-                    "highs_calls": solution.highs_calls,
-                    "simplex_iterations": solution.simplex_iterations,
-                    "outcome": "no-candidate",
-                }
-            )
+            solves.append(lp_entry(size, round_idx, problem, solution))
             if cert is None:
                 break  # grow the template
             t1 = time.perf_counter()
@@ -1187,8 +1195,7 @@ def synthesis_loop(
             t_smt += time.perf_counter() - t1
             solves[-1]["outcome"] = report.overall
             if report.overall != "refuted":
-                status = "solved" if report.overall == "verified" else "unknown"
-                return result(status, cert, report, size)
+                return result(report.status, cert, report, size)
             ref = report.refutation
             query = next(q for q in queries if q.condition_id == ref.condition_id)
             state = model_to_state(query, ref.model)

@@ -222,9 +222,6 @@ class UncertainGate:
             )
         return self.generator(tuple(params))
 
-    def midpoint(self) -> tuple[float, ...]:
-        return tuple((lo + hi) / 2.0 for lo, hi in self.domain)
-
 
 def hadamard_uncertain(lo: float = 0.9, hi: float = 1.1) -> UncertainGate:
     """Mixing gate with a tunable off-diagonal weight; equals H at weight 1.

@@ -57,9 +57,6 @@ class RealPoly:
         e[index] = 1
         return RealPoly._wrap(nvars, {tuple(e): Fraction(1)})
 
-    def copy(self) -> "RealPoly":
-        return RealPoly._wrap(self.nvars, dict(self.coeffs))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -112,9 +109,6 @@ class RealPoly:
                     term = term.mul(base)
             out = out.add(term)
         return out
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
 
     def max_abs(self) -> float:
         return max((abs(float(c)) for c in self.coeffs.values()), default=0.0)

@@ -37,12 +37,18 @@ class RunReport:
     lp: list = field(default_factory=list)
 
     def to_dict(self, with_times: bool = True) -> dict:
+        """The report document; without times, it repeats at a seed."""
+        conditions = self.conditions
+        if not with_times:
+            conditions = [
+                {k: v for k, v in c.items() if k != "wall_s"} for c in conditions
+            ]
         doc = {
             "name": self.name,
             "status": self.status,
             "kind": self.kind,
             "certificate": self.certificate,
-            "conditions": self.conditions,
+            "conditions": conditions,
             "samples": self.samples,
             "seed": self.seed,
             "solver": self.solver,

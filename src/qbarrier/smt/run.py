@@ -66,6 +66,11 @@ class VerificationReport:
     wall_s: float
 
     @property
+    def status(self) -> str:
+        """The job status this outcome gives: solved, unsolved or unknown."""
+        return {"verified": "solved", "refuted": "unsolved", "unknown": "unknown"}[self.overall]
+
+    @property
     def refutation(self) -> Verdict | None:
         for v in self.verdicts:
             if v.status == "sat":

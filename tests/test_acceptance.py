@@ -173,7 +173,7 @@ def test_criterion_5_grover_angle_rows(tmp_path):
         g = GroverInstance(n=n, solutions=m, err=err, eta=eta, steps=steps)
         if name == "grover_n30_m1000":
             ok &= passline(horizon(g) == 814, "row 4 horizon formula gives 814")
-        res = synth_angle_certificate(g, samples, seed=7, workdir=tmp_path / name)
+        res = synth_angle_certificate(g, samples, workdir=tmp_path / name)
         ok &= passline(res.status == "solved", f"{name} verified")
         ok &= passline(res.lp_time < 5.0, f"{name} generation {res.lp_time:.2f}s < 5s")
         ok &= passline(
@@ -340,7 +340,7 @@ def test_criterion_7_soundness_gate(bundled_runs, tmp_path):
 
     for name, n, m, err, eta, steps, samples in GROVER_ROWS[:2]:
         g = GroverInstance(n=n, solutions=m, err=err, eta=eta, steps=steps)
-        res = synth_angle_certificate(g, samples, seed=7, workdir=tmp_path / name)
+        res = synth_angle_certificate(g, samples, workdir=tmp_path / name)
         base = res.certificate
         lo, hi = initial_interval(g)
         ulo, uhi = unsafe_interval()

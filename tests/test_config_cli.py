@@ -12,7 +12,7 @@ import pytest
 
 import qbarrier
 from qbarrier import load_config
-from qbarrier.cli import bundled_config_path, main
+from qbarrier.cli import bundled_config_path, main, run_job
 from qbarrier.config import ConfigError
 from qbarrier.lp import sample_scenarios
 from qbarrier.report import TOOL_ERROR_EXIT
@@ -231,6 +231,30 @@ def test_report_deciders_repeat_at_a_seed(tmp_path, caplog):
     assert "step: unsat (s-lemma, " in caplog.text
 
 
+def test_report_without_times_repeats_at_a_seed(tmp_path):
+    """`to_json(with_times=False)` leaves out every timing, each condition's
+    included, so two runs at one seed write the same bytes."""
+    config = bundled_config_path("zgate3_finite")
+    texts = [
+        run_job(load_config(config), tmp_path / tag).to_json(with_times=False)
+        for tag in ("a", "b")
+    ]
+    assert texts[0] == texts[1]
+    keys = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            keys.update(node)
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+
+    walk(json.loads(texts[0]))
+    assert "conditions" in keys and "timeout_s" in keys
+    assert {k for k in keys if k.endswith("_s")} == {"timeout_s"}
+
+
 def test_malformed_config_exits_above_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CFG.replace("prob(0) >= 0.9", "prob(0) == 0.9"))
@@ -348,10 +372,23 @@ GROVER_N5_CERT = {
         (GROVER_N5_CERT | {"T": 2.5}, "'T' must be an integer >= 1"),
         (GROVER_N5_CERT | {"T": True}, "'T' must be a finite number"),
         (GROVER_N5_CERT | {"c": True}, "'c' must be a finite number"),
+        # a certificate that does not fit its job: a (config, certificate)
+        # pair runs as it stands
+        ((X_FLIP_CFG, ANGLE_CERT), "angle certificate needs a [grover] job"),
+        (
+            (bundled_config_path("grover_n5_m1").read_text(), ZERO_CERT),
+            "polynomial certificate needs a circuit job",
+        ),
+        (
+            {"dim": 4, "terms": [[0] * 8]},
+            "certificate dimension 4 does not match the circuit dimension 2",
+        ),
     ],
 )
 def test_verify_rejects_malformed_certificates(tmp_path, capsys, change, message):
-    if change.get("kind") == "angle-linear":
+    if isinstance(change, tuple):
+        cfg, doc = change
+    elif change.get("kind") == "angle-linear":
         cfg, doc = bundled_config_path("grover_n5_m1").read_text(), change
     else:
         cfg, doc = X_FLIP_CFG, ZERO_CERT | change

@@ -96,14 +96,14 @@ def test_worst_case_decrement_dominates():
 
 
 def test_sample_interval_hits_left_endpoint():
-    pts = sample_interval(1.5, 2.5, 8, seed=1)
+    pts = sample_interval(1.5, 2.5, 8)
     assert pts[0] == 1.5
     assert ((1.5 <= pts) & (pts <= 2.5)).all()
 
 
 def test_synthesis_row2_verified(tmp_path):
     g = GroverInstance(n=5, solutions=8, err=0.5, eta=0.3, steps=2)
-    res = synth_angle_certificate(g, 500, seed=3, workdir=tmp_path)
+    res = synth_angle_certificate(g, 500, workdir=tmp_path)
     assert res.status == "solved"
     cert = res.certificate
     assert cert.c >= 0
@@ -114,7 +114,7 @@ def test_synthesis_row2_verified(tmp_path):
 def test_synthesis_infeasible_parameters(tmp_path):
     # rotation noise so large the decrement swallows the separation
     g = GroverInstance(n=2, solutions=1, err=0.25, eta=2.5, steps=10)
-    res = synth_angle_certificate(g, 200, seed=3, workdir=tmp_path)
+    res = synth_angle_certificate(g, 200, workdir=tmp_path)
     assert res.status == "unsolved"
     assert res.certificate is None
     assert [e["outcome"] for e in res.lp] == ["no-candidate"]

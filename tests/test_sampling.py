@@ -83,9 +83,9 @@ def _digest(job) -> str:
                 h.update(sample_states(region, n, seed).states.tobytes())
     else:
         lo, hi = initial_interval(job.grover)
-        n, seed = job.synthesis.samples, job.synthesis.seed
-        h.update(sample_interval(lo, hi, n, seed).tobytes())
-        h.update(sample_interval(UNSAFE_LO, UNSAFE_HI, n, seed + 1).tobytes())
+        n = job.synthesis.samples
+        h.update(sample_interval(lo, hi, n).tobytes())
+        h.update(sample_interval(UNSAFE_LO, UNSAFE_HI, n).tobytes())
     return h.hexdigest()
 
 
