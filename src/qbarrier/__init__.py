@@ -24,7 +24,6 @@ _EXPORTS = {
         "basis_state",
         "constant_dynamics",
         "grover_operator",
-        "hadamard_uncertain",
         "lift",
         "standard_gate",
         "step",

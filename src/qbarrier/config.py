@@ -56,12 +56,13 @@ from .quantum import (
     QuantumError,
     Schedule,
     StepMap,
+    UncertainGate,
     grover_operator,
-    hadamard_uncertain,
     lift,
     standard_gate,
 )
 from .regions import Region, RegionError, full_sphere, parse_region
+from .smt.run import BUILTIN_COMMAND, solver_argv
 
 
 class ConfigError(ValueError):
@@ -80,6 +81,14 @@ class SMTSettings:
             raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.solver != BUILTIN_COMMAND:
+            # a template that cannot give a command line fails here, before any job runs
+            try:
+                solver_argv(self.solver, "query.smt2", self.timeout)
+            except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"solver command {self.solver!r} is not a usable template: {exc!r}"
+                ) from None
 
 
 @dataclass
@@ -116,12 +125,11 @@ def _parse_factor(token: str, n: int):
             raise ConfigError("HE needs a target qubit")
         q = int(parts[1])
         _check_qubit(q, n)
-        lo, hi = 0.9, 1.1
-        if len(parts) >= 3:
-            spec = "".join(parts[2:]).strip("[]")
-            lo_s, _, hi_s = spec.partition(",")
-            lo, hi = float(lo_s), float(hi_s)
-        return (hadamard_uncertain(lo, hi), (q,))
+        if len(parts) < 3:
+            return UncertainGate(q)
+        spec = "".join(parts[2:]).strip("[]")
+        lo_s, _, hi_s = spec.partition(",")
+        return UncertainGate(q, float(lo_s), float(hi_s))
     gate = standard_gate(name)
     targets = [int(p) for p in parts[1:]]
     if len(targets) != gate.m:
@@ -173,7 +181,6 @@ def _parse_circuit(section) -> Dynamics:
     if not sched_text:
         if len(maps) == 1:
             order = [0]
-            labels = list(maps)
         else:
             raise ConfigError("[circuit] schedule is required with several maps")
     else:
@@ -190,7 +197,6 @@ def _parse_circuit(section) -> Dynamics:
             if lab not in maps:
                 raise ConfigError(f"[circuit] schedule references unknown map {lab!r}")
             order.append(ordered_labels.index(lab))
-        labels = ordered_labels
     return Dynamics(maps=tuple(maps.values()), schedule=Schedule(tuple(order)))
 
 

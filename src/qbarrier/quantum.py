@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def basis_state(index: int, n: int) -> QuantumState:
@@ -190,70 +187,52 @@ def grover_operator(n: int, solutions: Sequence[int]) -> Gate:
 
 @dataclass(frozen=True)
 class UncertainGate:
-    """Family of unitaries indexed by a point in a box of real parameters.
-
-    Every instantiation goes through Gate construction, so unitarity is
-    checked for each sampled parameter point.
-    """
-
-    nominal: Gate
-    domain: tuple[tuple[float, float], ...]
-    generator: Callable[[tuple[float, ...]], Gate]
-    name: str = "uncertain"
-
-    def __post_init__(self):
-        for lo, hi in self.domain:
-            if not lo <= hi:
-                raise QuantumError(f"empty parameter interval [{lo}, {hi}]")
-
-    @property
-    def n_params(self) -> int:
-        return len(self.domain)
-
-    def contains(self, params: Sequence[float]) -> bool:
-        if len(params) != len(self.domain):
-            return False
-        return all(lo <= p <= hi for p, (lo, hi) in zip(params, self.domain))
-
-    def instantiate(self, params: Sequence[float]) -> Gate:
-        if not self.contains(params):
-            raise QuantumError(
-                f"parameter point {tuple(params)} outside domain {self.domain}"
-            )
-        return self.generator(tuple(params))
-
-
-def hadamard_uncertain(lo: float = 0.9, hi: float = 1.1) -> UncertainGate:
-    """Mixing gate with a tunable off-diagonal weight; equals H at weight 1.
+    """The tunable mixing gate HE on one target qubit: entries
+    (s, s*u; s*u, -s) with s = 1/sqrt(1 + u^2), which is H at u = 1, for a
+    weight u anywhere in [lo, hi].
 
     The weights at both ends must give a unitary gate, else NonUnitaryError:
     an infinite weight, or one whose square overflows, gives none. s and
-    |s * eps| are monotone in |eps|, so then every weight between does."""
+    |s * u| are monotone in |u|, so then every weight between does. Every
+    instantiation goes through Gate construction, so unitarity is checked
+    for each sampled weight too.
+    """
 
-    def gen(params: tuple[float, ...]) -> Gate:
-        (eps,) = params
-        s = 1.0 / math.sqrt(1.0 + eps * eps)
-        return Gate(np.array([[s, s * eps], [s * eps, -s]], dtype=complex))
+    target: int
+    lo: float = 0.9
+    hi: float = 1.1
 
-    gate = UncertainGate(nominal=gen((1.0,)), domain=((lo, hi),), generator=gen, name="HE")
-    gen((lo,))
-    gen((hi,))
-    return gate
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise QuantumError(f"empty parameter interval [{self.lo}, {self.hi}]")
+        self._gate(self.lo)
+        self._gate(self.hi)
+
+    @staticmethod
+    def _gate(u: float) -> Gate:
+        s = 1.0 / math.sqrt(1.0 + u * u)
+        return Gate(np.array([[s, s * u], [s * u, -s]], dtype=complex))
+
+    def instantiate(self, u: float) -> Gate:
+        if not self.lo <= u <= self.hi:
+            raise QuantumError(
+                f"parameter point {(u,)} outside domain {((self.lo, self.hi),)}"
+            )
+        return self._gate(u)
 
 
 @dataclass(frozen=True)
 class StepMap:
-    """One scheduled evolution step: an ordered product of full-width factors.
+    """One scheduled evolution step: an ordered product of factors.
 
     Factors are applied in list order (first factor acts first). A factor is
-    either a fixed full-width Gate or an (UncertainGate, targets) pair that is
-    lifted on instantiation. Uncertain factors consume parameter points in
+    either a fixed full-width Gate or an UncertainGate, lifted onto its
+    target on instantiation. Uncertain factors take one parameter each, in
     factor order.
     """
 
     n: int
-    factors: tuple[object, ...]  # Gate | (UncertainGate, targets tuple)
-    label: str = ""
+    factors: tuple[Gate | UncertainGate, ...]
 
     def __post_init__(self):
         dim = 2 ** self.n
@@ -263,25 +242,16 @@ class StepMap:
                     raise QuantumError(
                         f"step factor acts on dim {f.dim}, expected {dim}"
                     )
-            else:
-                ug, targets = f
-                if not isinstance(ug, UncertainGate):
-                    raise QuantumError(f"bad step factor {f!r}")
-
-    @property
-    def uncertain_parts(self) -> list[UncertainGate]:
-        return [f[0] for f in self.factors if not isinstance(f, Gate)]
-
-    @property
-    def n_params(self) -> int:
-        return sum(ug.n_params for ug in self.uncertain_parts)
+            elif not isinstance(f, UncertainGate):
+                raise QuantumError(f"bad step factor {f!r}")
 
     @property
     def param_domain(self) -> tuple[tuple[float, float], ...]:
-        out: list[tuple[float, float]] = []
-        for ug in self.uncertain_parts:
-            out.extend(ug.domain)
-        return tuple(out)
+        return tuple((f.lo, f.hi) for f in self.factors if isinstance(f, UncertainGate))
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_domain)
 
     def matrix(self, params: Sequence[float] | None = None) -> np.ndarray:
         need = self.n_params
@@ -290,23 +260,18 @@ class StepMap:
                 f"step map needs {need} uncertainty parameter(s), got "
                 f"{0 if params is None else len(params)}"
             )
-        if params is None:
-            params = ()
         mat = np.eye(2 ** self.n, dtype=complex)
-        used = 0
+        it = iter(() if params is None else params)
         for f in self.factors:
             if isinstance(f, Gate):
                 mat = f.matrix @ mat
             else:
-                ug, targets = f
-                pt = tuple(params[used : used + ug.n_params])
-                used += ug.n_params
-                mat = lift(ug.instantiate(pt), targets, self.n).matrix @ mat
+                mat = lift(f.instantiate(next(it)), (f.target,), self.n).matrix @ mat
         return mat
 
 
-def fixed_step(gate: Gate, label: str = "") -> StepMap:
-    return StepMap(n=gate.m, factors=(gate,), label=label)
+def fixed_step(gate: Gate) -> StepMap:
+    return StepMap(n=gate.m, factors=(gate,))
 
 
 @dataclass(frozen=True)
@@ -377,8 +342,8 @@ class Dynamics:
         return mat
 
 
-def constant_dynamics(gate: Gate, label: str = "") -> Dynamics:
-    return Dynamics(maps=(fixed_step(gate, label),), schedule=Schedule((0,)))
+def constant_dynamics(gate: Gate) -> Dynamics:
+    return Dynamics(maps=(fixed_step(gate),), schedule=Schedule((0,)))
 
 
 def step(

@@ -161,8 +161,9 @@ def parse_constraint(text: str) -> AtomicConstraint:
     except (ValueError, ZeroDivisionError):
         raise RegionError(f"bad bound {rhs!r} in constraint {text!r}") from None
     terms = []
-    # split on +/- while keeping the sign with the term
-    pieces = _re.findall(r"[+-]?[^+-]+", lhs.replace(" ", ""))
+    # split on +/- while keeping the sign with the term, and an exponent's
+    # sign (a digit, then e or E) inside it
+    pieces = _re.findall(r"[+-]?(?:\d[eE][+-]|[^+-])+", lhs.replace(" ", ""))
     for piece in pieces:
         sign = 1.0
         if piece.startswith("+"):

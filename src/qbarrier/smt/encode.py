@@ -140,10 +140,12 @@ class SMTQuery:
         return np.array([model.get(name, 0.0) for name in self.var_names])
 
 
-def _var_names(dim: int, n_params: int, n_aux: int) -> tuple[str, ...]:
+def _var_names(dim: int, n_params: int) -> tuple[str, ...]:
+    """x and y per amplitude, then u (weight) and v (normalization) per HE
+    factor."""
     names = [f"x{j}" for j in range(dim)] + [f"y{j}" for j in range(dim)]
     names += [f"u{i}" for i in range(n_params)]
-    names += [f"v{i}" for i in range(n_aux)]
+    names += [f"v{i}" for i in range(n_params)]
     return tuple(names)
 
 
@@ -218,12 +220,11 @@ def _he_symbolic(ug: UncertainGate, nvars, param_index, aux_index):
         [ComplexPoly(s.mul(e), zero), ComplexPoly(s.scale(-1), zero)],
     ]
     norm = s.mul(s).add(s.mul(s).mul(e).mul(e))
-    (lo, hi) = ug.domain[0]
     constraints = [
         StructConstraint(poly=norm, op="=", rhs=Fraction(1)),
         StructConstraint(poly=s, op=">=", rhs=Fraction(0)),
-        StructConstraint(poly=e, op=">=", rhs=_const_fr(lo)),
-        StructConstraint(poly=e, op="<=", rhs=_const_fr(hi)),
+        StructConstraint(poly=e, op=">=", rhs=_const_fr(ug.lo)),
+        StructConstraint(poly=e, op="<=", rhs=_const_fr(ug.hi)),
     ]
     return entries, constraints
 
@@ -275,30 +276,23 @@ def _uncertain_step_poly(cert, offset, dyn, t0, count, dim):
     so that each polynomial has the final width. Returns (B, extra
     constraints, variable count, variable names).
     """
-    steps = [dyn.map_at(t0 + i) for i in range(count)]
-    n_params = sum(s.n_params for s in steps)
-    n_aux = sum(len(s.uncertain_parts) for s in steps)
-    nvars = amplitude_vars(dim, n_params + n_aux)
+    factors = [f for i in range(count) for f in dyn.map_at(t0 + i).factors]
+    n_params = sum(isinstance(f, UncertainGate) for f in factors)
+    nvars = amplitude_vars(dim, 2 * n_params)
     n = dyn.n
     state = _symbolic_state(dim, nvars)
     extra: list[StructConstraint] = []
-    param, aux = 2 * dim, 2 * dim + n_params
-    for factor in (f for s in steps for f in s.factors):
+    param = 2 * dim  # u of this factor; its v is n_params further on
+    for factor in factors:
         if isinstance(factor, Gate):
             state = _apply_gate(_lift_matrix(factor.matrix, nvars), range(n), n, state)
             continue
-        ug, targets = factor
-        if ug.name != "HE":
-            raise EncodeError(
-                f"uncertain gate {ug.name!r} has no polynomial form for SMT encoding"
-            )
-        entries, constraints = _he_symbolic(ug, nvars, param, aux)
+        entries, constraints = _he_symbolic(factor, nvars, param, param + n_params)
         param += 1
-        aux += 1
         extra.extend(constraints)
-        state = _apply_gate(entries, targets, n, state)
+        state = _apply_gate(entries, (factor.target,), n, state)
     poly = _substitute_cert(cert, offset, _state_forms(state, nvars), dim, nvars)
-    return poly, extra, nvars, _var_names(dim, n_params, n_aux)
+    return poly, extra, nvars, _var_names(dim, n_params)
 
 
 def encode_condition(
@@ -323,7 +317,7 @@ def encode_condition(
         return side_query(spec, side_value(spec.form, cert.constants, cert.decimals), timeout_s)
     dim = cert.dim
     nvars = amplitude_vars(dim)
-    names = _var_names(dim, 0, 0)
+    names = _var_names(dim, 0)
     extra: list[StructConstraint] = []
     if spec.window is None:
         after = certificate_realpoly(cert, spec.vec)

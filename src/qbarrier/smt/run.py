@@ -139,12 +139,25 @@ def _run_builtin(query: SMTQuery) -> tuple[str, dict | None, str]:
     return (*decision, decision.decider)
 
 
-def _run_external(query: SMTQuery, path: Path, command: str) -> tuple[str, dict | None]:
+def solver_argv(command: str, path: str | Path, timeout_s: float) -> list[str]:
+    """The argv that runs `command` on the query file at `path`: a template
+    with {file} is formatted, {timeout_s} in whole seconds, and split; any
+    other command is split and takes the path as its last argument.
+
+    Raises what str.format raises for a placeholder the template cannot
+    fill (KeyError, IndexError, AttributeError, TypeError or ValueError),
+    and ValueError for a command that does not split (an unclosed quote) or
+    names no program."""
     if "{file}" in command:
-        cmd = command.format(file=str(path), timeout_s=int(round(query.timeout_s)))
-        argv = shlex.split(cmd)
-    else:
-        argv = shlex.split(command) + [str(path)]
+        return shlex.split(command.format(file=str(path), timeout_s=int(round(timeout_s))))
+    argv = shlex.split(command)
+    if not argv:
+        raise ValueError("the solver command is empty")
+    return argv + [str(path)]
+
+
+def _run_external(query: SMTQuery, path: Path, command: str) -> tuple[str, dict | None]:
+    argv = solver_argv(command, path, query.timeout_s)
     try:
         grace = min(10.0, max(2.0, 0.2 * query.timeout_s))
         proc = subprocess.run(

@@ -159,6 +159,29 @@ def test_budget_overrides_exit_four_naming_the_key(tiny_config, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "template",
+    ["qbarrier-smt {file} {foo}", "qbarrier-smt {file} {0}", "qbarrier-smt {file} {timeout_s.x}",
+     'qbarrier-smt "{file}', ""],
+    ids=["unknown-placeholder", "positional-placeholder", "attribute", "unclosed-quote", "empty"],
+)
+def test_unusable_solver_template_exits_four_before_any_job(tiny_config, tmp_path, capsys, template):
+    # a template that does not format or split, or names no program, is a
+    # configuration error, from the command line and from the [smt] section
+    # alike (an empty --solver-cmd is no override, so only the file can be empty)
+    runs = []
+    if template:
+        runs.append(["--config", str(tiny_config), "--solver-cmd", template])
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CFG.replace("solver = builtin", f"solver = {template}"))
+    runs.append(["--config", str(bad)])
+    for i, args in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert main(["synth", *args, "--out", str(out)]) == 4
+        assert "solver command" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_synth_command_solves_and_writes_report(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

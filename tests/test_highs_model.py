@@ -344,9 +344,9 @@ def test_a_later_lp_extends_the_earlier_one():
     # an uncertain step draws five images of the global states; a global
     # counterexample adds its image under each of them to the step rows
     from qbarrier import Dynamics, Schedule, SynthesisConfig, standard_gate
-    from qbarrier.quantum import StepMap, hadamard_uncertain
+    from qbarrier.quantum import StepMap, UncertainGate
 
-    step = StepMap(n=2, factors=(standard_gate("CX"), (hadamard_uncertain(0.9, 1.1), (1,))))
+    step = StepMap(n=2, factors=(standard_gate("CX"), UncertainGate(1, 0.9, 1.1)))
     dyn = Dynamics(maps=(step,), schedule=Schedule((0,)))
     cfg = SynthesisConfig(flavor="hybrid", degree=2, samples=20, seed=5, k=2)
     init = parse_region(["prob(0) >= 0.9"], 4, "init")

@@ -41,7 +41,7 @@ from qbarrier.lp import (
     Scenarios,
     extract_certificate,
 )
-from qbarrier.quantum import StepMap, fixed_step, hadamard_uncertain
+from qbarrier.quantum import StepMap, UncertainGate, fixed_step
 from qbarrier.smt.encode import EncodeError, conditions_for, encode_condition
 from qbarrier.templates import BarrierTemplate, Certificate, CertificateError, state_conditions
 
@@ -181,11 +181,11 @@ def test_template_growth_is_monotone_prefix():
 
 
 def test_uncertain_dynamics_expand_step_rows_per_parameter_point(tmp_path):
-    from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
+    from qbarrier.quantum import Dynamics, Schedule, StepMap, UncertainGate
 
-    ug = hadamard_uncertain(0.9, 1.1)
+    ug = UncertainGate(0, 0.9, 1.1)
     dyn = Dynamics(
-        maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
+        maps=(StepMap(n=1, factors=(ug,)),), schedule=Schedule((0,))
     )
     init = parse_region(["prob(0) >= 0.9"], 2, "init")
     unsafe = parse_region(["prob(0) <= 0.1"], 2, "unsafe")
@@ -476,8 +476,8 @@ def _cx_cz_dynamics():
 
 
 def _he_dynamics():
-    ug = hadamard_uncertain(0.9, 1.1)
-    step_map = StepMap(n=2, factors=(standard_gate("CX"), (ug, (1,))))
+    ug = UncertainGate(1, 0.9, 1.1)
+    step_map = StepMap(n=2, factors=(standard_gate("CX"), ug))
     return Dynamics(maps=(step_map,), schedule=Schedule((0,)))
 
 

@@ -8,7 +8,6 @@ from qbarrier import (
     Schedule,
     basis_state,
     constant_dynamics,
-    hadamard_uncertain,
     lift,
     standard_gate,
     step,
@@ -20,6 +19,7 @@ from qbarrier.quantum import (
     QuantumError,
     QuantumState,
     StepMap,
+    UncertainGate,
     UnknownGateError,
     fixed_step,
 )
@@ -84,11 +84,11 @@ def test_step_alternating_cx_cz_flips_target():
 
 
 def test_uncertain_mixing_gate_at_one_is_hadamard():
-    ug = hadamard_uncertain(0.9, 1.1)
-    g = ug.instantiate((1.0,))
+    ug = UncertainGate(0, 0.9, 1.1)
+    g = ug.instantiate(1.0)
     assert np.allclose(g.matrix, standard_gate("H").matrix)
     d = Dynamics(
-        maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
+        maps=(StepMap(n=1, factors=(ug,)),), schedule=Schedule((0,))
     )
     out = step(d, 0, basis_state(0, 1), uncertainty=(1.0,))
     assert np.allclose(out.amps, [SQ2, SQ2])
@@ -96,12 +96,17 @@ def test_uncertain_mixing_gate_at_one_is_hadamard():
         step(d, 0, basis_state(0, 1))  # missing parameter point
 
 
+def test_step_factor_must_be_a_gate_or_an_uncertain_gate():
+    with pytest.raises(QuantumError, match="bad step factor"):
+        StepMap(n=1, factors=((UncertainGate(0), (0,)),))
+
+
 def test_uncertain_parameter_outside_domain_rejected():
-    ug = hadamard_uncertain(0.9, 1.1)
+    ug = UncertainGate(0, 0.9, 1.1)
     with pytest.raises(QuantumError):
-        ug.instantiate((2.0,))
+        ug.instantiate(2.0)
     for eps in np.linspace(0.9, 1.1, 7):
-        ug.instantiate((float(eps),))  # every sampled member is unitary
+        ug.instantiate(float(eps))  # every sampled member is unitary
 
 
 def test_norm_preservation_random_dynamics():
@@ -147,13 +152,13 @@ def test_nan_matrix_rejected():
 @pytest.mark.parametrize("lo,hi", [(0.9, np.inf), (-np.inf, 1.1), (1e200, 1e201)])
 def test_he_interval_ends_must_give_unitary_gates(lo, hi):
     with pytest.raises(NonUnitaryError):
-        hadamard_uncertain(lo, hi)
+        UncertainGate(0, lo, hi)
 
 
 def test_he_gate_is_unitary_across_a_wide_interval():
-    ug = hadamard_uncertain(-1e150, 1e150)
+    ug = UncertainGate(0, -1e150, 1e150)
     for eps in (-1e150, -3.0, 0.0, 1e-8, 7.5, 1e150):
-        assert np.allclose(ug.instantiate((eps,)).matrix @ ug.instantiate((eps,)).matrix.conj().T, np.eye(2))
+        assert np.allclose(ug.instantiate(eps).matrix @ ug.instantiate(eps).matrix.conj().T, np.eye(2))
 
 
 def test_state_validation():

@@ -179,6 +179,10 @@ def test_constraint_parsing():
     c3 = parse_constraint("0.5*prob(1) - re(0) <= 0.3")
     assert c3.terms[0] == ("prob", 1, 0.5)
     assert c3.terms[1] == ("re", 0, -1.0)
+    c4 = parse_constraint("1e-3*prob(0)+2.5E+1*re(1) <= 0.5")
+    assert c4.terms == (("prob", 0, 1e-3), ("re", 1, 25.0))
+    c5 = parse_constraint("prob(0)-1e-3*prob(1) >= 0")
+    assert c5.terms == (("prob", 0, 1.0), ("prob", 1, -1e-3))
     with pytest.raises(RegionError):
         parse_constraint("prob(0) == 0.5")
     with pytest.raises(RegionError):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +21,7 @@ from qbarrier import (
     tensor,
 )
 from qbarrier.cli import bundled_config_path
-from qbarrier.quantum import Dynamics, Schedule, StepMap, hadamard_uncertain
+from qbarrier.quantum import Dynamics, Schedule, StepMap, UncertainGate
 from qbarrier.smt.builtin import parse_problem
 from qbarrier.smt.encode import (
     EncodeError,
@@ -30,7 +29,7 @@ from qbarrier.smt.encode import (
     conditions_for,
     encode_condition,
 )
-from qbarrier.smt.run import builtin_problem, run_solver
+from qbarrier.smt.run import builtin_problem, model_params, run_solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -145,9 +144,9 @@ def test_unknown_condition_id_rejected():
 
 
 def he_setup():
-    ug = hadamard_uncertain(0.9, 1.1)
+    ug = UncertainGate(0, 0.9, 1.1)
     dyn = Dynamics(
-        maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
+        maps=(StepMap(n=1, factors=(ug,)),), schedule=Schedule((0,))
     )
     cert = Certificate(
         template=full_template(2, 2).prefix(2),
@@ -188,7 +187,7 @@ def cx_he_setup():
     """cx_setup's certificate over steps of CX then the uncertain mixing gate
     on qubit 1, so the k-step query composes two HE factors."""
     cert, init, unsafe, glob, _ = cx_setup()
-    step = StepMap(n=2, factors=(standard_gate("CX"), (hadamard_uncertain(0.9, 1.1), (1,))))
+    step = StepMap(n=2, factors=(standard_gate("CX"), UncertainGate(1, 0.9, 1.1)))
     return cert, init, unsafe, glob, Dynamics(maps=(step,), schedule=Schedule((0,)))
 
 
@@ -221,16 +220,6 @@ def test_uncertain_step_encoding_declares_parameters():
     assert "v0" in q.declarations  # normalization auxiliary
     ops = [c.op for c in q.constraints]
     assert ops.count("=") >= 2  # sphere plus the normalization equation
-
-
-def test_uncertain_gate_without_polynomial_form_is_rejected():
-    cert, init, unsafe, glob, _ = he_setup()
-    ug = dataclasses.replace(hadamard_uncertain(0.9, 1.1), name="PHASE")
-    dyn = Dynamics(
-        maps=(StepMap(n=1, factors=((ug, (0,)),)),), schedule=Schedule((0,))
-    )
-    with pytest.raises(EncodeError, match="PHASE"):
-        encode_condition(cert, "step", init, unsafe, glob, dyn)
 
 
 def _all_queries(setup):
@@ -307,6 +296,17 @@ def test_emitted_bytes_are_pinned(name):
         for q in _all_queries(SETUPS[name])
     }
     assert digests == PINNED_SHA256[name]
+
+
+def test_model_params_reads_the_window_u_values_in_order():
+    """The cx-he k-step query composes two HE factors: model_params returns
+    u0 then u1, and never a normalization v."""
+    cert, init, unsafe, glob, dyn = cx_he_setup()
+    q = encode_condition(cert, "k-step", init, unsafe, glob, dyn)
+    assert {"u0", "u1", "v0", "v1"} <= set(q.declarations)
+    model = {name: 0.0 for name in q.declarations}
+    model.update(u0=0.95, u1=1.05, v0=0.7, v1=0.6)
+    assert model_params(q, model) == (0.95, 1.05)
 
 
 @pytest.mark.parametrize(
