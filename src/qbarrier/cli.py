@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .config import ConfigError, JobConfig, load_config
 from .grover import AngleCertificate, angle_queries, synth_angle_certificate
-from .heap import pin_mmap_threshold
+from .heap import pin_blas_threads, pin_mmap_threshold
 from .lp import LPError, sample_scenarios, synthesis_loop
 from .regions import RegionError
 from .report import EXIT_CODES, TOOL_ERROR_EXIT, RunReport, conditions_doc
@@ -116,6 +116,7 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
 def run_job(job: JobConfig, out_dir: Path) -> RunReport:
     """Execute one synthesis job end to end and assemble its report."""
     pin_mmap_threshold()
+    pin_blas_threads()
     cfg = job.synthesis
     if job.kind == "grover":
         sampling_s = 0.0

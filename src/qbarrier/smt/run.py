@@ -140,20 +140,18 @@ def _run_builtin(query: SMTQuery) -> tuple[str, dict | None, str]:
 
 
 def solver_argv(command: str, path: str | Path, timeout_s: float) -> list[str]:
-    """The argv that runs `command` on the query file at `path`: a template
-    with {file} is formatted, {timeout_s} in whole seconds, and split; any
-    other command is split and takes the path as its last argument.
+    """The argv that runs `command` on the query file at `path`: the
+    template's {file} and {timeout_s} (in whole seconds) are filled and it is
+    split; a command without {file} takes the path as its last argument.
 
     Raises what str.format raises for a placeholder the template cannot
     fill (KeyError, IndexError, AttributeError, TypeError or ValueError),
     and ValueError for a command that does not split (an unclosed quote) or
     names no program."""
-    if "{file}" in command:
-        return shlex.split(command.format(file=str(path), timeout_s=int(round(timeout_s))))
-    argv = shlex.split(command)
+    argv = shlex.split(command.format(file=str(path), timeout_s=int(round(timeout_s))))
     if not argv:
         raise ValueError("the solver command is empty")
-    return argv + [str(path)]
+    return argv if "{file}" in command else argv + [str(path)]
 
 
 def _run_external(query: SMTQuery, path: Path, command: str) -> tuple[str, dict | None]:

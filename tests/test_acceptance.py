@@ -9,6 +9,7 @@ trajectory oracles that know nothing about the synthesis path.
 import math
 
 import numpy as np
+import pytest
 
 from conftest import passline
 
@@ -165,6 +166,33 @@ def test_criterion_4_negative_results(bundled_runs):
         "status taxonomy maps to exit codes 2 and 1",
     )
     assert ok
+
+
+XGATE3_WITNESS = np.sqrt([0.125, 0.875, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "name, state, steps",
+    [
+        # init bounds only prob(0), so prob(1) = 0.875 >= 0.8 is unsafe at once
+        ("xgate3_infinite", XGATE3_WITNESS, 0),
+        ("xgate3_finite_t1", XGATE3_WITNESS, 0),
+        ("xgate3_finite_t2", XGATE3_WITNESS, 0),
+        # one H 0; H 1 step leaves prob(0) = 0.040 <= 0.1 (at sqrt(0.9), the
+        # boundary of init, the state falls outside init in floats)
+        ("hadamard2_finite_t1", [math.sqrt(0.9001)] + [-math.sqrt(0.0999 / 3)] * 3, 1),
+        # every prob is 1/4 and every im is 0; one GROVER 3 step maps it to |0>
+        ("groverfull2_infinite", [-0.5, 0.5, 0.5, -0.5], 1),
+    ],
+)
+def test_false_properties_have_unsafe_witnesses(name, state, steps):
+    # these rows end unsolved because no barrier exists: an initial state
+    # reaches the unsafe region within the horizon
+    job = load_config(bundled_config_path(name))
+    z = np.asarray(state, dtype=complex)[None]
+    assert job.init_region.membership_batch(z)[0]
+    image = z @ job.dynamics.composed_matrix(0, steps).T
+    assert job.unsafe_region.membership_batch(image)[0]
 
 
 def test_criterion_5_grover_angle_rows(tmp_path):

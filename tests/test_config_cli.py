@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qbarrier
+import qbarrier.heap
 from qbarrier import load_config
 from qbarrier.cli import bundled_config_path, main, run_job
 from qbarrier.config import ConfigError
@@ -162,8 +163,9 @@ def test_budget_overrides_exit_four_naming_the_key(tiny_config, tmp_path, capsys
 @pytest.mark.parametrize(
     "template",
     ["qbarrier-smt {file} {foo}", "qbarrier-smt {file} {0}", "qbarrier-smt {file} {timeout_s.x}",
-     'qbarrier-smt "{file}', ""],
-    ids=["unknown-placeholder", "positional-placeholder", "attribute", "unclosed-quote", "empty"],
+     'qbarrier-smt "{file}', "", "qbarrier-smt {foo}", "qbarrier-smt {0}"],
+    ids=["unknown-placeholder", "positional-placeholder", "attribute", "unclosed-quote", "empty",
+         "unknown-placeholder-without-file", "positional-placeholder-without-file"],
 )
 def test_unusable_solver_template_exits_four_before_any_job(tiny_config, tmp_path, capsys, template):
     # a template that does not format or split, or names no program, is a
@@ -641,16 +643,58 @@ print(resident_mb() - before - held / 2**20)
 """
 
 
-def _footprint(probe: str) -> list[float]:
-    """The megabytes a fresh process running `probe` prints."""
+# A product of 40,000 states by a 64 x 64 step matrix, as `lp._image` forms a
+# job's step image, and a coefficient vector times a term-major block of term
+# values, as `ScenarioLP.residual` forms its rows. Each is big enough for
+# OpenBLAS to split over its threads.
+BLAS_PRODUCTS = """
+import numpy as np
+from qbarrier.lp import _image
+
+rng = np.random.default_rng(3)
+states = rng.standard_normal((40000, 64)) + 1j * rng.standard_normal((40000, 64))
+mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+values = rng.standard_normal((48, 40000)) + 1j * rng.standard_normal((48, 40000))
+vector = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+"""
+
+BLAS_FOOTPRINT = RESIDENT_MB + BLAS_PRODUCTS + """
+from qbarrier.heap import pin_blas_threads
+
+assert pin_blas_threads()
+before = resident_mb()
+image = _image(states, mat)
+print(resident_mb() - before - image.nbytes / 2**20)
+"""
+
+BLAS_DIGESTS = BLAS_PRODUCTS + """
+import hashlib
+import sys
+
+from qbarrier.heap import pin_blas_threads
+
+if sys.argv[1] == "pin":
+    assert pin_blas_threads()
+for product in (_image(states, mat), vector @ values):
+    print(hashlib.sha256(product.tobytes()).hexdigest())
+"""
+
+
+def _fresh_output(probe: str, *args: str) -> list[str]:
+    """The words a fresh process running `probe` with `args` prints."""
     src = str(Path(qbarrier.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *args],
         capture_output=True, text=True, check=True, env=env, timeout=120,
     )
-    return [float(mb) for mb in out.stdout.split()]
+    return out.stdout.split()
+
+
+def _footprint(probe: str) -> list[float]:
+    """The megabytes a fresh process running `probe` prints."""
+    return [float(mb) for mb in _fresh_output(probe)]
 
 
 @pytest.mark.skipif(
@@ -672,3 +716,28 @@ def test_threaded_sampling_leaves_only_its_result_resident():
     # arena without malloc_trim about 18 MiB
     (grown,) = _footprint(SAMPLING_FOOTPRINT)
     assert grown < 4
+
+
+openblas_on_linux = pytest.mark.skipif(
+    sys.platform != "linux" or not qbarrier.heap._openblas_paths(),
+    reason="OpenBLAS thread settings, found through /proc",
+)
+
+
+@openblas_on_linux
+def test_pinned_blas_leaves_only_the_product_resident():
+    # unpinned, the first product split over threads gives OpenBLAS's worker
+    # thread a GEMM buffer of about 30 MB for the life of the process
+    (grown,) = _footprint(BLAS_FOOTPRINT)
+    assert grown < 4
+
+
+@openblas_on_linux
+def test_pinned_blas_keeps_every_product_bit_identical():
+    assert _fresh_output(BLAS_DIGESTS, "pin") == _fresh_output(BLAS_DIGESTS, "threads")
+
+
+@pytest.mark.parametrize("paths", [[], ["/nonexistent/libopenblas.so"]], ids=["none", "unloadable"])
+def test_blas_pin_without_openblas_changes_nothing(monkeypatch, paths):
+    monkeypatch.setattr(qbarrier.heap, "_openblas_paths", lambda: paths)
+    assert qbarrier.heap.pin_blas_threads.__wrapped__() is False

@@ -12,6 +12,7 @@ from qbarrier.smt.run import (
     _parse_model_text,
     model_to_state,
     run_solver,
+    solver_argv,
     verify_certificate,
 )
 
@@ -122,6 +123,19 @@ def test_external_timeout_yields_unknown(tmp_path):
     q_fast = q
     v = run_mod.run_solver(q_fast, cmd, tmp_path)
     assert v.status == "unknown"
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("z3 -T:{timeout_s} {file}", ["z3", "-T:5", "q.smt2"]),
+        # without {file}, {timeout_s} is still filled and the path comes last
+        ("z3 -T:{timeout_s}", ["z3", "-T:5", "q.smt2"]),
+        ("z3 -smt2", ["z3", "-smt2", "q.smt2"]),
+    ],
+)
+def test_solver_argv_fills_every_template(command, argv):
+    assert solver_argv(command, "q.smt2", 4.6) == argv
 
 
 def test_missing_solver_binary_is_tool_error(tmp_path):
