@@ -214,7 +214,14 @@ def _highs_class():
     """scipy's `_Highs` class. A module already in `sys.modules` (when
     scipy.optimize was imported first) is reused. Otherwise the extension
     goes into `sys.modules` under its full name before it runs, so a later
-    `import scipy.optimize` reuses it and pybind11 registers the class once."""
+    `import scipy.optimize` reuses it and pybind11 registers the class once.
+
+    After such a direct load, the import forms `from scipy.optimize._highspy
+    import _core` and `import scipy.optimize._highspy._core` give this
+    module, but the attribute chain `scipy.optimize._highspy._core` raises
+    AttributeError: the import system binds a submodule to its package only
+    when it loads the submodule itself, and this one was in `sys.modules`
+    first. SciPy itself uses the import forms alone."""
     module = sys.modules.get(_HIGHS_CORE)
     if module is None:
         scipy = importlib.util.find_spec("scipy")  # finds scipy without importing it

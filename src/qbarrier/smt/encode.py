@@ -17,10 +17,19 @@ acting on every qubit (its forms are cached by the matrix bytes), and an
 uncertain window applies each factor of each step in order, the HE mixing
 gate as a 2x2 over fresh u and v variables on its target qubit. No symbolic
 matrix is formed.
+
+What queries share is built once, and no user may change it, so no emitted
+byte depends on what is cached. Bounded caches keep, for the life of the
+process, a fixed window's forms per matrix bytes, a region's constraints per
+(region, dim, nvars), the sphere equation per (dim, nvars) and the variable
+names per width. A constraint keeps, for its own life, its SMT text per
+variable names, its used variables and its builtin normal form per variable
+numbering. A certificate keeps its expansion per coefficient vector and
+width (`Certificate.realpoly`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress
 from fractions import Fraction
@@ -33,7 +42,6 @@ from ..realpoly import (
     ComplexPoly,
     RealPoly,
     amplitude_vars,
-    certificate_realpoly,
     constraint_poly,
     rational_sexpr,
     sphere_poly,
@@ -48,6 +56,7 @@ from ..templates import (
     side_value,
     state_conditions,
 )
+from .builtin import Constraint, normal_constraint
 
 
 class EncodeError(ValueError):
@@ -79,15 +88,49 @@ def poly_sexpr(poly: RealPoly, names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class StructConstraint:
-    """One assertion kept in structured form for numeric re-checks."""
+    """One assertion kept in structured form for numeric re-checks.
+
+    Its SMT text, its used variables and its builtin normal form are each
+    built once per argument and then kept: region and sphere constraints are
+    shared by many queries, so neither the constraint nor what it returns
+    may be changed."""
 
     poly: RealPoly
     op: str  # "<=", ">=", "<", ">", "="
     rhs: Fraction
     negated_condition: bool = False
+    # what `sexpr` and `normal_form` built, keyed by their argument
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def used(self) -> frozenset[int]:
+        """The indices of the variables that some monomial uses."""
+        return frozenset(i for exps in self.poly.coeffs for i in compress(range(len(exps)), exps))
 
     def sexpr(self, names: Sequence[str]) -> str:
-        return f"(assert ({self.op} {poly_sexpr(self.poly, names)} {rational_sexpr(self.rhs)}))"
+        key = ("sexpr", tuple(names))
+        if key not in self._built:
+            self._built[key] = (
+                f"(assert ({self.op} {poly_sexpr(self.poly, names)} {rational_sexpr(self.rhs)}))"
+            )
+        return self._built[key]
+
+    def normal_form(self, where: tuple[int | None, ...]) -> Constraint:
+        """The constraint as `builtin.parse_problem` reads its text when
+        variable i is declared at position where[i] (None: undeclared): the
+        terms renamed in emitted order, then normalised as the parser does."""
+        key = ("normal", where)
+        if key not in self._built:
+            nv = len(where) - where.count(None)
+            coeffs = {}
+            for exps, coeff in sorted(self.poly.coeffs.items()):
+                renamed = [0] * nv
+                for i in compress(range(len(exps)), exps):
+                    renamed[where[i]] = exps[i]
+                coeffs[tuple(renamed)] = coeff
+            rhs = RealPoly.constant(nv, self.rhs)
+            self._built[key] = normal_constraint(RealPoly._wrap(nv, coeffs), self.op, rhs)
+        return self._built[key]
 
     def holds(self, point: np.ndarray, slack: float = 1e-9) -> bool:
         val = float(self.poly.eval_floats(point.reshape(1, -1))[0])
@@ -118,10 +161,7 @@ class SMTQuery:
     def declarations(self) -> tuple[str, ...]:
         """The variables that some monomial uses, sorted by name; computed
         once per query, for its text and its in-memory problem."""
-        used: set[int] = set()
-        for c in self.constraints:
-            for exps in c.poly.coeffs:
-                used.update(i for i, e in enumerate(exps) if e)
+        used = frozenset().union(*(c.used for c in self.constraints))
         return tuple(sorted(self.var_names[i] for i in used))
 
     @property
@@ -140,6 +180,7 @@ class SMTQuery:
         return np.array([model.get(name, 0.0) for name in self.var_names])
 
 
+@lru_cache(maxsize=32)
 def _var_names(dim: int, n_params: int) -> tuple[str, ...]:
     """x and y per amplitude, then u (weight) and v (normalization) per HE
     factor."""
@@ -149,17 +190,17 @@ def _var_names(dim: int, n_params: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _region_constraints(region: Region, dim: int, nvars: int) -> list[StructConstraint]:
-    out = []
-    for c in region.constraints:
-        out.append(
-            StructConstraint(
-                poly=constraint_poly(c, dim, nvars), op=c.op, rhs=c.bound_exact
-            )
-        )
-    return out
+@lru_cache(maxsize=128)
+def _region_constraints(region: Region, dim: int, nvars: int) -> tuple[StructConstraint, ...]:
+    """The region's predicates over nvars variables, shared by every query
+    over the region at that width."""
+    return tuple(
+        StructConstraint(poly=constraint_poly(c, dim, nvars), op=c.op, rhs=c.bound_exact)
+        for c in region.constraints
+    )
 
 
+@lru_cache(maxsize=32)
 def _sphere_constraint(dim: int, nvars: int) -> StructConstraint:
     return StructConstraint(poly=sphere_poly(dim, nvars), op="=", rhs=Fraction(1))
 
@@ -243,8 +284,7 @@ def _fixed_row_forms(matrix_bytes: bytes, dim: int, nvars: int) -> tuple[RealPol
 def _substitute_cert(
     cert: Certificate, offset: int, forms: Sequence[RealPoly | None], dim: int, nvars: int
 ) -> RealPoly:
-    base = certificate_realpoly(cert, offset, extra_vars=nvars - 2 * dim)
-    return base.substitute(forms).snap()
+    return cert.realpoly(offset, nvars - 2 * dim).substitute(forms).snap()
 
 
 def conditions_for(cert: Certificate) -> list[StateCondition | SideCondition]:
@@ -320,7 +360,7 @@ def encode_condition(
     names = _var_names(dim, 0)
     extra: list[StructConstraint] = []
     if spec.window is None:
-        after = certificate_realpoly(cert, spec.vec)
+        after = cert.realpoly(spec.vec)
     elif dynamics is None:
         raise EncodeError(f"condition {spec.condition_id!r} needs the dynamics")
     else:
@@ -332,23 +372,23 @@ def encode_condition(
             forms = _fixed_row_forms(mat.tobytes(), dim, nvars)
             after = _substitute_cert(cert, spec.vec, forms, dim, nvars)
     if spec.before is not None:
-        after = after.sub(certificate_realpoly(cert, spec.before, extra_vars=nvars - 2 * dim))
+        after = after.sub(cert.realpoly(spec.before, nvars - 2 * dim))
     region = {"init": init_region, "unsafe": unsafe_region, "global": global_region}[spec.region]
-    cons = _region_constraints(region, dim, nvars)
-    cons.append(_sphere_constraint(dim, nvars))
-    cons.extend(extra)
-    cons.append(
-        StructConstraint(
-            poly=after,
-            op=">" if spec.sign > 0 else "<",
-            rhs=cert.exact(THRESHOLDS[cert.flavor][spec.kind]),
-            negated_condition=True,
-        )
+    negated = StructConstraint(
+        poly=after,
+        op=">" if spec.sign > 0 else "<",
+        rhs=cert.exact(THRESHOLDS[cert.flavor][spec.kind]),
+        negated_condition=True,
     )
     return SMTQuery(
         condition_id=spec.condition_id,
         dim=dim,
         var_names=names,
-        constraints=tuple(cons),
+        constraints=(
+            *_region_constraints(region, dim, nvars),
+            _sphere_constraint(dim, nvars),
+            *extra,
+            negated,
+        ),
         timeout_s=timeout_s,
     )

@@ -26,7 +26,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..realpoly import RealPoly
 from . import builtin as _builtin
 from .encode import SMTQuery
 
@@ -115,22 +114,13 @@ def recheck_model(query: SMTQuery, model: dict[str, float]) -> bool:
 def builtin_problem(query: SMTQuery) -> _builtin.Problem:
     """The Problem that `parse_problem(query.text)` returns, built without
     the text: variables numbered in declaration order, terms in the order
-    they are emitted, each constraint normalised as the parser does."""
+    they are emitted, each constraint normalised as the parser does. Each
+    normal form is the one its constraint keeps, shared by every query that
+    holds the constraint; the deciders only read it."""
     names = list(query.declarations)
     index = {name: i for i, name in enumerate(names)}
-    where = [index.get(name) for name in query.var_names]
-    nv = len(names)
-    constraints = []
-    for c in query.constraints:
-        coeffs = {}
-        for exps, coeff in sorted(c.poly.coeffs.items()):
-            renamed = [0] * nv
-            for i, e in enumerate(exps):
-                if e:
-                    renamed[where[i]] = e
-            coeffs[tuple(renamed)] = coeff
-        rhs = RealPoly.constant(nv, c.rhs)
-        constraints.append(_builtin.normal_constraint(RealPoly._wrap(nv, coeffs), c.op, rhs))
+    where = tuple(index.get(name) for name in query.var_names)
+    constraints = [c.normal_form(where) for c in query.constraints]
     return _builtin.Problem(names=names, constraints=constraints)
 
 

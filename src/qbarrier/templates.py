@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .realpoly import exact_value
+from .realpoly import RealPoly, certificate_realpoly, exact_value
 
 FLAVORS = ("invariant", "k-inductive", "hybrid", "finite-horizon")
 
@@ -269,6 +269,8 @@ class Certificate:
     flavor: str
     constants: dict[str, float]
     decimals: int | None = None
+    # `realpoly` expansions by (offset, extra_vars)
+    _realpolys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -334,6 +336,15 @@ class Certificate:
     @property
     def dim(self) -> int:
         return self.template.dim
+
+    def realpoly(self, offset: int = 0, extra_vars: int = 0) -> RealPoly:
+        """`certificate_realpoly(self, offset, extra_vars)`, expanded once per
+        (offset, extra_vars) and kept for the life of the certificate, whose
+        coefficient vectors are read-only. Callers must not change it."""
+        key = (offset, extra_vars)
+        if key not in self._realpolys:
+            self._realpolys[key] = certificate_realpoly(self, offset, extra_vars)
+        return self._realpolys[key]
 
     def coefficients(self, offset: int = 0) -> np.ndarray:
         if self.flavor == "hybrid":

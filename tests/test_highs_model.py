@@ -35,6 +35,7 @@ from qbarrier.lp import (
 )
 from qbarrier.regions import full_sphere, parse_region
 from qbarrier.templates import full_template
+from test_config_cli import _fresh_output
 
 
 def test_bindings_have_every_method_the_module_calls():
@@ -59,6 +60,30 @@ def test_missing_bindings_name_the_scipy_floor(monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     with pytest.raises(LPSolverError, match=r"scipy>=1\.17"):
         qbarrier.lp._highs_class.__wrapped__()
+
+
+HIGHS_IMPORT_PROBE = """
+import sys
+import numpy as np
+from qbarrier.lp import _HIGHS_CORE, DenseRows, LPProblem, _highs_class, solve_lp
+solve_lp(LPProblem(
+    rows=DenseRows(np.array([[1.0]]), np.array([1.0])),
+    bounds=[(None, None)],
+    objective=np.array([1.0]),
+    families=[("only", 0, 1)],
+))
+loaded = sys.modules[_HIGHS_CORE]
+print("scipy.optimize" in sys.modules)
+from scipy.optimize._highspy import _core
+print(_core is loaded, _core._Highs is _highs_class())
+"""
+
+
+def test_import_form_after_a_solve_gives_the_loaded_extension():
+    """In a fresh process, after one LP solve has loaded the HiGHS extension
+    on its own, `from scipy.optimize._highspy import _core` returns that
+    module, with the same `_Highs` class."""
+    assert _fresh_output(HIGHS_IMPORT_PROBE) == ["False", "True", "True"]
 
 
 def _run(cost, bounds, a, b, **options):

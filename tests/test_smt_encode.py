@@ -20,12 +20,16 @@ from qbarrier import (
     standard_gate,
     tensor,
 )
+import qbarrier.templates
 from qbarrier.cli import bundled_config_path
 from qbarrier.quantum import Dynamics, Schedule, StepMap, UncertainGate
 from qbarrier.smt.builtin import parse_problem
 from qbarrier.smt.encode import (
     EncodeError,
     _fixed_row_forms,
+    _region_constraints,
+    _sphere_constraint,
+    _var_names,
     conditions_for,
     encode_condition,
 )
@@ -381,25 +385,45 @@ def _assert_same_problem(parsed, built, label):
         assert list(b.poly.coeffs.items()) == list(p.poly.coeffs.items()), where
 
 
-def _recheck_queries(indices=None):
-    """(certificate index, query) for every condition of the certificates
-    stored for the `recheck` benchmark, or of those at `indices`."""
+def _recheck_certificates(indices=None, configs=None):
+    """(index, certificate, job) for each certificate stored for the
+    `recheck` benchmark, or for those at `indices` or of the jobs named in
+    `configs`."""
     doc = json.loads((PERFBENCH / "data" / "recheck.json").read_text(encoding="utf-8"))
     jobs = {}
+    out = []
     for i, entry in enumerate(doc["certificates"]):
-        if indices is not None and i not in indices:
-            continue
         name = entry["config"]
+        if indices is not None and i not in indices or configs is not None and name not in configs:
+            continue
         if name not in jobs:
             local = PERFBENCH / "configs" / f"{name}.cfg"
             jobs[name] = load_config(local if local.is_file() else bundled_config_path(name))
-        job = jobs[name]
-        cert = Certificate.from_dict(entry["certificate"])
+        out.append((i, Certificate.from_dict(entry["certificate"]), jobs[name]))
+    return out
+
+
+def _recheck_queries(indices=None, certificates=None):
+    """(certificate index, query) for every condition of the certificates
+    stored for the `recheck` benchmark, or of those at `indices`, or of the
+    `certificates` given as `_recheck_certificates` gives them."""
+    for i, cert, job in certificates or _recheck_certificates(indices):
         for spec in conditions_for(cert):
             yield i, encode_condition(
                 cert, spec, job.init_region, job.unsafe_region, job.global_region,
                 job.dynamics, job.smt.timeout,
             )
+
+
+# the 358 recheck queries: the sha256 of their texts in order, and of the
+# builtin engine's status and decider for each, with the deciders' counts
+RECHECK_TEXT_SHA256 = "a23e9a356f22f0a6dde31baed1a509a4820117a25e6e5b31d350fa4a8a743e77"
+RECHECK_VERDICT_SHA256 = "c3ebffcb6cb36685d9139555032b4683f504b718c1e607cef2bdb48027cdc85e"
+RECHECK_DECIDERS = {"constant": 207, "feature-lp": 133, "s-lemma": 8, "none": 7, "probe": 3}
+
+
+def _verdict_line(i, q, verdict) -> bytes:
+    return f"{i} {q.condition_id} {verdict.status} {verdict.decider}\n".encode()
 
 
 def test_builtin_problem_equals_the_parse_of_every_recheck_query():
@@ -416,9 +440,7 @@ def test_builtin_problem_equals_the_parse_of_every_recheck_query():
         certificates.add(i)
         count += 1
     assert (len(certificates), count) == (66, 358)
-    assert digest.hexdigest() == (
-        "a23e9a356f22f0a6dde31baed1a509a4820117a25e6e5b31d350fa4a8a743e77"
-    )
+    assert digest.hexdigest() == RECHECK_TEXT_SHA256
 
 
 def test_every_recheck_verdict_and_decider_is_pinned(tmp_path):
@@ -428,12 +450,73 @@ def test_every_recheck_verdict_and_decider_is_pinned(tmp_path):
     deciders = Counter()
     for i, q in _recheck_queries():
         v = run_solver(q, workdir=tmp_path)
-        digest.update(f"{i} {q.condition_id} {v.status} {v.decider}\n".encode())
+        digest.update(_verdict_line(i, q, v))
         deciders[v.decider] += 1
-    assert deciders == {"constant": 207, "feature-lp": 133, "s-lemma": 8, "none": 7, "probe": 3}
-    assert digest.hexdigest() == (
-        "c3ebffcb6cb36685d9139555032b4683f504b718c1e607cef2bdb48027cdc85e"
-    )
+    assert deciders == RECHECK_DECIDERS
+    assert digest.hexdigest() == RECHECK_VERDICT_SHA256
+
+
+def test_warm_caches_change_no_recheck_text_problem_or_verdict(tmp_path):
+    """The 358 recheck queries encoded and decided twice in one process, from
+    the same certificate objects: the second pass, on warm region, sphere and
+    certificate caches and kept texts and normal forms, gives the pinned
+    texts, problems, verdicts and deciders again, so no decider changed a
+    shared polynomial, constraint or normal form."""
+    certificates = _recheck_certificates()
+    for _ in range(2):
+        texts, verdicts = hashlib.sha256(), hashlib.sha256()
+        deciders = Counter()
+        for i, q in _recheck_queries(certificates=certificates):
+            _assert_same_problem(parse_problem(q.text), builtin_problem(q), f"{i} {q.condition_id}")
+            texts.update(q.text.encode())
+            v = run_solver(q, workdir=tmp_path)
+            verdicts.update(_verdict_line(i, q, v))
+            deciders[v.decider] += 1
+        assert texts.hexdigest() == RECHECK_TEXT_SHA256
+        assert (verdicts.hexdigest(), deciders) == (RECHECK_VERDICT_SHA256, RECHECK_DECIDERS)
+
+
+@pytest.mark.parametrize(
+    "config,expansions",
+    [
+        # hybrid, k = 2: each certificate's two vectors over the amplitudes
+        ("altcxcz2_infinite", 4),
+        # invariant with HE: the step query reads the one vector over u0 and
+        # v0 as well, and its global region is built at that width too
+        ("zhe2_invariant", 4),
+    ],
+)
+def test_shared_query_pieces_are_built_once_per_key(monkeypatch, config, expansions):
+    """Encoding every condition of two certificates of one job builds each
+    region's constraints and the sphere once per (region, dim, nvars), and
+    expands each certificate vector once per width."""
+    expand = qbarrier.templates.certificate_realpoly
+    built = Counter()
+
+    def counting(cert, offset=0, extra_vars=0):
+        built[id(cert), offset, extra_vars] += 1
+        return expand(cert, offset, extra_vars)
+
+    monkeypatch.setattr(qbarrier.templates, "certificate_realpoly", counting)
+    certificates = _recheck_certificates(configs={config})
+    assert len(certificates) == 2
+    for cache in (_region_constraints, _sphere_constraint):
+        cache.cache_clear()
+    keys, widths = set(), set()
+    for i, cert, job in certificates:
+        regions = {"init": job.init_region, "unsafe": job.unsafe_region, "global": job.global_region}
+        for spec in conditions_for(cert):
+            q = encode_condition(
+                cert, spec, job.init_region, job.unsafe_region, job.global_region, job.dynamics
+            )
+            if q.dim:
+                keys.add((regions[spec.region], q.dim, len(q.var_names)))
+                widths.add((q.dim, len(q.var_names)))
+    assert _region_constraints.cache_info().misses == len(keys)
+    assert _sphere_constraint.cache_info().misses == len(widths)
+    assert len(built) == expansions and set(built.values()) == {1}
+    for cache in (_var_names, _region_constraints, _sphere_constraint, _fixed_row_forms):
+        assert cache.cache_parameters()["maxsize"] is not None
 
 
 def test_recheck_k_step_queries_hold_exactly_at_the_basis_state(tmp_path):
